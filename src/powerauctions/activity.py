@@ -15,9 +15,9 @@ from datetime import date
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .market_data import FuturesContractSeries
+from .premiums import _ZeroVarianceError, _two_sample_t
 
 MEASURE_KINDS = ("volume", "open_interest", "R1", "R2")
 
@@ -121,23 +121,6 @@ class EventStudyResult:
     sig05: bool
 
 
-def _two_sample_t(sample: np.ndarray, baseline: np.ndarray, variance: str):
-    na, nb = sample.size, baseline.size
-    ma, mb = sample.mean(), baseline.mean()
-    va, vb = sample.var(ddof=1), baseline.var(ddof=1)
-    if variance == "welch":
-        sa, sb = va / na, vb / nb
-        denom = sa + sb
-        if denom == 0:
-            return 0.0, float(na + nb - 2)
-        dof = denom ** 2 / (sa ** 2 / (na - 1) + sb ** 2 / (nb - 1))
-        return (ma - mb) / math.sqrt(denom), dof
-    pooled = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
-    if pooled == 0:
-        return 0.0, float(na + nb - 2)
-    return (ma - mb) / math.sqrt(pooled * (1 / na + 1 / nb)), float(na + nb - 2)
-
-
 def event_study(series: MeasureSeries, event_dates: Sequence[date],
                 window: tuple[int, int] = (-5, 5),
                 variance: str = "welch") -> list[EventStudyResult]:
@@ -182,17 +165,14 @@ def event_study(series: MeasureSeries, event_dates: Sequence[date],
                                             t_stat=math.nan, p_value=math.nan,
                                             sig01=False, sig05=False))
             continue
-        if sample.size == 1:
-            # no within-sample variance; fall back on the baseline variance only
-            vb = baseline.var(ddof=1)
-            t = float((sample[0] - baseline_mean) / math.sqrt(vb * (1 + 1 / baseline.size)))
-            dof = float(baseline.size - 1)
-        else:
-            t, dof = _two_sample_t(sample, baseline, variance)
-        p = 2.0 * float(stats.t.sf(abs(t), dof))
+        try:
+            t, _, p = _two_sample_t(sample, baseline, variance)
+        except _ZeroVarianceError:
+            # zero standard error (both samples constant): reported as no shift
+            t, p = 0.0, 1.0
         results.append(EventStudyResult(offset=k, event_mean=float(sample.mean()),
                                         baseline_mean=baseline_mean,
-                                        n_events=int(sample.size), t_stat=float(t),
+                                        n_events=int(sample.size), t_stat=t,
                                         p_value=p, sig01=p < 0.01, sig05=p < 0.05))
     return results
 

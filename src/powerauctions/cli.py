@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +24,11 @@ from .activity import (event_study, open_interest_series, r1_series, r2_series,
 from .auction_engine import (AuctionError, ClockAuctionConfig, ConstantSupply,
                              StochasticExit, StochasticShrink, ThresholdExit,
                              run_descending_clock)
-from .market_data import (MarketDataError, MarketZone, average_price,
+from .market_data import (_AVERAGES, _EVENTS, _FMPI, _PANEL, _STRIP_PRICES,
+                          MarketDataError, MarketZone, _read_table, average_price,
                           load_auctions_csv, load_costs_csv, load_futures_csv,
-                          load_spot_csv, load_spot_csv_multi,
-                          write_auctions_csv, write_costs_csv,
-                          write_futures_csv, write_spot_csv)
+                          load_spot_csv_multi, write_auctions_csv,
+                          write_costs_csv, write_futures_csv, write_spot_csv)
 from .panel import PanelObservation, RegressionError, fit_pooled_ols
 from .premiums import (FmpiSpec, PremiumRow, cesur_premium, distribution_stats,
                        equality_of_means, fmpi_premium, fmpi_strip,
@@ -62,10 +61,14 @@ def _metadata(args, extra=None) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    # strict JSON: a NaN or infinity fails the run before the file exists
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"{path}: non-finite number in JSON output") from None
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _open_csv(path: Path, args):
@@ -75,41 +78,6 @@ def _open_csv(path: Path, args):
     fh.write(f"# {meta['tool']}\n")
     fh.write(f"# config={json.dumps(meta['config'], sort_keys=True)}\n")
     return fh
-
-
-def _read_events_csv(path) -> list[date]:
-    events = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["date"]:
-            raise MarketDataError(f"{path}: events file needs a single 'date' column")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not row[0].strip():
-                continue
-            try:
-                events.append(date.fromisoformat(row[0].strip()))
-            except ValueError:
-                raise MarketDataError(f"{path} line {lineno}: bad date {row[0]!r}") from None
-    if not events:
-        raise MarketDataError(f"{path}: no event dates")
-    return events
-
-
-def _read_kv_csv(path, header: list[str]):
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None or [h.strip() for h in got] != header:
-            raise MarketDataError(f"{path}: expected header {header}, got {got}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise MarketDataError(f"{path} line {lineno}: wrong field count")
-            rows.append([c.strip() for c in row])
-    return rows
 
 
 # --- subcommands -------------------------------------------------------------
@@ -141,42 +109,41 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _load_fmpi_map(path) -> dict[tuple[str, str], float]:
-    rows = _read_kv_csv(path, ["market", "key", "fmpi"])
-    return {(m, k): float(v) for m, k, v in rows}
-
-
 def _premium_rows(args) -> list[PremiumRow]:
     records = load_auctions_csv(args.auctions)
-    fmpi_map = _load_fmpi_map(args.fmpi) if args.fmpi else {}
+    fmpi_map = {}
+    if args.fmpi:
+        fmpi_map = {(m, k): v for _, (m, k, v) in _read_table(args.fmpi, _FMPI)}
     costs_map = {}
     if args.costs:
         for c in load_costs_csv(args.costs):
             costs_map[(c.zone.market, c.zone.zone, c.year)] = c.unit_cost
     averages_map = {}
     if args.averages:
-        for m, z, year, price in _read_kv_csv(args.averages, ["market", "zone", "year", "avg_price"]):
-            averages_map[(m, z, int(year))] = float(price)
-    spot_by_zone = load_spot_csv_multi(args.spot) if args.spot else {}
+        averages_map = {(m, z, year): price
+                        for _, (m, z, year, price) in _read_table(args.averages, _AVERAGES)}
+    spot_by_zone = load_spot_csv_multi(args.spot)
+
+    def spot_avg_for(zone, rec):
+        if zone not in spot_by_zone:
+            raise MarketDataError(f"{args.spot}: no spot prices for zone {zone.market}/{zone.zone}")
+        return average_price(spot_by_zone[zone], rec.delivery, mode=args.spot_mode)
 
     rows = []
     for rec in records:
         if rec.market == "OMEL":
-            zone = MarketZone("OMEL", "ES")
-            spot_avg = average_price(spot_by_zone[zone], rec.delivery, mode=args.spot_mode)
+            spot_avg = spot_avg_for(MarketZone("OMEL", "ES"), rec)
             prem, pct = cesur_premium(rec.clearing_price, spot_avg)
             costs = 0.0
             gross = rec.clearing_price
             group = str(rec.auction_date.year)
             label = rec.product_id
         else:
-            zone_name = args.zone_of.get(rec.product_id) if args.zone_of else None
-            zone_name = zone_name or rec.product_id.split("-")[0]
-            zone = MarketZone("PJM", zone_name)
+            zone_name = rec.product_id.split("-")[0]
             year = rec.auction_date.year
             costs = costs_map.get(("PJM", zone_name, year), 0.0)
             avg_price = averages_map.get(("PJM", zone_name, year), rec.clearing_price)
-            spot_avg = average_price(spot_by_zone[zone], rec.delivery, mode=args.spot_mode)
+            spot_avg = spot_avg_for(MarketZone("PJM", zone_name), rec)
             prem, pct = pjm_premium(avg_price, costs, spot_avg)
             gross = rec.clearing_price
             group = zone_name
@@ -220,8 +187,7 @@ def _cmd_premium(args) -> int:
 
 
 def _cmd_fmpi(args) -> int:
-    rows = _read_kv_csv(args.prices, ["month", "price"])
-    prices = [float(p) for _, p in rows]
+    prices = [price for _, (_, price) in _read_table(args.prices, _STRIP_PRICES)]
     value = fmpi_strip(FmpiSpec(monthly_prices=tuple(prices), annual_rate=args.rate))
     payload = {"metadata": _metadata(args), "strip_value": value,
                "annual_rate": args.rate, "n_prices": len(prices)}
@@ -266,7 +232,9 @@ def _cmd_activity(args) -> int:
 def _cmd_event_study(args) -> int:
     contract = _select_contract(args.futures, args.contract)
     measure = _MEASURES[args.measure](contract)
-    events = _read_events_csv(args.events)
+    events = [day for _, (day,) in _read_table(args.events, _EVENTS)]
+    if not events:
+        raise MarketDataError(f"{args.events}: no event dates")
     results = event_study(measure, events, window=(args.window[0], args.window[1]),
                           variance=args.variance)
     out_dir = Path(args.out)
@@ -287,17 +255,11 @@ def _cmd_event_study(args) -> int:
 
 
 def _cmd_regress(args) -> int:
-    header = ["unit", "period", "y", "vol3y", "startbidders", "wbidders"]
-    with open(args.panel, newline="", encoding="utf-8") as fh:
-        got = next(csv.reader(fh), None)
-    if got and [h.strip() for h in got] == header + ["pls"]:
-        header = header + ["pls"]
-    rows = _read_kv_csv(args.panel, header)
-    panel = []
-    for row in rows:
-        cov = {name: float(val) for name, val in zip(header[3:], row[3:])}
-        panel.append(PanelObservation(unit=row[0], period=int(row[1]),
-                                      y=float(row[2]), covariates=cov))
+    covariate_names = list(_PANEL.columns)[3:]
+    # rows without the optional pls column are one field shorter; zip stops there
+    panel = [PanelObservation(unit=row[0], period=row[1], y=row[2],
+                              covariates=dict(zip(covariate_names, row[3:])))
+             for _, row in _read_table(args.panel, _PANEL)]
     covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
     result = fit_pooled_ols(panel, covariates,
                             period_fixed_effects=not args.no_period_effects,
@@ -420,7 +382,6 @@ def _add_premium_inputs(p):
     p.add_argument("--averages")
     p.add_argument("--spot-mode", default="strict", choices=["strict", "available"])
     p.add_argument("--out", required=True)
-    p.set_defaults(zone_of=None)
 
 
 def _build_parser() -> _CliParser:
@@ -488,6 +449,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise UsageError("argument --config: expected one argument")
     path = argv[i + 1]
     extra = []
     with open(path, encoding="utf-8") as fh:

@@ -2,7 +2,9 @@
 
 All domain objects are immutable after construction and validate their own
 invariants, so loaders only have to parse and hand over. CSV files are UTF-8
-with a header row, ISO-8601 dates and "." as decimal separator.
+with a header row, ISO-8601 dates and "." as decimal separator. Every CSV
+table the package reads or writes, the command line's inputs included, goes
+through the one table codec in this module.
 """
 
 from __future__ import annotations
@@ -21,16 +23,6 @@ MARKET_CURRENCY = {"OMEL": "EUR", "PJM": "USD"}
 
 LOAD_SHAPES = ("baseload", "peak", "offpeak")
 PRODUCT_KINDS = ("fixed_quantity", "full_requirements")
-
-SPOT_HEADER = ["market", "zone", "date", "price"]
-FUTURES_HEADER = ["contract_id", "market", "zone", "date", "settle", "volume", "open_interest"]
-AUCTIONS_HEADER = [
-    "market", "auction_id", "auction_date", "product_id", "delivery_start",
-    "delivery_end", "load_shape", "product_kind", "clearing_price", "quantity",
-    "start_bidders", "winning_bidders", "rounds",
-]
-COSTS_HEADER = ["market", "zone", "year", "unit_cost"]
-
 
 class MarketDataError(ValueError):
     """Invalid market data: malformed file, broken invariant or bad value."""
@@ -181,111 +173,151 @@ class CostComponents:
             raise MarketDataError(f"unit cost must be non-negative, got {self.unit_cost}")
 
 
-# --- parsing helpers ---------------------------------------------------------
+# --- table codec -------------------------------------------------------------
+#
+# A column kind is a (parse, format) pair and a table is its header plus one
+# kind per column. Every CSV file the package reads or writes is one of the
+# tables below and goes through _read_table and _write_table.
+
+_TEXT = (str, str)
+_DATE = (date.fromisoformat, date.isoformat)
+_FLOAT = (float, lambda x: repr(float(x)))
+_INT = (int, str)
 
 
-def _parse_date(text: str, lineno: int) -> date:
-    try:
-        return date.fromisoformat(text.strip())
-    except ValueError:
-        raise MarketDataError(f"line {lineno}: unparseable date {text!r}") from None
+def _multi(kind):
+    """A ";"-separated list of values of ``kind`` in one cell."""
+    parse, fmt = kind
+    return (lambda text: [parse(part.strip()) for part in text.split(";")],
+            lambda values: ";".join(fmt(v) for v in values))
 
 
-def _parse_float(text: str, lineno: int, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise MarketDataError(f"line {lineno}: unparseable {what} {text!r}") from None
+@dataclass(frozen=True)
+class _Table:
+    """Column name -> kind, in header order.
+
+    The last ``optional`` columns may be absent from a file's header; its
+    rows then hold one field per column the header names.
+    """
+    columns: dict
+    optional: int = 0
 
 
-def _parse_int(text: str, lineno: int, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise MarketDataError(f"line {lineno}: unparseable {what} {text!r}") from None
+_SPOT = _Table({"market": _TEXT, "zone": _TEXT, "date": _DATE, "price": _FLOAT})
+_FUTURES = _Table({"contract_id": _TEXT, "market": _TEXT, "zone": _TEXT, "date": _DATE,
+                   "settle": _FLOAT, "volume": _FLOAT, "open_interest": _FLOAT})
+_AUCTIONS = _Table({
+    "market": _TEXT, "auction_id": _INT, "auction_date": _DATE,
+    "product_id": _multi(_TEXT), "delivery_start": _multi(_DATE),
+    "delivery_end": _multi(_DATE), "load_shape": _multi(_TEXT), "product_kind": _TEXT,
+    "clearing_price": _multi(_FLOAT), "quantity": _multi(_FLOAT),
+    "start_bidders": _INT, "winning_bidders": _INT, "rounds": _INT,
+})
+_COSTS = _Table({"market": _TEXT, "zone": _TEXT, "year": _INT, "unit_cost": _FLOAT})
+# tables only the command line reads
+_FMPI = _Table({"market": _TEXT, "key": _TEXT, "fmpi": _FLOAT})
+_AVERAGES = _Table({"market": _TEXT, "zone": _TEXT, "year": _INT, "avg_price": _FLOAT})
+_STRIP_PRICES = _Table({"month": _TEXT, "price": _FLOAT})
+_PANEL = _Table({"unit": _TEXT, "period": _INT, "y": _FLOAT, "vol3y": _FLOAT,
+                 "startbidders": _FLOAT, "wbidders": _FLOAT, "pls": _FLOAT}, optional=1)
+_EVENTS = _Table({"date": _DATE})
 
 
-def _read_rows(path, expected_header: list[str]):
-    """Yield (lineno, row) for data lines, checking the header first."""
+def _read_table(path, table: _Table) -> list[tuple[int, list]]:
+    """Parse a CSV file of ``table`` into (line number, parsed row) pairs.
+
+    The stripped header must equal the table's column names. Blank rows are
+    skipped; every other row needs one field per header column, and each
+    stripped cell is parsed by its column's kind.
+    """
+    names = list(table.columns)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MarketDataError(f"{path}: missing header row") from None
-        if [h.strip() for h in header] != expected_header:
-            raise MarketDataError(
-                f"{path}: header {header} does not match expected {expected_header}"
-            )
+        header = [h.strip() for h in next(reader, [])]
+        width = len(header)
+        if width < len(names) - table.optional or header != names[:width]:
+            raise MarketDataError(f"{path}: header {header} does not match expected {names}")
+        parsers = [parse for parse, _ in table.columns.values()][:width]
         rows = []
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
-            if len(row) != len(expected_header):
+            if len(row) != width:
                 raise MarketDataError(
-                    f"{path} line {lineno}: expected {len(expected_header)} fields, got {len(row)}"
+                    f"{path} line {lineno}: expected {width} fields, got {len(row)}"
                 )
-            rows.append((lineno, row))
+            try:
+                rows.append((lineno, [parse(c.strip()) for parse, c in zip(parsers, row)]))
+            except ValueError:
+                for name, parse, cell in zip(names, parsers, row):
+                    try:
+                        parse(cell.strip())
+                    except ValueError:
+                        raise MarketDataError(
+                            f"{path} line {lineno}: unparseable {name} {cell.strip()!r}"
+                        ) from None
+                raise
     if not rows:
         warnings.warn(f"{path}: no data rows", stacklevel=3)
     return rows
 
 
+def _write_table(path, table: _Table, *blocks) -> None:
+    """Write ``table``'s header, then the rows of each block in turn.
+
+    A block holds one sequence per column, all of the same length; each
+    column is formatted by its kind.
+    """
+    formats = [fmt for _, fmt in table.columns.values()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(list(table.columns))
+        for block in blocks:
+            w.writerows(zip(*[map(fmt, column) for fmt, column in zip(formats, block)]))
+
+
+# --- loaders and writers -----------------------------------------------------
+
+
+def _spot_series(zone: MarketZone, rows) -> SpotPriceSeries:
+    return SpotPriceSeries(zone=zone, dates=tuple(r[2] for r in rows),
+                           prices=np.array([r[3] for r in rows], dtype=float))
+
+
 def load_spot_csv(path, zone: MarketZone) -> SpotPriceSeries:
     """Load a spot-price CSV (``market,zone,date,price``) for one zone."""
-    dates, prices = [], []
-    for lineno, row in _read_rows(path, SPOT_HEADER):
-        market, z, d, p = row
-        if market.strip() != zone.market or z.strip() != zone.zone:
+    rows = _read_table(path, _SPOT)
+    for lineno, (market, z, _, _) in rows:
+        if market != zone.market or z != zone.zone:
             raise MarketDataError(
                 f"{path} line {lineno}: row for {market}/{z}, expected {zone.market}/{zone.zone}"
             )
-        dates.append(_parse_date(d, lineno))
-        prices.append(_parse_float(p, lineno, "price"))
-    return SpotPriceSeries(zone=zone, dates=tuple(dates), prices=np.array(prices, dtype=float))
+    return _spot_series(zone, [row for _, row in rows])
 
 
 def load_spot_csv_multi(path) -> dict[MarketZone, SpotPriceSeries]:
     """Load a spot CSV that may carry several market zones in one file."""
     buckets: dict[MarketZone, list] = {}
-    for lineno, row in _read_rows(path, SPOT_HEADER):
-        market, z, d, p = (cell.strip() for cell in row)
-        zone = MarketZone(market, z)
-        buckets.setdefault(zone, []).append(
-            (_parse_date(d, lineno), _parse_float(p, lineno, "price"))
-        )
-    return {
-        zone: SpotPriceSeries(zone=zone, dates=tuple(r[0] for r in rows),
-                              prices=np.array([r[1] for r in rows]))
-        for zone, rows in buckets.items()
-    }
+    for _, row in _read_table(path, _SPOT):
+        buckets.setdefault(MarketZone(row[0], row[1]), []).append(row)
+    return {zone: _spot_series(zone, rows) for zone, rows in buckets.items()}
 
 
 def load_futures_csv(path) -> list[FuturesContractSeries]:
     """Load a futures CSV; returns one series per contract_id, in file order."""
-    per_contract: dict[str, dict] = {}
-    for lineno, row in _read_rows(path, FUTURES_HEADER):
-        cid, market, z, d, settle, vol, oi = (cell.strip() for cell in row)
-        zone = MarketZone(market, z)
-        bucket = per_contract.setdefault(cid, {"zone": zone, "rows": []})
-        if bucket["zone"] != zone:
+    per_contract: dict[str, tuple[tuple[str, str], list]] = {}
+    for lineno, row in _read_table(path, _FUTURES):
+        cid, zone = row[0], (row[1], row[2])
+        bucket = per_contract.setdefault(cid, (zone, []))
+        if bucket[0] != zone:
             raise MarketDataError(f"{path} line {lineno}: contract {cid} changes zone")
-        bucket["rows"].append((
-            _parse_date(d, lineno),
-            _parse_float(settle, lineno, "settle"),
-            _parse_float(vol, lineno, "volume"),
-            _parse_float(oi, lineno, "open_interest"),
-        ))
+        bucket[1].append(row)
     out = []
-    for cid, bucket in per_contract.items():
-        rows = bucket["rows"]
+    for cid, (zone, rows) in per_contract.items():
+        _, _, _, dates, settle, volume, open_interest = zip(*rows)
         out.append(FuturesContractSeries(
-            contract_id=cid,
-            zone=bucket["zone"],
-            dates=tuple(r[0] for r in rows),
-            settle=np.array([r[1] for r in rows]),
-            volume=np.array([r[2] for r in rows]),
-            open_interest=np.array([r[3] for r in rows]),
+            contract_id=cid, zone=MarketZone(*zone), dates=dates, settle=np.array(settle),
+            volume=np.array(volume), open_interest=np.array(open_interest),
         ))
     return out
 
@@ -299,13 +331,11 @@ def load_auctions_csv(path) -> list[AuctionRecord]:
     count, and the row expands into that many records.
     """
     records = []
-    for lineno, row in _read_rows(path, AUCTIONS_HEADER):
-        (market, aid, adate, pid, dstart, dend, shape, kind, price, qty,
-         sbid, wbid, rounds) = (cell.strip() for cell in row)
-        multi = [pid.split(";"), dstart.split(";"), dend.split(";"),
-                 shape.split(";"), price.split(";"), qty.split(";")]
-        n = len(multi[0])
-        if any(len(part) != n for part in multi):
+    for lineno, row in _read_table(path, _AUCTIONS):
+        (market, aid, adate, pids, starts, ends, shapes, kind, prices, qtys,
+         sbid, wbid, rounds) = row
+        products = [pids, starts, ends, shapes, prices, qtys]
+        if any(len(part) != len(pids) for part in products):
             raise MarketDataError(
                 f"{path} line {lineno}: multi-product fields have unequal counts"
             )
@@ -316,23 +346,12 @@ def load_auctions_csv(path) -> list[AuctionRecord]:
             raise MarketDataError(
                 f"{path} line {lineno}: market {market} expects product kind {expected_kind}"
             )
-        for k in range(n):
+        for pid, start, end, shape, price, qty in zip(*products):
             records.append(AuctionRecord(
-                market=market,
-                auction_id=_parse_int(aid, lineno, "auction_id"),
-                auction_date=_parse_date(adate, lineno),
-                product_id=multi[0][k],
-                delivery=DeliveryPeriod(
-                    start=_parse_date(multi[1][k], lineno),
-                    end=_parse_date(multi[2][k], lineno),
-                    load_shape=multi[3][k],
-                ),
-                clearing_price=_parse_float(multi[4][k], lineno, "clearing_price"),
-                quantity=_parse_float(multi[5][k], lineno, "quantity"),
-                product_kind=kind,
-                start_bidders=_parse_int(sbid, lineno, "start_bidders"),
-                winning_bidders=_parse_int(wbid, lineno, "winning_bidders"),
-                rounds=_parse_int(rounds, lineno, "rounds"),
+                market=market, auction_id=aid, auction_date=adate, product_id=pid,
+                delivery=DeliveryPeriod(start=start, end=end, load_shape=shape),
+                clearing_price=price, quantity=qty, product_kind=kind,
+                start_bidders=sbid, winning_bidders=wbid, rounds=rounds,
             ))
     return records
 
@@ -340,60 +359,42 @@ def load_auctions_csv(path) -> list[AuctionRecord]:
 def load_costs_csv(path) -> list[CostComponents]:
     out = []
     seen = set()
-    for lineno, row in _read_rows(path, COSTS_HEADER):
-        market, z, year, cost = (cell.strip() for cell in row)
+    for lineno, (market, z, year, cost) in _read_table(path, _COSTS):
         key = (market, z, year)
         if key in seen:
             raise MarketDataError(f"{path} line {lineno}: duplicate cost row {key}")
         seen.add(key)
-        out.append(CostComponents(
-            zone=MarketZone(market, z),
-            year=_parse_int(year, lineno, "year"),
-            unit_cost=_parse_float(cost, lineno, "unit_cost"),
-        ))
+        out.append(CostComponents(zone=MarketZone(market, z), year=year, unit_cost=cost))
     return out
 
 
-# --- writers (round-trip + normalized output) --------------------------------
-
-
 def write_spot_csv(path, series: SpotPriceSeries) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(SPOT_HEADER)
-        for d, p in zip(series.dates, series.prices):
-            w.writerow([series.zone.market, series.zone.zone, d.isoformat(), repr(float(p))])
+    n = len(series)
+    _write_table(path, _SPOT, [[series.zone.market] * n, [series.zone.zone] * n,
+                               series.dates, series.prices])
 
 
 def write_futures_csv(path, series_list: list[FuturesContractSeries]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(FUTURES_HEADER)
-        for s in series_list:
-            for d, px, v, oi in zip(s.dates, s.settle, s.volume, s.open_interest):
-                w.writerow([s.contract_id, s.zone.market, s.zone.zone,
-                            d.isoformat(), repr(float(px)), repr(float(v)), repr(float(oi))])
+    _write_table(path, _FUTURES, *(
+        [[s.contract_id] * len(s), [s.zone.market] * len(s), [s.zone.zone] * len(s),
+         s.dates, s.settle, s.volume, s.open_interest]
+        for s in series_list
+    ))
 
 
 def write_auctions_csv(path, records: list[AuctionRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(AUCTIONS_HEADER)
-        for r in records:
-            w.writerow([
-                r.market, r.auction_id, r.auction_date.isoformat(), r.product_id,
-                r.delivery.start.isoformat(), r.delivery.end.isoformat(),
-                r.delivery.load_shape, r.product_kind, repr(float(r.clearing_price)),
-                repr(float(r.quantity)), r.start_bidders, r.winning_bidders, r.rounds,
-            ])
+    # one product per row, so each ";" column holds a single entry
+    _write_table(path, _AUCTIONS, zip(*(
+        (r.market, r.auction_id, r.auction_date, [r.product_id], [r.delivery.start],
+         [r.delivery.end], [r.delivery.load_shape], r.product_kind, [r.clearing_price],
+         [r.quantity], r.start_bidders, r.winning_bidders, r.rounds)
+        for r in records
+    )))
 
 
 def write_costs_csv(path, costs: list[CostComponents]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(COSTS_HEADER)
-        for c in costs:
-            w.writerow([c.zone.market, c.zone.zone, c.year, repr(float(c.unit_cost))])
+    _write_table(path, _COSTS, zip(*((c.zone.market, c.zone.zone, c.year, c.unit_cost)
+                                     for c in costs)))
 
 
 # --- aggregation -------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 MWH_PER_MW_CAPACITY = 2200.0
 FMPI_STRIP_LENGTH = 36
@@ -79,10 +79,7 @@ def fmpi_strip(spec: FmpiSpec) -> float:
     Month j gets weight proportional to (1+r)^(-j/12); weights are
     normalized to sum to one, so r=0 reduces to the plain mean.
     """
-    j = np.arange(1, FMPI_STRIP_LENGTH + 1)
-    w = (1.0 + spec.annual_rate) ** (-j / 12.0)
-    g = w / w.sum()
-    return float(g @ np.asarray(spec.monthly_prices, dtype=float))
+    return float(fmpi_weights(spec.annual_rate) @ np.asarray(spec.monthly_prices, dtype=float))
 
 
 def fmpi_weights(annual_rate: float) -> np.ndarray:
@@ -204,22 +201,43 @@ class MeanComparison:
         return self.p_value < alpha
 
 
+class _ZeroVarianceError(ValueError):
+    """The t statistic is undefined: its standard error is zero."""
+
+
+def _two_sample_t(a: np.ndarray, b: np.ndarray,
+                  variance: str = "welch") -> tuple[float, float, float]:
+    """Two-sample t statistic, degrees of freedom and two-sided p value.
+
+    ``variance`` is "welch" (Welch-Satterthwaite dof) or "pooled" (one
+    common variance, na + nb - 2 dof). A one-element ``a`` has no variance
+    of its own and takes b's: se^2 = vb (1 + 1/nb) on nb - 1 dof. Raises
+    _ZeroVarianceError when the standard error is zero.
+    """
+    na, nb = a.size, b.size
+    vb = b.var(ddof=1)
+    if na == 1:
+        se2, dof = vb * (1 + 1 / nb), nb - 1
+    elif variance == "welch":
+        sa, sb = a.var(ddof=1) / na, vb / nb
+        se2 = sa + sb
+        dof = se2 ** 2 / (sa ** 2 / (na - 1) + sb ** 2 / (nb - 1)) if se2 else math.nan
+    else:
+        pooled = ((na - 1) * a.var(ddof=1) + (nb - 1) * vb) / (na + nb - 2)
+        se2, dof = pooled * (1 / na + 1 / nb), na + nb - 2
+    if se2 == 0:
+        raise _ZeroVarianceError("both samples have zero variance")
+    t = float((a.mean() - b.mean()) / math.sqrt(se2))
+    return t, float(dof), 2.0 * float(special.stdtr(dof, -abs(t)))
+
+
 def welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """Welch two-sample t statistic, Welch-Satterthwaite dof, two-sided p."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    na, nb = a.size, b.size
-    if na < 2 or nb < 2:
+    if a.size < 2 or b.size < 2:
         raise ValueError("each sample needs at least 2 observations")
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    sa, sb = va / na, vb / nb
-    denom = sa + sb
-    if denom == 0:
-        raise ValueError("both samples have zero variance")
-    t = (a.mean() - b.mean()) / math.sqrt(denom)
-    dof = denom ** 2 / (sa ** 2 / (na - 1) + sb ** 2 / (nb - 1))
-    p = 2.0 * float(stats.t.sf(abs(t), dof))
-    return float(t), float(dof), p
+    return _two_sample_t(a, b)
 
 
 def equality_of_means(groups: dict[str, Sequence[float]]) -> list[MeanComparison]:

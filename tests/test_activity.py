@@ -100,10 +100,12 @@ class TestEventStudy:
     def test_constant_series_all_t_zero(self):
         dates = daily_dates(date(2007, 1, 1), 200)
         m = MeasureSeries("C", "volume", dates, np.full(200, 7.0))
-        results = event_study(m, [dates[50], dates[120]])
-        assert len(results) == 11
-        assert all(r.t_stat == 0.0 for r in results)
-        assert all(not r.sig01 and not r.sig05 for r in results)
+        # one event takes the single-observation branch, two the two-sample one
+        for events in ([dates[50], dates[120]], [dates[50]]):
+            results = event_study(m, events)
+            assert len(results) == 11
+            assert all(r.t_stat == 0.0 and r.p_value == 1.0 for r in results)
+            assert all(not r.sig01 and not r.sig05 for r in results)
 
     def test_offsets_cover_window_exactly(self, rng):
         m, events = series_with_events(rng)

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 
+import powerauctions
 from powerauctions.cli import main
 
 AUCTIONS_HEADER = ("market,auction_id,auction_date,product_id,delivery_start,"
@@ -205,3 +210,61 @@ class TestErrorsAndConfig:
         assert rc == 0
         summary = json.loads((out / "ingest_summary.json").read_text())
         assert summary["rows_accepted"] == 2
+
+    def test_config_flag_without_value_is_usage_error(self, capsys):
+        rc = main(["premium", "--config"])
+        assert rc == 1
+        assert "error code=1" in capsys.readouterr().err
+
+    def test_spot_file_without_needed_zone_is_data_error(self, tmp_path, omel_fixture, capsys):
+        auctions, _, _ = omel_fixture
+        spot = tmp_path / "pjm_spot.csv"
+        spot.write_text("market,zone,date,price\nPJM,ACE,2007-07-01,50\n")
+        rc = main(["premium", "--auctions", str(auctions), "--spot", str(spot),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error code=2" in err and "OMEL/ES" in err
+
+    @pytest.mark.parametrize("flag", ["--fmpi", "--averages", "--prices", "--panel"])
+    def test_non_number_in_cli_table_is_data_error(self, tmp_path, omel_fixture, flag, capsys):
+        auctions, spot, _ = omel_fixture
+        bad = tmp_path / "bad.csv"
+        premium = ["premium", "--auctions", str(auctions), "--spot", str(spot),
+                   "--out", str(tmp_path / "o")]
+        text, argv, reason = {
+            "--fmpi": ("market,key,fmpi\nOMEL,Q3-07,44.45\nOMEL,Q4-07,abc\n", premium,
+                       "line 3: unparseable fmpi 'abc'"),
+            "--averages": ("market,zone,year,avg_price\nPJM,ACE,2007,abc\n", premium,
+                           "line 2: unparseable avg_price 'abc'"),
+            "--prices": ("month,price\n1,50\n2,abc\n", ["fmpi"],
+                         "line 3: unparseable price 'abc'"),
+            "--panel": ("unit,period,y,vol3y,startbidders,wbidders\nACE,2007,1,2,3,abc\n",
+                        ["regress", "--out", str(tmp_path / "r.json")],
+                        "line 2: unparseable wbidders 'abc'"),
+        }[flag]
+        bad.write_text(text)
+        rc = main([*argv, flag, str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error code=2" in err and reason in err
+
+    def test_non_finite_json_is_numeric_error(self, tmp_path, capsys):
+        # y = 0 fits exactly: every standard error is 0 and every t statistic inf
+        lines = ["unit,period,y,vol3y,startbidders,wbidders"]
+        for i, u in enumerate(("ACE", "JCPL", "PSEG", "RECO")):
+            for t in range(2007, 2012):
+                lines.append(f"{u},{t},0,{10 + i + 0.7 * (t % 5)},{20 + t % 3},{8 + i}")
+        panel = tmp_path / "panel.csv"
+        panel.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "result.json"
+        rc = main(["regress", "--panel", str(panel), "--no-period-effects", "--out", str(out)])
+        assert rc == 3
+        assert "error code=3" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(powerauctions.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", "import powerauctions.cli, sys; "
+                    "assert 'scipy.stats' not in sys.modules"], env=env, check=True)

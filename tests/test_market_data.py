@@ -6,6 +6,7 @@ import pytest
 from powerauctions import (DeliveryPeriod, MarketDataError, MarketZone,
                            average_price, load_auctions_csv, load_costs_csv,
                            load_futures_csv, load_spot_csv)
+from powerauctions import market_data
 from powerauctions.market_data import (write_auctions_csv, write_costs_csv,
                                        write_futures_csv, write_spot_csv)
 
@@ -214,3 +215,86 @@ class TestAveragePrice:
         series = make_spot([10, 20, 30])
         period = DeliveryPeriod(date(2007, 1, 1), date(2007, 1, 5))
         assert average_price(series, period, mode="available") == 20.0
+
+
+# every table the package reads: (table, header, one valid data row, a column
+# whose cell the bad-cell case replaces)
+TABLES = {
+    "spot": (market_data._SPOT, None, "OMEL,ES,2007-01-01,30.5", "date"),
+    "futures": (market_data._FUTURES, None, "FTBQ-1,OMEL,ES,2007-01-01,50.5,3,100", "settle"),
+    "auctions": (market_data._AUCTIONS, None,
+                 "OMEL,4,2008-03-13,Q2-08;Q2Q3-08,2008-04-01;2008-04-01,2008-06-30;2008-09-30,"
+                 "baseload;baseload,fixed_quantity,63.36;63.73,1800;1200,29,14,22",
+                 "clearing_price"),
+    "costs": (market_data._COSTS, None, "PJM,ACE,2007,11.34", "year"),
+    "fmpi": (market_data._FMPI, None, "OMEL,Q3-07,44.45", "fmpi"),
+    "averages": (market_data._AVERAGES, None, "PJM,ACE,2007,67.1", "avg_price"),
+    "strip_prices": (market_data._STRIP_PRICES, None, "1,50.25", "price"),
+    "panel": (market_data._PANEL, None, "ACE,2007,1.5,12.0,25,11,0.4", "pls"),
+    "panel_without_pls": (market_data._PANEL,
+                          "unit,period,y,vol3y,startbidders,wbidders",
+                          "ACE,2007,1.5,12.0,25,11", "period"),
+    "events": (market_data._EVENTS, None, "2007-06-19", "date"),
+}
+
+
+@pytest.mark.parametrize("name", TABLES)
+class TestTableCodec:
+    def case(self, name):
+        table, header, row, bad_column = TABLES[name]
+        return table, (header or ",".join(table.columns)).split(","), row, bad_column
+
+    def test_wrong_header_rejected(self, tmp_path, name):
+        table, header, row, _ = self.case(name)
+        p = write(tmp_path / "t.csv", ",".join(header[:-1] + ["bogus"]) + "\n" + row + "\n")
+        with pytest.raises(MarketDataError, match="header"):
+            market_data._read_table(p, table)
+
+    def test_bad_cell_reports_line(self, tmp_path, name):
+        table, header, row, bad_column = self.case(name)
+        cells = row.split(",")
+        cells[header.index(bad_column)] = "n/a"
+        p = write(tmp_path / "t.csv", "\n".join([",".join(header), row, ",".join(cells)]) + "\n")
+        with pytest.raises(MarketDataError, match=f"line 3: unparseable {bad_column} 'n/a'"):
+            market_data._read_table(p, table)
+
+    def test_blank_rows_skipped(self, tmp_path, name):
+        table, header, row, _ = self.case(name)
+        blank = ",".join([" "] * len(header))
+        p = write(tmp_path / "t.csv", "\n".join([",".join(header), "", row, blank, row]) + "\n")
+        rows = market_data._read_table(p, table)
+        assert [lineno for lineno, _ in rows] == [3, 5]
+        assert rows[0][1] == rows[1][1] and len(rows[0][1]) == len(header)
+
+    def test_wrong_field_count_rejected(self, tmp_path, name):
+        table, header, row, _ = self.case(name)
+        p = write(tmp_path / "t.csv", ",".join(header) + "\n" + row + ",1\n")
+        with pytest.raises(MarketDataError,
+                           match=f"line 2: expected {len(header)} fields, got {len(header) + 1}"):
+            market_data._read_table(p, table)
+
+
+WRITTEN_TABLES = {
+    "spot": (lambda p: load_spot_csv(p, ES), write_spot_csv,
+             "market,zone,date,price\nOMEL,ES,2007-01-01,30\nOMEL,ES,2007-01-02,0.1\n"
+             "OMEL,ES,2007-01-03,1e22\n"),
+    "futures": (load_futures_csv, write_futures_csv,
+                "contract_id,market,zone,date,settle,volume,open_interest\n"
+                "A,OMEL,ES,2007-01-01,50.5,1,10\nB,PJM,ACE,2007-01-01,1e-07,2,20\n"
+                "A,OMEL,ES,2007-01-02,52,3,30\n"),
+    "auctions": (load_auctions_csv, write_auctions_csv, TestAuctionsLoader.HEADER +
+                 "OMEL,4,2008-03-13,Q2-08;Q2Q3-08,2008-04-01;2008-04-01,"
+                 "2008-06-30;2008-09-30,baseload;baseload,fixed_quantity,"
+                 "63.36;63.73,1800;1200,29,14,22\n"),
+    "costs": (load_costs_csv, write_costs_csv,
+              "market,zone,year,unit_cost\nPJM,ACE,2007,11.34\nPJM,RECO,2009,17\n"),
+}
+
+
+@pytest.mark.parametrize("name", WRITTEN_TABLES)
+def test_write_read_write_byte_identical(tmp_path, name):
+    load, write_table, text = WRITTEN_TABLES[name]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_table(first, load(write(tmp_path / "in.csv", text)))
+    write_table(second, load(first))
+    assert first.read_bytes() == second.read_bytes()
