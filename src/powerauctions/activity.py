@@ -10,13 +10,14 @@ baseline that excludes every (merged) event window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from datetime import date
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .market_data import FuturesContractSeries
+from .market_data import FuturesContractSeries, _date_index
 from .premiums import _ZeroVarianceError, _two_sample_t
 
 MEASURE_KINDS = ("volume", "open_interest", "R1", "R2")
@@ -24,13 +25,24 @@ MEASURE_KINDS = ("volume", "open_interest", "R1", "R2")
 
 @dataclass(frozen=True)
 class MeasureSeries:
+    """A daily activity measure; ``undefined_dates`` are days without a value.
+
+    Dates must strictly increase. The series keeps the sorted ordinal index
+    of its dates and its defined-day mask as read-only arrays; a measure
+    built from a futures series takes both over from it instead
+    (``_ordinals``, ``_defined``) and derives ``undefined_dates`` from the mask.
+    """
     contract_id: str
     measure_kind: str
     dates: tuple[date, ...]
     values: np.ndarray
     undefined_dates: frozenset[date] = frozenset()
+    _ordinals: InitVar[np.ndarray | None] = None
+    _defined: InitVar[np.ndarray | None] = None
+    ordinals: np.ndarray = field(init=False, repr=False, compare=False)
+    _mask: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _ordinals, _defined):
         if self.measure_kind not in MEASURE_KINDS:
             raise ValueError(f"unknown measure kind {self.measure_kind!r}")
         vals = np.asarray(self.values, dtype=float)
@@ -38,21 +50,38 @@ class MeasureSeries:
             raise ValueError("dates and values length mismatch")
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
+        if _ordinals is None:
+            _ordinals = _date_index(self.dates, f"measure {self.contract_id}")
+        if _defined is None:
+            undefined = np.fromiter((d.toordinal() for d in self.undefined_dates),
+                                    dtype=np.int64, count=len(self.undefined_dates))
+            _defined = ~np.isin(_ordinals, undefined)
+        else:
+            object.__setattr__(self, "undefined_dates",
+                               frozenset(compress(self.dates, (~_defined).tolist())))
+        _defined.setflags(write=False)
+        object.__setattr__(self, "ordinals", _ordinals)
+        object.__setattr__(self, "_mask", _defined)
 
     def defined_mask(self) -> np.ndarray:
-        if not self.undefined_dates:
-            return np.ones(len(self.dates), dtype=bool)
-        return np.array([d not in self.undefined_dates for d in self.dates])
+        return self._mask
+
+
+def _measure(futures: FuturesContractSeries, kind: str, values,
+             defined=None) -> MeasureSeries:
+    """A measure on ``futures``' calendar, sharing its date index."""
+    if defined is None:
+        defined = np.ones(len(futures), dtype=bool)
+    return MeasureSeries(futures.contract_id, kind, futures.dates, values,
+                         _ordinals=futures.ordinals, _defined=defined)
 
 
 def volume_series(futures: FuturesContractSeries) -> MeasureSeries:
-    return MeasureSeries(futures.contract_id, "volume", futures.dates,
-                         np.array(futures.volume))
+    return _measure(futures, "volume", np.array(futures.volume))
 
 
 def open_interest_series(futures: FuturesContractSeries) -> MeasureSeries:
-    return MeasureSeries(futures.contract_id, "open_interest", futures.dates,
-                         np.array(futures.open_interest))
+    return _measure(futures, "open_interest", np.array(futures.open_interest))
 
 
 def r1_series(futures: FuturesContractSeries) -> MeasureSeries:
@@ -64,8 +93,7 @@ def r1_series(futures: FuturesContractSeries) -> MeasureSeries:
     values = np.zeros(len(futures))
     np.divide(futures.volume, oi, out=values, where=~undefined)
     values[undefined] = np.nan
-    return MeasureSeries(futures.contract_id, "R1", futures.dates, values,
-                         frozenset(d for d, u in zip(futures.dates, undefined) if u))
+    return _measure(futures, "R1", values, ~undefined)
 
 
 def r2_series(futures: FuturesContractSeries) -> MeasureSeries:
@@ -83,8 +111,7 @@ def r2_series(futures: FuturesContractSeries) -> MeasureSeries:
     undefined[0] = True
     values = np.full(len(futures), np.nan)
     np.divide(futures.volume, delta, out=values, where=~undefined)
-    return MeasureSeries(futures.contract_id, "R2", futures.dates, values,
-                         frozenset(d for d, u in zip(futures.dates, undefined) if u))
+    return _measure(futures, "R2", values, ~undefined)
 
 
 def baseline_mean_excluding(series: MeasureSeries, excluded_dates: Iterable[date]) -> float:
@@ -94,12 +121,11 @@ def baseline_mean_excluding(series: MeasureSeries, excluded_dates: Iterable[date
     mean M2, the remaining N1 = N - N2 observations have mean
     (N/N1) * M - (N2/N1) * M2. Undefined days never enter either sample.
     """
-    excluded = set(excluded_dates)
+    excluded = np.fromiter((d.toordinal() for d in excluded_dates), dtype=np.int64)
     mask = series.defined_mask()
     values = series.values[mask]
-    dates = [d for d, ok in zip(series.dates, mask) if ok]
     n = len(values)
-    in_window = np.array([d in excluded for d in dates])
+    in_window = np.isin(series.ordinals[mask], excluded)
     n2 = int(in_window.sum())
     n1 = n - n2
     if n1 < 2:
@@ -138,13 +164,15 @@ def event_study(series: MeasureSeries, event_dates: Sequence[date],
         raise ValueError(f"unknown variance treatment {variance!r}")
     if not event_dates:
         raise ValueError("no event dates")
-    pos_of = {d: i for i, d in enumerate(series.dates)}
-    positions = []
-    for d in event_dates:
-        if d not in pos_of:
-            raise ValueError(f"event date {d} not in the series trading calendar")
-        positions.append(pos_of[d])
     n = len(series.dates)
+    wanted = np.fromiter((d.toordinal() for d in event_dates), dtype=np.int64,
+                         count=len(event_dates))
+    positions = np.searchsorted(series.ordinals, wanted)
+    found = positions < n
+    found[found] = series.ordinals[positions[found]] == wanted[found]
+    if not found.all():
+        missing = event_dates[int(np.argmin(found))]
+        raise ValueError(f"event date {missing} not in the series trading calendar")
     defined = series.defined_mask()
 
     excluded = np.zeros(n, dtype=bool)
@@ -157,8 +185,9 @@ def event_study(series: MeasureSeries, event_dates: Sequence[date],
 
     results = []
     for k in range(lo, hi + 1):
-        idx = [p + k for p in positions if 0 <= p + k < n and defined[p + k]]
-        sample = series.values[idx]
+        idx = positions + k
+        idx = idx[(idx >= 0) & (idx < n)]
+        sample = series.values[idx[defined[idx]]]
         if sample.size == 0:
             results.append(EventStudyResult(offset=k, event_mean=math.nan,
                                             baseline_mean=baseline_mean, n_events=0,

@@ -21,6 +21,8 @@ from typing import Callable, Protocol
 
 import numpy as np
 
+from .market_data import MarketDataError
+
 
 class AuctionError(RuntimeError):
     """Auction cannot proceed: bad configuration or no feasible close."""
@@ -169,7 +171,8 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
 
     Offers above a bidder's previous quantity are clamped (and logged), a
     zero offer retires the bidder permanently, and the returned awards always
-    sum exactly to the target quantity.
+    sum exactly to the target quantity. A round whose announced price is not
+    positive stops the auction, so it can only clear at a positive price.
     """
     if not strategies:
         raise AuctionError("at least one strategy required")
@@ -189,6 +192,8 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
             raise AuctionError(
                 f"announced prices must strictly decrease (round {round_no}: {price} >= {prev_price})"
             )
+        if price <= 0:
+            raise AuctionError(f"announced price must be positive (round {round_no}: {price})")
         offers: dict[str, float] = {}
         clamped = []
         aggregate_info = {"round": round_no, "price": price,
@@ -258,11 +263,11 @@ def settle_cfd(auction_price: float, spot, period, quantity: float,
     Positive flows favour the winning bidder (seller): it receives the
     auction price and pays out spot.
     """
-    flows = []
-    for day in period.days():
-        spot_price = spot.price_on(day)  # raises if missing
-        flows.append((day, (auction_price - spot_price) * quantity * hours_per_day))
-    return flows
+    days, _, first_missing = spot._period_slice(period)
+    if first_missing is not None:
+        raise MarketDataError(f"no spot price for {first_missing}")
+    flows = (auction_price - spot.prices[days]) * quantity * hours_per_day
+    return list(zip(spot.dates[days], flows.tolist()))
 
 
 def full_requirements_payout(auction_price: float, load: list[tuple[date, float]],

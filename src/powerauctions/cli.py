@@ -220,8 +220,8 @@ def _cmd_activity(args) -> int:
     with _open_csv(out_dir / f"activity_{args.measure}.csv", args) as fh:
         w = csv.writer(fh)
         w.writerow(["contract_id", "measure", "date", "value", "defined"])
-        for d, v in zip(measure.dates, measure.values):
-            defined = d not in measure.undefined_dates
+        for d, v, defined in zip(measure.dates, measure.values,
+                                 measure.defined_mask().tolist()):
             w.writerow([measure.contract_id, measure.measure_kind, d.isoformat(),
                         f"{v:.10g}" if defined else "", int(defined)])
     print(f"activity ok measure={args.measure} n={len(measure.dates)} "

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
@@ -62,15 +62,20 @@ class DeliveryPeriod:
         return [date.fromordinal(o) for o in range(self.start.toordinal(), self.end.toordinal() + 1)]
 
 
-def _check_dated_observations(dates, what: str):
-    prev = None
-    for d in dates:
-        if prev is not None:
-            if d == prev:
-                raise MarketDataError(f"duplicate date {d} in {what}")
-            if d < prev:
-                raise MarketDataError(f"non-monotone dates in {what}: {d} after {prev}")
-        prev = d
+def _date_index(dates, what: str) -> np.ndarray:
+    """The read-only ``date.toordinal()`` index of strictly increasing ``dates``.
+
+    A duplicate or decreasing date raises, naming the first offending pair.
+    """
+    ordinals = np.fromiter((d.toordinal() for d in dates), dtype=np.int64, count=len(dates))
+    bad = np.flatnonzero(np.diff(ordinals) <= 0)
+    if bad.size:
+        prev, d = dates[bad[0]], dates[bad[0] + 1]
+        if d == prev:
+            raise MarketDataError(f"duplicate date {d} in {what}")
+        raise MarketDataError(f"non-monotone dates in {what}: {d} after {prev}")
+    ordinals.setflags(write=False)
+    return ordinals
 
 
 @dataclass(frozen=True)
@@ -78,11 +83,12 @@ class SpotPriceSeries:
     zone: MarketZone
     dates: tuple[date, ...]
     prices: np.ndarray
+    ordinals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.dates) != len(self.prices):
             raise MarketDataError("dates and prices length mismatch")
-        _check_dated_observations(self.dates, "spot series")
+        object.__setattr__(self, "ordinals", _date_index(self.dates, "spot series"))
         prices = np.asarray(self.prices, dtype=float)
         if prices.size and not np.all(np.isfinite(prices)):
             raise MarketDataError("non-finite spot price")
@@ -93,10 +99,24 @@ class SpotPriceSeries:
         return len(self.dates)
 
     def price_on(self, day: date) -> float:
-        try:
-            return float(self.prices[self.dates.index(day)])
-        except ValueError:
-            raise MarketDataError(f"no spot price for {day}") from None
+        ordinal = day.toordinal()
+        i = int(np.searchsorted(self.ordinals, ordinal))
+        if i == len(self) or self.ordinals[i] != ordinal:
+            raise MarketDataError(f"no spot price for {day}")
+        return float(self.prices[i])
+
+    def _period_slice(self, period: DeliveryPeriod) -> tuple[slice, int, date | None]:
+        """Positions of ``period``'s days, with the count and first of those missing."""
+        first, last = period.start.toordinal(), period.end.toordinal()
+        lo, hi = np.searchsorted(self.ordinals, (first, last + 1)).tolist()
+        missing = last + 1 - first - (hi - lo)
+        if not missing:
+            return slice(lo, hi), 0, None
+        # held days are increasing from offset 0, so the first gap is where
+        # the i-th held day is not the i-th day of the period
+        gaps = np.flatnonzero(self.ordinals[lo:hi] - first != np.arange(hi - lo))
+        return slice(lo, hi), missing, date.fromordinal(
+            first + int(gaps[0] if gaps.size else hi - lo))
 
 
 @dataclass(frozen=True)
@@ -107,6 +127,7 @@ class FuturesContractSeries:
     settle: np.ndarray
     volume: np.ndarray
     open_interest: np.ndarray
+    ordinals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.dates)
@@ -118,7 +139,8 @@ class FuturesContractSeries:
             if arr.size and not np.all(np.isfinite(arr)):
                 raise MarketDataError(f"non-finite {name} in {self.contract_id}")
             arrays[name] = arr
-        _check_dated_observations(self.dates, f"futures {self.contract_id}")
+        object.__setattr__(self, "ordinals",
+                           _date_index(self.dates, f"futures {self.contract_id}"))
         if np.any(arrays["volume"] < 0):
             raise MarketDataError(f"negative volume in {self.contract_id}")
         if np.any(arrays["open_interest"] < 0):
@@ -408,19 +430,12 @@ def average_price(series: SpotPriceSeries, period: DeliveryPeriod, mode: str = "
     """
     if mode not in ("strict", "available"):
         raise ValueError(f"unknown mode {mode!r}")
-    index = {d: i for i, d in enumerate(series.dates)}
-    picked = []
-    missing = []
-    for day in period.days():
-        i = index.get(day)
-        if i is None:
-            missing.append(day)
-        else:
-            picked.append(series.prices[i])
+    days, missing, first_missing = series._period_slice(period)
     if mode == "strict" and missing:
         raise MarketDataError(
-            f"spot series missing {len(missing)} day(s) in delivery period, first {missing[0]}"
+            f"spot series missing {missing} day(s) in delivery period, first {first_missing}"
         )
-    if not picked:
+    picked = series.prices[days]
+    if not picked.size:
         raise MarketDataError("no spot observations inside delivery period")
     return float(np.mean(picked))

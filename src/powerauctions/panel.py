@@ -10,7 +10,7 @@ correlation) with the usual G/(G-1) * (n-1)/(n-K) finite-sample factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from typing import Sequence
 
 import numpy as np
@@ -28,8 +28,9 @@ def vol3y(spot: SpotPriceSeries, auction_date: date) -> float:
     The window is [auction_date - 3 years, auction_date), half-open so the
     auction day itself never enters.
     """
-    start = auction_date - timedelta(days=3 * 365)
-    picked = [p for d, p in zip(spot.dates, spot.prices) if start <= d < auction_date]
+    end = auction_date.toordinal()
+    lo, hi = np.searchsorted(spot.ordinals, (end - 3 * 365, end)).tolist()
+    picked = spot.prices[lo:hi]
     if len(picked) < 2:
         raise RegressionError(
             f"need at least 2 spot observations before {auction_date}, got {len(picked)}"

@@ -124,6 +124,16 @@ class TestClockAuction:
         with pytest.raises(AuctionError, match="strictly decrease"):
             run_descending_clock(cfg, [ConstantSupply(10)])
 
+    def test_price_at_or_below_zero_stops_the_clock(self):
+        # without the stop this clears at -5 after 7 rounds
+        cfg = config(target=5, opening=10, tick=3)
+        with pytest.raises(AuctionError, match=r"must be positive \(round 5: -2\)"):
+            run_descending_clock(cfg, [ThresholdExit(10, threshold=-5), ConstantSupply(1)])
+        cfg = ClockAuctionConfig(target_quantity=5, opening_price=2,
+                                 price_schedule=lambda r: 3.0 - r)
+        with pytest.raises(AuctionError, match=r"must be positive \(round 3: 0.0\)"):
+            run_descending_clock(cfg, [ConstantSupply(10)])
+
     def test_determinism_with_seeded_randomness(self):
         def run():
             rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
@@ -148,6 +158,7 @@ class TestClockAuction:
             out = run_descending_clock(
                 config(target=target, tick=1, undershoot_policy=policy), strategies)
             assert math.isclose(sum(out.awards.values()), target, rel_tol=0, abs_tol=1e-9)
+            assert out.clearing_price > 0
             # offer monotonicity and strictly decreasing prices
             prices = [e.announced_price for e in out.round_log]
             assert all(p2 < p1 for p1, p2 in zip(prices, prices[1:]))

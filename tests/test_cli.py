@@ -120,6 +120,18 @@ class TestSimulateCommand:
         assert rc == 3
         assert "error code=3" in capsys.readouterr().err
 
+    def test_price_at_or_below_zero_is_numeric_failure(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        bad = {"config": {"target_quantity": 5, "opening_price": 10, "price_decrement": 3},
+               "strategies": [{"kind": "threshold_exit", "quantity": 10, "threshold": -5},
+                              {"kind": "constant", "quantity": 1}]}
+        scenario.write_text(json.dumps(bad))
+        out = tmp_path / "o.json"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error code=3 reason=announced price must be positive (round 5: -2)\n")
+        assert not out.exists()
+
 
 class TestEventStudyCommand:
     @pytest.fixture
