@@ -23,7 +23,7 @@ from .premiums import _ZeroVarianceError, _two_sample_t
 MEASURE_KINDS = ("volume", "open_interest", "R1", "R2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureSeries:
     """A daily activity measure; ``undefined_dates`` are days without a value.
 
@@ -39,8 +39,8 @@ class MeasureSeries:
     undefined_dates: frozenset[date] = frozenset()
     _ordinals: InitVar[np.ndarray | None] = None
     _defined: InitVar[np.ndarray | None] = None
-    ordinals: np.ndarray = field(init=False, repr=False, compare=False)
-    _mask: np.ndarray = field(init=False, repr=False, compare=False)
+    ordinals: np.ndarray = field(init=False, repr=False)
+    _mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, _ordinals, _defined):
         if self.measure_kind not in MEASURE_KINDS:

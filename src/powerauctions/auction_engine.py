@@ -92,12 +92,12 @@ class StochasticExit:
     quantity: float
     exit_probability: float
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
-    _exited: bool = False
 
     def offer(self, round_no, announced_price, state, aggregate_info):
-        if not self._exited and round_no > 1 and self.rng.random() < self.exit_probability:
-            self._exited = True
-        return 0.0 if self._exited else self.quantity
+        # the engine retires a bidder at its first zero offer and asks it no more
+        if round_no > 1 and self.rng.random() < self.exit_probability:
+            return 0.0
+        return self.quantity
 
 
 @dataclass

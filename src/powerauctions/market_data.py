@@ -78,12 +78,12 @@ def _date_index(dates, what: str) -> np.ndarray:
     return ordinals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpotPriceSeries:
     zone: MarketZone
     dates: tuple[date, ...]
     prices: np.ndarray
-    ordinals: np.ndarray = field(init=False, repr=False, compare=False)
+    ordinals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.dates) != len(self.prices):
@@ -119,7 +119,7 @@ class SpotPriceSeries:
             first + int(gaps[0] if gaps.size else hi - lo))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuturesContractSeries:
     contract_id: str
     zone: MarketZone
@@ -127,7 +127,7 @@ class FuturesContractSeries:
     settle: np.ndarray
     volume: np.ndarray
     open_interest: np.ndarray
-    ordinals: np.ndarray = field(init=False, repr=False, compare=False)
+    ordinals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.dates)

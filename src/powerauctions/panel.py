@@ -2,9 +2,10 @@
 
 Covariates follow the standardized-premium regression design: within-market
 z-scored dependent variable, three-year spot volatility, bidder counts and
-an optional load-share column. The covariance estimator clusters by
-cross-section unit (robust to heteroskedasticity and within-unit serial
-correlation) with the usual G/(G-1) * (n-1)/(n-K) finite-sample factor.
+an optional load-share column. Groups (units, periods, markets) are coded once,
+in sorted order. The R factor of one QR of the design names the first collinear
+column and is the bread of the unit-clustered covariance, which carries the
+usual G/(G-1) * (n-1)/(n-K) finite-sample factor.
 """
 
 from __future__ import annotations
@@ -38,21 +39,27 @@ def vol3y(spot: SpotPriceSeries, auction_date: date) -> float:
     return float(np.std(picked, ddof=1))
 
 
+def _group_codes(labels) -> tuple[list, np.ndarray]:
+    """Distinct labels in sorted order, and each label's position among them."""
+    levels, codes = np.unique(np.array(labels, dtype=object), return_inverse=True)
+    return levels.tolist(), codes
+
+
 def standardize_by_group(values: Sequence[float], labels: Sequence[str]) -> np.ndarray:
-    """Within-group z-scores (group mean 0, sample std 1)."""
+    """Within-group z-scores (group mean 0, sample std 1); bad groups named in sorted order."""
     x = np.asarray(values, dtype=float)
     if len(x) != len(labels):
         raise ValueError("values and labels length mismatch")
-    out = np.empty_like(x)
-    for label in set(labels):
-        mask = np.array([l == label for l in labels])
-        if mask.sum() < 2:
-            raise RegressionError(f"group {label!r} has fewer than 2 observations")
-        sd = x[mask].std(ddof=1)
-        if sd == 0:
-            raise RegressionError(f"group {label!r} has zero variance")
-        out[mask] = (x[mask] - x[mask].mean()) / sd
-    return out
+    levels, codes = _group_codes(labels)
+    counts = np.bincount(codes)
+    dev = x - (np.bincount(codes, weights=x) / counts)[codes]
+    ss = np.bincount(codes, weights=dev * dev)
+    bad = np.flatnonzero((counts < 2) | (ss == 0))
+    if bad.size:
+        i = bad[0]
+        reason = "has fewer than 2 observations" if counts[i] < 2 else "has zero variance"
+        raise RegressionError(f"group {levels[i]!r} {reason}")
+    return dev / np.sqrt(ss / (counts - 1))[codes]
 
 
 @dataclass(frozen=True)
@@ -90,39 +97,31 @@ class RegressionResult:
         raise KeyError(name)
 
 
-def _build_design(panel, covariate_names, period_fixed_effects, unit_fixed_effects):
+def _build_design(panel, covariate_names, groups):
+    """Design matrix, column names and R factor; ``groups`` hold (prefix, coding)."""
     n = len(panel)
     names = ["const"]
     cols = [np.ones(n)]
     for name in covariate_names:
-        col = []
-        for obs in panel:
-            if name not in obs.covariates:
-                raise RegressionError(
-                    f"observation ({obs.unit}, {obs.period}) missing covariate {name!r}"
-                )
-            col.append(obs.covariates[name])
+        missing = next((obs for obs in panel if name not in obs.covariates), None)
+        if missing is not None:
+            raise RegressionError(
+                f"observation ({missing.unit}, {missing.period}) missing covariate {name!r}")
         names.append(name)
-        cols.append(np.asarray(col, dtype=float))
-    if period_fixed_effects:
-        periods = sorted({obs.period for obs in panel})
-        for p in periods[1:]:  # first period dropped for identification
-            names.append(f"period_{p}")
-            cols.append(np.array([1.0 if obs.period == p else 0.0 for obs in panel]))
-    if unit_fixed_effects:
-        units = sorted({obs.unit for obs in panel})
-        for u in units[1:]:
-            names.append(f"unit_{u}")
-            cols.append(np.array([1.0 if obs.unit == u else 0.0 for obs in panel]))
+        cols.append(np.array([obs.covariates[name] for obs in panel], dtype=float))
+    for prefix, (levels, codes) in groups:  # first level dropped for identification
+        names += [f"{prefix}_{v}" for v in levels[1:]]
+        cols.append(codes[:, None] == np.arange(1, len(levels)))
     X = np.column_stack(cols)
-    # incremental rank check names the first offending column
-    rank = 0
-    for j in range(X.shape[1]):
-        new_rank = np.linalg.matrix_rank(X[:, :j + 1])
-        if new_rank == rank:
-            raise RegressionError(f"design matrix rank deficient at column {names[j]!r}")
-        rank = new_rank
-    return X, names
+    # |R_jj| is column j's distance from the span of the columns before it;
+    # the tolerance is numpy's SVD rank default with max |R_ii| for the top singular value
+    r = np.linalg.qr(X, mode="r")
+    diag = np.abs(np.diagonal(r))
+    small = np.flatnonzero(diag <= diag.max() * max(X.shape) * np.finfo(float).eps)
+    if small.size or n < len(names):  # then column n is the first that adds no rank
+        j = small[0] if small.size else n
+        raise RegressionError(f"design matrix rank deficient at column {names[j]!r}")
+    return X, names, r
 
 
 def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
@@ -130,8 +129,8 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
                    unit_fixed_effects: bool = False) -> RegressionResult:
     """Pooled least squares with unit-clustered robust standard errors.
 
-    The coefficient solve goes through an orthogonal decomposition
-    (numpy lstsq); no normal-equations inverse is formed for estimation.
+    The coefficients come from numpy lstsq. The sandwich's bread is R^-1 R^-T
+    from the design's R factor (X'X = R'R), so X'X is neither formed nor inverted.
     """
     if not panel:
         raise RegressionError("empty panel")
@@ -142,13 +141,18 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
             raise RegressionError(f"duplicate (unit, period) pair {key}")
         seen.add(key)
     y = np.array([obs.y for obs in panel], dtype=float)
-    X, names = _build_design(panel, covariates, period_fixed_effects, unit_fixed_effects)
+    units = _group_codes([obs.unit for obs in panel])
+    groups = []
+    if period_fixed_effects:
+        groups.append(("period", _group_codes([obs.period for obs in panel])))
+    if unit_fixed_effects:
+        groups.append(("unit", units))
+    X, names, r = _build_design(panel, covariates, groups)
     n, k = X.shape
     if n <= k:
         raise RegressionError(f"not enough observations ({n}) for {k} parameters")
-    clusters = [obs.unit for obs in panel]
-    unique_clusters = sorted(set(clusters))
-    g = len(unique_clusters)
+    unit_levels, clusters = units
+    g = len(unit_levels)
     if g < 2:
         raise RegressionError("need at least 2 clusters")
 
@@ -160,17 +164,12 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - k)
     rmse = float(np.sqrt(rss / (n - k)))
 
-    # cluster-robust sandwich with finite-sample factor
-    xtx_inv = np.linalg.inv(X.T @ X)
-    meat = np.zeros((k, k))
-    for cu in unique_clusters:
-        mask = np.array([c == cu for c in clusters])
-        s = X[mask].T @ resid[mask]
-        meat += np.outer(s, s)
+    # diag of c A S'S A, A = R^-1 R^-T, S = per-unit score sums: a sum of squares
+    scores = np.zeros((g, k))
+    np.add.at(scores, clusters, X * resid[:, None])
+    r_inv = np.linalg.inv(r)
     c_factor = (g / (g - 1)) * ((n - 1) / (n - k))
-    cov = c_factor * xtx_inv @ meat @ xtx_inv
-    # the diagonal is a sum of squares; clip round-off that dips below zero
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    se = np.sqrt(c_factor * ((scores @ r_inv @ r_inv.T) ** 2).sum(axis=0))
 
     coefs = []
     fixed = {}

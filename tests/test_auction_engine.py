@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from powerauctions import (AuctionError, ClockAuctionConfig, ConstantSupply,
-                           DeliveryPeriod, SeasonalPayoutFactors,
+                           DeliveryPeriod, SeasonalPayoutFactors, StochasticExit,
                            StochasticShrink, ThresholdExit,
                            full_requirements_payout, run_descending_clock,
                            settle_cfd)
@@ -144,6 +144,14 @@ class TestClockAuction:
         assert a.awards == b.awards
         assert a.clearing_price == b.clearing_price
         assert a.round_log == b.round_log
+
+    def test_reused_stochastic_exit_strategies_clear_again(self):
+        # an exited bidder is retired by the engine, so the strategy keeps no
+        # exit flag and the same objects can run a second auction
+        strategies = [StochasticExit(4, 0.2, rng=np.random.default_rng(s)) for s in range(5)]
+        for _ in range(2):
+            out = run_descending_clock(config(target=6, tick=1), strategies)
+            assert math.isclose(sum(out.awards.values()), 6, rel_tol=0, abs_tol=1e-9)
 
     def test_conservation_on_random_populations(self, rng):
         for _ in range(200):

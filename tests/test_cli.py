@@ -276,7 +276,8 @@ class TestErrorsAndConfig:
         assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_stats_out():
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg"])
+def test_cli_import_leaves_scipy_stats_out(module):
     env = dict(os.environ, PYTHONPATH=str(Path(powerauctions.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", "import powerauctions.cli, sys; "
-                    "assert 'scipy.stats' not in sys.modules"], env=env, check=True)
+                    f"assert {module!r} not in sys.modules"], env=env, check=True)

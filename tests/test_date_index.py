@@ -338,3 +338,14 @@ def test_defined_mask_is_read_only(rng):
 def test_date_index_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         SPOT.ordinals[0] = 0
+
+
+def test_series_compare_and_hash_by_identity():
+    f = make_futures([1.0, 2.0], [5.0, 6.0])
+    for make in (lambda: SpotPriceSeries(ES, f.dates, np.array([1.0, 2.0])),
+                 lambda: make_futures([1.0, 2.0], [5.0, 6.0]),
+                 lambda: MeasureSeries("C", "volume", f.dates, np.array([1.0, 2.0]))):
+        a, b = make(), make()
+        assert (a == b) is False
+        assert a == a
+        assert len({a, b, a}) == 2

@@ -45,16 +45,32 @@ class TestStandardize:
 
     def test_groups_independent(self, rng):
         values = np.concatenate([rng.normal(5, 2, 10), rng.normal(-3, 7, 12)])
-        labels = ["a"] * 10 + ["b"] * 12
+        labels = list(rng.permutation(["a"] * 10 + ["b"] * 12))
         out = standardize_by_group(values, labels)
         for lab in ("a", "b"):
             mask = np.array([l == lab for l in labels])
             assert out[mask].mean() == pytest.approx(0.0, abs=1e-12)
             assert out[mask].std(ddof=1) == pytest.approx(1.0, abs=1e-12)
+            x = values[mask]
+            np.testing.assert_allclose(out[mask], (x - x.mean()) / x.std(ddof=1),
+                                       rtol=1e-12, atol=1e-12)
 
     def test_zero_variance_group_rejected(self):
         with pytest.raises(RegressionError, match="zero variance"):
             standardize_by_group([1.0, 1.0, 2.0, 3.0], ["a", "a", "b", "b"])
+
+    def test_singleton_group_rejected(self):
+        with pytest.raises(RegressionError, match="group 'b' has fewer than 2 observations"):
+            standardize_by_group([1.0, 2.0, 3.0], ["a", "a", "b"])
+
+    @pytest.mark.parametrize("labels,message", [
+        (["z", "z", "k", "k", "m", "a", "a"], "group 'k' has zero variance"),
+        (["z", "z", "k", "k", "c", "a", "a"], "group 'c' has fewer than 2 observations"),
+    ], ids=["zero_variance_first", "singleton_first"])
+    def test_first_bad_group_in_sorted_order_named(self, labels, message):
+        values = [1.0, 1.0, 4.0, 4.0, 5.0, 2.0, 3.0]
+        with pytest.raises(RegressionError, match=message):
+            standardize_by_group(values, labels)
 
 
 def make_panel(rng, n_units=4, n_periods=6, covs=("x1", "x2"), beta=None):
@@ -96,6 +112,39 @@ def ols_oracle(panel, covariates, period_fixed_effects):
     cov = c * xtx_inv @ meat @ xtx_inv
     # diagonal is a sum of squares; round-off can dip just below zero
     return beta, np.sqrt(np.clip(np.diag(cov), 0.0, None)), rss
+
+
+def grid_panel(rng, n_units, n_periods, make_covariates):
+    """Units U0.. by periods 2000.., covariates from make_covariates(rng, t)."""
+    return [PanelObservation(unit=f"U{u}", period=2000 + t, y=float(rng.standard_normal()),
+                             covariates=make_covariates(rng, t))
+            for u in range(n_units) for t in range(n_periods)]
+
+
+def near_collinear(rng, scale):
+    x = float(rng.uniform(-scale, scale))
+    return {"x": x, "x2": 2 * x + 1e-9 * float(rng.standard_normal()), "x_sq": x * x}
+
+
+def with_x(**others):
+    def make(rng, t):
+        x = float(rng.uniform(-1, 1))
+        return {"x": x, **{name: f(x, t) for name, f in others.items()}}
+    return make
+
+
+# case: ((units, periods), covariates, (period effects, unit effects), named column)
+RANK_CASES = {
+    "x_copy": ((3, 4), with_x(x_copy=lambda x, t: 2 * x), (False, False), "x_copy"),
+    "constant_covariate": ((3, 4), with_x(c=lambda x, t: 7.0), (True, False), "c"),
+    "period_indicator": ((3, 4), with_x(d=lambda x, t: float(t == 2)), (True, False),
+                         "period_2002"),
+    # 3 observations, 4 columns: column n = 3 is the first that adds no rank
+    "fewer_rows_than_columns": ((3, 1), with_x(), (True, True), "unit_U2"),
+    # x2 is 2x up to 1e-9 at scale 1e3: an SVD rank test on growing column
+    # slices only sees it once the later, larger x_sq column raises its tolerance
+    "near_collinear": ((4, 10), lambda rng, t: near_collinear(rng, 1e3), (True, True), "x2"),
+}
 
 
 class TestPooledOls:
@@ -167,15 +216,19 @@ class TestPooledOls:
         for ca, cb in zip(a.coefficients, b.coefficients):
             assert ca.estimate == pytest.approx(cb.estimate, abs=1e-10)
 
-    def test_rank_deficiency_names_column(self, rng):
-        panel = []
-        for i in range(10):
-            x = float(rng.uniform(-1, 1))
-            panel.append(PanelObservation(unit=f"U{i % 3}", period=2000 + i,
-                                          y=float(rng.standard_normal()),
-                                          covariates={"x": x, "x_copy": 2 * x}))
-        with pytest.raises(RegressionError, match="x_copy"):
-            fit_pooled_ols(panel, ["x", "x_copy"], period_fixed_effects=False)
+    @pytest.mark.parametrize("case", list(RANK_CASES), ids=list(RANK_CASES))
+    def test_rank_deficiency_names_column(self, rng, case):
+        shape, make, fixed_effects, named = RANK_CASES[case]
+        panel = grid_panel(rng, *shape, make)
+        with pytest.raises(RegressionError, match=f"rank deficient at column '{named}'"):
+            fit_pooled_ols(panel, list(panel[0].covariates), *fixed_effects)
+
+    def test_nearly_collinear_at_unit_scale_still_fits(self, rng):
+        # the same 1e-9 perturbation as the "near_collinear" case, at scale 1
+        panel = grid_panel(rng, 4, 10, lambda rng, t: near_collinear(rng, 1.0))
+        res = fit_pooled_ols(panel, ["x", "x2", "x_sq"], True, True)
+        assert res.k == 1 + 3 + 9 + 3
+        assert all(np.isfinite(c.std_error) for c in res.coefficients)
 
     def test_fewer_than_two_clusters_rejected(self, rng):
         panel = [PanelObservation(unit="U", period=2007 + i,
