@@ -6,7 +6,7 @@ from .activity import (EventStudyResult, MeasureSeries, SignificanceTally,
                        baseline_mean_excluding, event_study,
                        open_interest_series, r1_series, r2_series,
                        significance_tally, volume_series)
-from .auction_engine import (AuctionError, AuctionOutcome, BidderState,
+from .auction_engine import (AuctionError, AuctionOutcome,
                              ClockAuctionConfig, ConstantSupply,
                              SeasonalPayoutFactors, StochasticExit,
                              StochasticShrink, ThresholdExit,

@@ -181,7 +181,7 @@ def event_study(series: MeasureSeries, event_dates: Sequence[date],
     baseline = series.values[defined & ~excluded]
     if baseline.size < 2:
         raise ValueError("baseline sample too small after exclusions")
-    baseline_mean = float(baseline.mean())
+    baseline_mean, baseline_var = float(baseline.mean()), baseline.var(ddof=1)
 
     results = []
     for k in range(lo, hi + 1):
@@ -195,7 +195,8 @@ def event_study(series: MeasureSeries, event_dates: Sequence[date],
                                             sig01=False, sig05=False))
             continue
         try:
-            t, _, p = _two_sample_t(sample, baseline, variance)
+            t, _, p = _two_sample_t(sample, baseline.size, baseline_mean, baseline_var,
+                                    variance)
         except _ZeroVarianceError:
             # zero standard error (both samples constant): reported as no shift
             t, p = 0.0, 1.0

@@ -15,6 +15,7 @@ times a seasonal factor on realized load.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Callable, Protocol
@@ -39,11 +40,12 @@ class ClockAuctionConfig:
     undershoot_policy: str = "previous_price_prorata"  # or previous_price_priority
 
     def __post_init__(self):
-        if self.target_quantity <= 0:
+        # written as "not > 0" so that NaN is rejected too
+        if not self.target_quantity > 0:
             raise AuctionError("target quantity must be positive")
-        if self.opening_price <= 0:
+        if not self.opening_price > 0:
             raise AuctionError("opening price must be positive")
-        if self.price_schedule is None and self.price_decrement <= 0:
+        if self.price_schedule is None and not self.price_decrement > 0:
             raise AuctionError("price decrement must be positive")
         if self.undershoot_policy not in ("previous_price_prorata", "previous_price_priority"):
             raise AuctionError(f"unknown undershoot policy {self.undershoot_policy!r}")
@@ -54,16 +56,11 @@ class ClockAuctionConfig:
         return self.opening_price - (round_no - 1) * self.price_decrement
 
 
-@dataclass
-class BidderState:
-    bidder_id: str
-    last_offered_quantity: float
-    active: bool = True
-
-
 class Strategy(Protocol):
-    def offer(self, round_no: int, announced_price: float, state: BidderState,
-              aggregate_info: dict) -> float: ...
+    """A bidder's offer rule; ``last_offer`` is inf in round 1, then the
+    bidder's logged (clamped) offer of the previous round."""
+
+    def offer(self, round_no: int, announced_price: float, last_offer: float) -> float: ...
 
 
 @dataclass
@@ -71,7 +68,7 @@ class ConstantSupply:
     """Offers a fixed quantity at any price."""
     quantity: float
 
-    def offer(self, round_no, announced_price, state, aggregate_info):
+    def offer(self, round_no, announced_price, last_offer):
         return self.quantity
 
 
@@ -82,7 +79,7 @@ class ThresholdExit:
     threshold: float
     below_quantity: float = 0.0
 
-    def offer(self, round_no, announced_price, state, aggregate_info):
+    def offer(self, round_no, announced_price, last_offer):
         return self.quantity if announced_price >= self.threshold else self.below_quantity
 
 
@@ -93,7 +90,7 @@ class StochasticExit:
     exit_probability: float
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
-    def offer(self, round_no, announced_price, state, aggregate_info):
+    def offer(self, round_no, announced_price, last_offer):
         # the engine retires a bidder at its first zero offer and asks it no more
         if round_no > 1 and self.rng.random() < self.exit_probability:
             return 0.0
@@ -107,10 +104,10 @@ class StochasticShrink:
     low: float = 0.5
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
-    def offer(self, round_no, announced_price, state, aggregate_info):
+    def offer(self, round_no, announced_price, last_offer):
         if round_no == 1:
             return self.quantity
-        return state.last_offered_quantity * self.rng.uniform(self.low, 1.0)
+        return last_offer * self.rng.uniform(self.low, 1.0)
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,7 @@ class AuctionOutcome:
     undershoot_resolved: bool = False
 
 
-def _resolve_undershoot(config, prev_offers, final_offers, order):
+def _resolve_undershoot(config, prev_offers, final_offers):
     """Clear at the previous round's price, restoring final-round reductions.
 
     prorata: every bidder's reduction is scaled by the common factor that
@@ -141,16 +138,16 @@ def _resolve_undershoot(config, prev_offers, final_offers, order):
     """
     target = config.target_quantity
     shortfall = target - sum(final_offers.values())
-    reductions = {b: prev_offers[b] - final_offers[b] for b in order}
+    reductions = {b: prev_offers[b] - q for b, q in final_offers.items()}
     total_reduction = sum(reductions.values())
     awards = dict(final_offers)
     if config.undershoot_policy == "previous_price_prorata":
         scale = shortfall / total_reduction
-        for b in order:
-            awards[b] = final_offers[b] + reductions[b] * scale
+        for b, r in reductions.items():
+            awards[b] = final_offers[b] + r * scale
     else:
         remaining = shortfall
-        by_priority = sorted(order, key=lambda b: (-prev_offers[b], b))
+        by_priority = sorted(final_offers, key=lambda b: (-prev_offers[b], b))
         for b in by_priority:
             give = min(reductions[b], remaining)
             awards[b] = final_offers[b] + give
@@ -169,21 +166,23 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
                          bidder_ids: list[str] | None = None) -> AuctionOutcome:
     """Run one deterministic descending-clock auction.
 
-    Offers above a bidder's previous quantity are clamped (and logged), a
-    zero offer retires the bidder permanently, and the returned awards always
-    sum exactly to the target quantity. A round whose announced price is not
-    positive stops the auction, so it can only clear at a positive price.
+    The previous round's offers dict is the only bidder state. An offer
+    outside [0, last offer] is clamped (and logged), a non-finite one stops
+    the auction, a zero offer retires the bidder permanently, and the
+    returned awards always sum exactly to the target quantity. A round whose
+    announced price is not positive stops the auction, so it can only clear
+    at a positive price.
     """
     if not strategies:
         raise AuctionError("at least one strategy required")
     if bidder_ids is None:
         bidder_ids = [f"B{i + 1}" for i in range(len(strategies))]
+    if len(bidder_ids) != len(strategies):
+        raise AuctionError(f"{len(bidder_ids)} bidder ids for {len(strategies)} strategies")
     if len(bidder_ids) != len(set(bidder_ids)):
         raise AuctionError("bidder ids must be unique")
-    states = {b: BidderState(bidder_id=b, last_offered_quantity=float("inf"))
-              for b in bidder_ids}
     log: list[RoundLogEntry] = []
-    prev_offers: dict[str, float] | None = None
+    prev_offers = dict.fromkeys(bidder_ids, math.inf)
     prev_price = None
 
     for round_no in range(1, config.max_rounds + 1):
@@ -192,31 +191,24 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
             raise AuctionError(
                 f"announced prices must strictly decrease (round {round_no}: {price} >= {prev_price})"
             )
-        if price <= 0:
+        if not price > 0:
             raise AuctionError(f"announced price must be positive (round {round_no}: {price})")
         offers: dict[str, float] = {}
         clamped = []
-        aggregate_info = {"round": round_no, "price": price,
-                          "previous_aggregate": log[-1].aggregate if log else None}
-        for b, strat in zip(bidder_ids, strategies):
-            state = states[b]
-            if not state.active:
+        for (b, last), strat in zip(prev_offers.items(), strategies):
+            if last == 0.0:
                 offers[b] = 0.0
                 continue
-            q = float(strat.offer(round_no, price, state, aggregate_info))
-            if q < 0:
-                q = 0.0
+            q = float(strat.offer(round_no, price, last))
+            if not math.isfinite(q):
+                raise AuctionError(f"non-finite offer {q} from bidder {b} in round {round_no}")
+            if not 0.0 <= q <= last:
+                q = min(max(q, 0.0), last)
                 clamped.append(b)
-            if q > state.last_offered_quantity:
-                q = state.last_offered_quantity
-                clamped.append(b)
-            if q == 0.0:
-                state.active = False
-            state.last_offered_quantity = q
             offers[b] = q
         aggregate = sum(offers.values())
         log.append(RoundLogEntry(round_no=round_no, announced_price=price,
-                                 offers=dict(offers), aggregate=aggregate,
+                                 offers=offers, aggregate=aggregate,
                                  clamped=tuple(clamped)))
         if round_no == 1 and aggregate < config.target_quantity:
             raise AuctionError(
@@ -227,7 +219,7 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
             return AuctionOutcome(clearing_price=price, awards=awards,
                                   rounds_used=round_no, round_log=tuple(log))
         if aggregate < config.target_quantity:
-            awards = _resolve_undershoot(config, prev_offers, offers, bidder_ids)
+            awards = _resolve_undershoot(config, prev_offers, offers)
             return AuctionOutcome(clearing_price=prev_price, awards=awards,
                                   rounds_used=round_no, round_log=tuple(log),
                                   undershoot_resolved=True)

@@ -10,6 +10,7 @@ through the one table codec in this module.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import date
@@ -201,9 +202,18 @@ class CostComponents:
 # kind per column. Every CSV file the package reads or writes is one of the
 # tables below and goes through _read_table and _write_table.
 
+
+def _finite_float(text: str) -> float:
+    """A float cell; nan, inf and -inf are rejected like any unparseable cell."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(text)
+    return x
+
+
 _TEXT = (str, str)
 _DATE = (date.fromisoformat, date.isoformat)
-_FLOAT = (float, lambda x: repr(float(x)))
+_FLOAT = (_finite_float, lambda x: repr(float(x)))
 _INT = (int, str)
 
 

@@ -54,7 +54,12 @@ def standardize_by_group(values: Sequence[float], labels: Sequence[str]) -> np.n
     counts = np.bincount(codes)
     dev = x - (np.bincount(codes, weights=x) / counts)[codes]
     ss = np.bincount(codes, weights=dev * dev)
-    bad = np.flatnonzero((counts < 2) | (ss == 0))
+    # min == max finds a constant group exactly; its round-off deviations
+    # from the computed mean need not give ss == 0
+    lo, hi = np.full(len(levels), np.inf), np.full(len(levels), -np.inf)
+    np.minimum.at(lo, codes, x)
+    np.maximum.at(hi, codes, x)
+    bad = np.flatnonzero((counts < 2) | (lo == hi) | (ss == 0))
     if bad.size:
         i = bad[0]
         reason = "has fewer than 2 observations" if counts[i] < 2 else "has zero variance"

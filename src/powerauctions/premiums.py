@@ -205,17 +205,18 @@ class _ZeroVarianceError(ValueError):
     """The t statistic is undefined: its standard error is zero."""
 
 
-def _two_sample_t(a: np.ndarray, b: np.ndarray,
+def _two_sample_t(a: np.ndarray, nb: int, mean_b: float, vb: float,
                   variance: str = "welch") -> tuple[float, float, float]:
     """Two-sample t statistic, degrees of freedom and two-sided p value.
 
+    The second sample comes as its size, mean and ddof=1 variance, so a
+    caller testing many samples against one baseline summarises it once.
     ``variance`` is "welch" (Welch-Satterthwaite dof) or "pooled" (one
     common variance, na + nb - 2 dof). A one-element ``a`` has no variance
     of its own and takes b's: se^2 = vb (1 + 1/nb) on nb - 1 dof. Raises
     _ZeroVarianceError when the standard error is zero.
     """
-    na, nb = a.size, b.size
-    vb = b.var(ddof=1)
+    na = a.size
     if na == 1:
         se2, dof = vb * (1 + 1 / nb), nb - 1
     elif variance == "welch":
@@ -227,7 +228,7 @@ def _two_sample_t(a: np.ndarray, b: np.ndarray,
         se2, dof = pooled * (1 / na + 1 / nb), na + nb - 2
     if se2 == 0:
         raise _ZeroVarianceError("both samples have zero variance")
-    t = float((a.mean() - b.mean()) / math.sqrt(se2))
+    t = float((a.mean() - mean_b) / math.sqrt(se2))
     return t, float(dof), 2.0 * float(special.stdtr(dof, -abs(t)))
 
 
@@ -237,7 +238,7 @@ def welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     b = np.asarray(b, dtype=float)
     if a.size < 2 or b.size < 2:
         raise ValueError("each sample needs at least 2 observations")
-    return _two_sample_t(a, b)
+    return _two_sample_t(a, b.size, b.mean(), b.var(ddof=1))
 
 
 def equality_of_means(groups: dict[str, Sequence[float]]) -> list[MeanComparison]:

@@ -1,5 +1,6 @@
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
@@ -79,10 +80,18 @@ class TestClockAuction:
             run_descending_clock(config(target=10, opening=100, tick=1, max_rounds=5),
                                  [ConstantSupply(20)])
 
+    @pytest.mark.parametrize("ids", [["A"], ["A", "B", "C"]], ids=["short", "long"])
+    def test_one_bidder_id_per_strategy(self, ids):
+        # a short list used to drop bidders silently, a long one to raise a
+        # KeyError at an undershoot close
+        with pytest.raises(AuctionError, match=f"{len(ids)} bidder ids for 2 strategies"):
+            run_descending_clock(config(target=5), [ThresholdExit(6, 85, 2), ConstantSupply(2)],
+                                 bidder_ids=ids)
+
     def test_offer_above_previous_is_clamped(self):
         @dataclass
         class Raiser:
-            def offer(self, round_no, price, state, info):
+            def offer(self, round_no, price, last_offer):
                 return 5.0 if round_no == 1 else 8.0
 
         out = run_descending_clock(config(target=5), [Raiser(), ThresholdExit(5, 95)],
@@ -95,7 +104,7 @@ class TestClockAuction:
     def test_negative_offer_clamped_to_zero_and_exits(self):
         @dataclass
         class Negative:
-            def offer(self, round_no, price, state, info):
+            def offer(self, round_no, price, last_offer):
                 return 5.0 if round_no == 1 else -3.0
 
         out = run_descending_clock(config(target=5), [Negative(), ConstantSupply(5)],
@@ -107,7 +116,7 @@ class TestClockAuction:
 
         @dataclass
         class Flapper:
-            def offer(self, round_no, price, state, info):
+            def offer(self, round_no, price, last_offer):
                 if round_no == 2:
                     exited_round.append(round_no)
                     return 0.0
@@ -117,6 +126,70 @@ class TestClockAuction:
                                    bidder_ids=["A", "B"])
         for entry in out.round_log[1:]:
             assert entry.offers["A"] == 0.0
+
+    def test_hostile_scripted_offers(self, rng):
+        # each bidder replays pre-drawn offers: negatives, raises above its last
+        # offer, zeros and positive offers after a zero (re-entry attempts)
+        @dataclass
+        class Replay:
+            script: list
+            calls: list = field(default_factory=list)  # (round_no, last_offer, raw)
+
+            def offer(self, round_no, price, last_offer):
+                raw = self.script[round_no - 1]
+                self.calls.append((round_no, last_offer, raw))
+                return raw
+
+        for _ in range(100):
+            n = int(rng.integers(2, 7))
+            ids = [f"B{i + 1}" for i in range(n)]
+            bidders = []
+            for _ in range(n):
+                script = rng.choice([-1.0, 0.0, 2.0, 4.0, 6.0, 9.0], size=40,
+                                    p=[0.06, 0.06, 0.22, 0.22, 0.22, 0.22]).tolist()
+                # a positive opening offer, and a zero by round 40 so every run closes
+                script[0], script[-1] = float(rng.choice([4.0, 6.0, 9.0])), 0.0
+                bidders.append(Replay(script))
+            policy = ("previous_price_prorata", "previous_price_priority")[int(rng.integers(2))]
+            target = float(rng.integers(1, 2 * n + 1))
+            out = run_descending_clock(config(target=target, tick=2, max_rounds=40,
+                                              undershoot_policy=policy), bidders, ids)
+            log = out.round_log
+            assert math.isclose(sum(out.awards.values()), target, rel_tol=0, abs_tol=1e-9)
+            raw_by_round = [{} for _ in log]
+            for b, bidder in zip(ids, bidders):
+                offers = [e.offers[b] for e in log]
+                # a retired bidder is asked no more, so its draws stay in order
+                asked = [r for r in range(1, len(log) + 1) if r == 1 or offers[r - 2] > 0]
+                assert [r for r, _, _ in bidder.calls] == asked
+                for r, last, raw in bidder.calls:
+                    assert last == (math.inf if r == 1 else offers[r - 2])
+                    assert offers[r - 1] == min(max(raw, 0.0), last)
+                    raw_by_round[r - 1][b] = (raw, last)
+                first_zero = offers.index(0.0) if 0.0 in offers else len(offers)
+                assert all(q == 0.0 for q in offers[first_zero:])
+            for entry, raws in zip(log, raw_by_round):
+                assert entry.clamped == tuple(
+                    b for b, (raw, last) in raws.items() if not 0.0 <= raw <= last)
+
+    @pytest.mark.parametrize("name", ["target_quantity", "opening_price", "price_decrement"])
+    def test_nan_config_rejected(self, name):
+        kw = {"target_quantity": 10, "opening_price": 100, "price_decrement": 10, name: math.nan}
+        with pytest.raises(AuctionError, match=name.replace("_", " ") + " must be positive"):
+            ClockAuctionConfig(**kw)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad_round", [1, 3])
+    def test_non_finite_offer_raises(self, bad, bad_round):
+        @dataclass
+        class Bad:
+            def offer(self, round_no, price, last_offer):
+                return bad if round_no == bad_round else 5.0
+
+        message = f"non-finite offer {bad} from bidder B in round {bad_round}"
+        with pytest.raises(AuctionError, match=re.escape(message)):
+            run_descending_clock(config(target=5), [ConstantSupply(5), Bad()],
+                                 bidder_ids=["A", "B"])
 
     def test_price_schedule_must_decrease(self):
         cfg = ClockAuctionConfig(target_quantity=5, opening_price=100,
@@ -132,6 +205,10 @@ class TestClockAuction:
         cfg = ClockAuctionConfig(target_quantity=5, opening_price=2,
                                  price_schedule=lambda r: 3.0 - r)
         with pytest.raises(AuctionError, match=r"must be positive \(round 3: 0.0\)"):
+            run_descending_clock(cfg, [ConstantSupply(10)])
+        cfg = ClockAuctionConfig(target_quantity=5, opening_price=2,
+                                 price_schedule=lambda r: 2.0 if r == 1 else math.nan)
+        with pytest.raises(AuctionError, match=r"must be positive \(round 2: nan\)"):
             run_descending_clock(cfg, [ConstantSupply(10)])
 
     def test_determinism_with_seeded_randomness(self):

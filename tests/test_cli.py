@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -132,6 +133,25 @@ class TestSimulateCommand:
             "error code=3 reason=announced price must be positive (round 5: -2)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("config,quantity,reason", [
+        ({"target_quantity": math.nan, "opening_price": 100}, 5,
+         "target quantity must be positive"),
+        ({"target_quantity": 5, "opening_price": math.nan}, 5,
+         "opening price must be positive"),
+        ({"target_quantity": 5, "opening_price": 100}, math.nan,
+         "non-finite offer nan from bidder B1 in round 1"),
+    ], ids=["nan_target", "nan_opening_price", "nan_offer"])
+    def test_nan_in_scenario_is_numeric_failure(self, tmp_path, capsys, config, quantity,
+                                                reason):
+        # json.dumps writes the NaN token, which json.load accepts
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(
+            {"config": config, "strategies": [{"kind": "constant", "quantity": quantity}]}))
+        out = tmp_path / "o.json"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error code=3 reason={reason}\n"
+        assert not out.exists()
+
 
 class TestEventStudyCommand:
     @pytest.fixture
@@ -245,21 +265,22 @@ class TestErrorsAndConfig:
         premium = ["premium", "--auctions", str(auctions), "--spot", str(spot),
                    "--out", str(tmp_path / "o")]
         text, argv, reason = {
-            "--fmpi": ("market,key,fmpi\nOMEL,Q3-07,44.45\nOMEL,Q4-07,abc\n", premium,
-                       "line 3: unparseable fmpi 'abc'"),
-            "--averages": ("market,zone,year,avg_price\nPJM,ACE,2007,abc\n", premium,
-                           "line 2: unparseable avg_price 'abc'"),
-            "--prices": ("month,price\n1,50\n2,abc\n", ["fmpi"],
-                         "line 3: unparseable price 'abc'"),
-            "--panel": ("unit,period,y,vol3y,startbidders,wbidders\nACE,2007,1,2,3,abc\n",
+            "--fmpi": ("market,key,fmpi\nOMEL,Q3-07,44.45\nOMEL,Q4-07,{}\n", premium,
+                       "line 3: unparseable fmpi '{}'"),
+            "--averages": ("market,zone,year,avg_price\nPJM,ACE,2007,{}\n", premium,
+                           "line 2: unparseable avg_price '{}'"),
+            "--prices": ("month,price\n1,50\n2,{}\n", ["fmpi"],
+                         "line 3: unparseable price '{}'"),
+            "--panel": ("unit,period,y,vol3y,startbidders,wbidders\nACE,2007,1,2,3,{}\n",
                         ["regress", "--out", str(tmp_path / "r.json")],
-                        "line 2: unparseable wbidders 'abc'"),
+                        "line 2: unparseable wbidders '{}'"),
         }[flag]
-        bad.write_text(text)
-        rc = main([*argv, flag, str(bad)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "error code=2" in err and reason in err
+        for cell in ("abc", "nan", "inf", "-inf"):
+            bad.write_text(text.format(cell))
+            rc = main([*argv, flag, str(bad)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "error code=2" in err and reason.format(cell) in err
 
     def test_non_finite_json_is_numeric_error(self, tmp_path, capsys):
         # y = 0 fits exactly: every standard error is 0 and every t statistic inf

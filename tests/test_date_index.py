@@ -191,7 +191,8 @@ def ref_event_study(m, events, window=(-5, 5), variance="welch"):
             rows.append((k, np.nan, float(baseline.mean()), 0, np.nan, np.nan, False, False))
             continue
         try:
-            t, _, p = _two_sample_t(sample, baseline, variance)
+            t, _, p = _two_sample_t(sample, baseline.size, baseline.mean(),
+                                    baseline.var(ddof=1), variance)
         except _ZeroVarianceError:
             t, p = 0.0, 1.0
         rows.append((k, float(sample.mean()), float(baseline.mean()), sample.size, t, p,

@@ -252,11 +252,14 @@ class TestTableCodec:
 
     def test_bad_cell_reports_line(self, tmp_path, name):
         table, header, row, bad_column = self.case(name)
-        cells = row.split(",")
-        cells[header.index(bad_column)] = "n/a"
-        p = write(tmp_path / "t.csv", "\n".join([",".join(header), row, ",".join(cells)]) + "\n")
-        with pytest.raises(MarketDataError, match=f"line 3: unparseable {bad_column} 'n/a'"):
-            market_data._read_table(p, table)
+        # non-finite numbers are bad cells too
+        for bad in ("n/a", "nan", "inf", "-inf"):
+            cells = row.split(",")
+            cells[header.index(bad_column)] = bad
+            p = write(tmp_path / "t.csv",
+                      "\n".join([",".join(header), row, ",".join(cells)]) + "\n")
+            with pytest.raises(MarketDataError, match=f"line 3: unparseable {bad_column} '{bad}'"):
+                market_data._read_table(p, table)
 
     def test_blank_rows_skipped(self, tmp_path, name):
         table, header, row, _ = self.case(name)

@@ -58,6 +58,9 @@ class TestStandardize:
     def test_zero_variance_group_rejected(self):
         with pytest.raises(RegressionError, match="zero variance"):
             standardize_by_group([1.0, 1.0, 2.0, 3.0], ["a", "a", "b", "b"])
+        # the mean of three 0.1s is not 0.1, so the deviations are not all zero
+        with pytest.raises(RegressionError, match="group 'a' has zero variance"):
+            standardize_by_group([0.1, 0.1, 0.1, 1.0, 2.0], ["a", "a", "a", "b", "b"])
 
     def test_singleton_group_rejected(self):
         with pytest.raises(RegressionError, match="group 'b' has fewer than 2 observations"):
