@@ -47,6 +47,8 @@ class ClockAuctionConfig:
             raise AuctionError("opening price must be positive")
         if self.price_schedule is None and not self.price_decrement > 0:
             raise AuctionError("price decrement must be positive")
+        if not (isinstance(self.max_rounds, (int, np.integer)) and self.max_rounds >= 1):
+            raise AuctionError(f"max rounds must be an integer >= 1, got {self.max_rounds!r}")
         if self.undershoot_policy not in ("previous_price_prorata", "previous_price_priority"):
             raise AuctionError(f"unknown undershoot policy {self.undershoot_policy!r}")
 
@@ -88,7 +90,7 @@ class StochasticExit:
     """Offers `quantity` until a per-round coin flip sends it to zero."""
     quantity: float
     exit_probability: float
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
+    rng: np.random.Generator = field(kw_only=True)
 
     def offer(self, round_no, announced_price, last_offer):
         # the engine retires a bidder at its first zero offer and asks it no more
@@ -102,7 +104,7 @@ class StochasticShrink:
     """Multiplies its offer by a random factor in [low, 1] each round."""
     quantity: float
     low: float = 0.5
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
+    rng: np.random.Generator = field(kw_only=True)
 
     def offer(self, round_no, announced_price, last_offer):
         if round_no == 1:

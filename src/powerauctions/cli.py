@@ -11,7 +11,7 @@ win on conflict.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -24,11 +24,12 @@ from .activity import (event_study, open_interest_series, r1_series, r2_series,
 from .auction_engine import (AuctionError, ClockAuctionConfig, ConstantSupply,
                              StochasticExit, StochasticShrink, ThresholdExit,
                              run_descending_clock)
-from .market_data import (_AVERAGES, _EVENTS, _FMPI, _PANEL, _STRIP_PRICES,
-                          MarketDataError, MarketZone, _read_table, average_price,
-                          load_auctions_csv, load_costs_csv, load_futures_csv,
-                          load_spot_csv_multi, write_auctions_csv,
-                          write_costs_csv, write_futures_csv, write_spot_csv)
+from .market_data import (_ACTIVITY, _AVERAGES, _EVENT_STUDY, _EVENTS, _FMPI, _PANEL,
+                          _PREMIUMS, _STRIP_PRICES, MarketDataError, MarketZone,
+                          _read_table, _write_table, average_price, load_auctions_csv,
+                          load_costs_csv, load_futures_csv, load_spot_csv_multi,
+                          write_auctions_csv, write_costs_csv, write_futures_csv,
+                          write_spot_csv)
 from .panel import PanelObservation, RegressionError, fit_pooled_ols
 from .premiums import (FmpiSpec, PremiumRow, cesur_premium, distribution_stats,
                        equality_of_means, fmpi_premium, fmpi_strip,
@@ -49,15 +50,12 @@ class UsageError(Exception):
     pass
 
 
-def _metadata(args, extra=None) -> dict:
+def _metadata(args) -> dict:
     # the output location is not a semantic input: identical runs into
     # different directories must still produce byte-identical artifacts
     echo = {k: v for k, v in sorted(vars(args).items())
             if k not in ("func", "out") and v is not None}
-    meta = {"tool": f"powerauctions {__version__}", "config": echo}
-    if extra:
-        meta.update(extra)
-    return meta
+    return {"tool": f"powerauctions {__version__}", "config": echo}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -71,13 +69,12 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _open_csv(path: Path, args):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fh = open(path, "w", newline="", encoding="utf-8")
+def _write_artifact(path: Path, args, table, *columns) -> None:
+    """Write one CSV artifact: the metadata lines, then ``table`` with ``columns``."""
     meta = _metadata(args)
-    fh.write(f"# {meta['tool']}\n")
-    fh.write(f"# config={json.dumps(meta['config'], sort_keys=True)}\n")
-    return fh
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_table(path, table, columns, preamble=(
+        f"# {meta['tool']}\n# config={json.dumps(meta['config'], sort_keys=True)}\n"))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -111,17 +108,12 @@ def _cmd_ingest(args) -> int:
 
 def _premium_rows(args) -> list[PremiumRow]:
     records = load_auctions_csv(args.auctions)
-    fmpi_map = {}
-    if args.fmpi:
-        fmpi_map = {(m, k): v for _, (m, k, v) in _read_table(args.fmpi, _FMPI)}
-    costs_map = {}
-    if args.costs:
-        for c in load_costs_csv(args.costs):
-            costs_map[(c.zone.market, c.zone.zone, c.year)] = c.unit_cost
-    averages_map = {}
-    if args.averages:
-        averages_map = {(m, z, year): price
-                        for _, (m, z, year, price) in _read_table(args.averages, _AVERAGES)}
+    fmpi_map = ({(m, k): v for _, (m, k, v) in _read_table(args.fmpi, _FMPI)}
+                if args.fmpi else {})
+    costs_map = ({(c.zone.market, c.zone.zone, c.year): c.unit_cost
+                  for c in load_costs_csv(args.costs)} if args.costs else {})
+    averages_map = ({(m, z, year): price for _, (m, z, year, price)
+                     in _read_table(args.averages, _AVERAGES)} if args.averages else {})
     spot_by_zone = load_spot_csv_multi(args.spot)
 
     def spot_avg_for(zone, rec):
@@ -131,49 +123,32 @@ def _premium_rows(args) -> list[PremiumRow]:
 
     rows = []
     for rec in records:
+        year = rec.auction_date.year
         if rec.market == "OMEL":
+            costs, group, label = 0.0, str(year), rec.product_id
             spot_avg = spot_avg_for(MarketZone("OMEL", "ES"), rec)
             prem, pct = cesur_premium(rec.clearing_price, spot_avg)
-            costs = 0.0
-            gross = rec.clearing_price
-            group = str(rec.auction_date.year)
-            label = rec.product_id
         else:
-            zone_name = rec.product_id.split("-")[0]
-            year = rec.auction_date.year
-            costs = costs_map.get(("PJM", zone_name, year), 0.0)
-            avg_price = averages_map.get(("PJM", zone_name, year), rec.clearing_price)
-            spot_avg = spot_avg_for(MarketZone("PJM", zone_name), rec)
+            group = rec.product_id.split("-")[0]  # the zone
+            costs, label = costs_map.get(("PJM", group, year), 0.0), f"{year}-{group}"
+            avg_price = averages_map.get(("PJM", group, year), rec.clearing_price)
+            spot_avg = spot_avg_for(MarketZone("PJM", group), rec)
             prem, pct = pjm_premium(avg_price, costs, spot_avg)
-            gross = rec.clearing_price
-            group = zone_name
-            label = f"{year}-{zone_name}"
         fmpi_val = fmpi_map.get((rec.market, rec.product_id))
         f_prem = f_pct = None
         if fmpi_val is not None:
-            f_prem, f_pct = fmpi_premium(gross, costs, fmpi_val)
-        rows.append(PremiumRow(auction_ref=label, group=group,
-                               auction_price=rec.clearing_price, spot_avg=spot_avg,
-                               costs=costs, premium=prem, premium_pct=pct,
-                               fmpi=fmpi_val, fmpi_premium=f_prem,
-                               fmpi_premium_pct=f_pct))
+            f_prem, f_pct = fmpi_premium(rec.clearing_price, costs, fmpi_val)
+        rows.append(PremiumRow(auction_ref=label, group=group, auction_price=rec.clearing_price,
+                               spot_avg=spot_avg, costs=costs, premium=prem, premium_pct=pct,
+                               fmpi=fmpi_val, fmpi_premium=f_prem, fmpi_premium_pct=f_pct))
     return rows
 
 
 def _emit_premium_table(rows, args, out_dir: Path):
-    with _open_csv(out_dir / "premiums.csv", args) as fh:
-        w = csv.writer(fh)
-        w.writerow(["auction_ref", "group", "auction_price", "spot_avg", "costs",
-                    "premium", "premium_pct", "fmpi", "fmpi_premium", "fmpi_premium_pct"])
-        for r in rows:
-            w.writerow([r.auction_ref, r.group, f"{r.auction_price:.4f}",
-                        f"{r.spot_avg:.4f}", f"{r.costs:.4f}", f"{r.premium:.4f}",
-                        f"{r.premium_pct:.6f}",
-                        "" if r.fmpi is None else f"{r.fmpi:.4f}",
-                        "" if r.fmpi_premium is None else f"{r.fmpi_premium:.4f}",
-                        "" if r.fmpi_premium_pct is None else f"{r.fmpi_premium_pct:.6f}"])
-    agg = yearly_aggregate(rows)
-    return {"groups": agg.groups, "grand": agg.grand}
+    # the table's columns are named after PremiumRow's fields
+    _write_artifact(out_dir / "premiums.csv", args, _PREMIUMS,
+                    *([getattr(r, name) for r in rows] for name in _PREMIUMS.columns))
+    return dataclasses.asdict(yearly_aggregate(rows))
 
 
 def _cmd_premium(args) -> int:
@@ -216,15 +191,11 @@ def _select_contract(path, contract):
 def _cmd_activity(args) -> int:
     contract = _select_contract(args.futures, args.contract)
     measure = _MEASURES[args.measure](contract)
-    out_dir = Path(args.out)
-    with _open_csv(out_dir / f"activity_{args.measure}.csv", args) as fh:
-        w = csv.writer(fh)
-        w.writerow(["contract_id", "measure", "date", "value", "defined"])
-        for d, v, defined in zip(measure.dates, measure.values,
-                                 measure.defined_mask().tolist()):
-            w.writerow([measure.contract_id, measure.measure_kind, d.isoformat(),
-                        f"{v:.10g}" if defined else "", int(defined)])
-    print(f"activity ok measure={args.measure} n={len(measure.dates)} "
+    n, mask = len(measure.dates), measure.defined_mask().tolist()
+    _write_artifact(Path(args.out) / f"activity_{args.measure}.csv", args, _ACTIVITY,
+                    [measure.contract_id] * n, [measure.measure_kind] * n, measure.dates,
+                    [v if d else None for v, d in zip(measure.values.tolist(), mask)], mask)
+    print(f"activity ok measure={args.measure} n={n} "
           f"undefined={len(measure.undefined_dates)}")
     return EXIT_OK
 
@@ -238,18 +209,11 @@ def _cmd_event_study(args) -> int:
     results = event_study(measure, events, window=(args.window[0], args.window[1]),
                           variance=args.variance)
     out_dir = Path(args.out)
-    with _open_csv(out_dir / "event_study.csv", args) as fh:
-        w = csv.writer(fh)
-        w.writerow(["offset", "t_stat", "sig01", "sig05"])
-        for r in results:
-            w.writerow([r.offset, f"{r.t_stat:.10g}", int(r.sig01), int(r.sig05)])
+    _write_artifact(out_dir / "event_study.csv", args, _EVENT_STUDY,
+                    *([getattr(r, name) for r in results] for name in _EVENT_STUDY.columns))
     tally = significance_tally(results, alpha=args.alpha)
-    _write_json(out_dir / "event_study_summary.json", {
-        "metadata": _metadata(args),
-        "tally": {"significant_positive": tally.significant_positive,
-                  "significant_negative": tally.significant_negative,
-                  "total": tally.total, "verdict": tally.verdict},
-    })
+    _write_json(out_dir / "event_study_summary.json",
+                {"metadata": _metadata(args), "tally": dataclasses.asdict(tally)})
     print(f"event-study ok offsets={len(results)} verdict={tally.verdict}")
     return EXIT_OK
 
@@ -264,54 +228,74 @@ def _cmd_regress(args) -> int:
     result = fit_pooled_ols(panel, covariates,
                             period_fixed_effects=not args.no_period_effects,
                             unit_fixed_effects=args.unit_effects)
-    payload = {
-        "metadata": _metadata(args),
-        "coefficients": {c.name: {"estimate": c.estimate, "std_error": c.std_error,
-                                  "t_stat": c.t_stat} for c in result.coefficients},
-        "r_squared": result.r_squared,
-        "adj_r_squared": result.adj_r_squared,
-        "rss": result.rss,
-        "rmse": result.rmse,
-        "n": result.n,
-        "k": result.k,
-        "n_clusters": result.n_clusters,
-        "fixed_effects": result.fixed_effects,
-    }
+    payload = dataclasses.asdict(result)
+    payload["coefficients"] = {c.pop("name"): c for c in payload["coefficients"]}
+    payload["metadata"] = _metadata(args)
     _write_json(Path(args.out), payload)
     print(f"regress ok n={result.n} k={result.k} r2={result.r_squared:.4f}")
     return EXIT_OK
 
 
-_STRATEGY_KINDS = {
-    "constant": lambda spec, rng: ConstantSupply(quantity=spec["quantity"]),
-    "threshold_exit": lambda spec, rng: ThresholdExit(
-        quantity=spec["quantity"], threshold=spec["threshold"],
-        below_quantity=spec.get("below_quantity", 0.0)),
-    "stochastic_exit": lambda spec, rng: StochasticExit(
-        quantity=spec["quantity"], exit_probability=spec["exit_probability"], rng=rng),
-    "stochastic_shrink": lambda spec, rng: StochasticShrink(
-        quantity=spec["quantity"], low=spec.get("low", 0.5), rng=rng),
-}
+_STRATEGY_KINDS = {"constant": ConstantSupply, "threshold_exit": ThresholdExit,
+                   "stochastic_exit": StochasticExit, "stochastic_shrink": StochasticShrink}
+# The scenario keys are the dataclass fields of these types. A JSON number
+# passes as it is (an int stays an int); true/false is no number.
+_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "dict": (dict,),
+               "list": (list,), "list | None": (list, type(None))}
+
+
+@dataclasses.dataclass
+class _Scenario:
+    config: dict
+    strategies: list
+    bidder_ids: list | None = None
+
+
+def _check_json(where: str, value, expected: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[expected]):
+        raise MarketDataError(f"{where}: expected {expected}, got {value!r}")
+
+
+def _from_json(cls, spec, where: str, seed=None):
+    """Build dataclass ``cls`` from the JSON object ``spec``, naming any bad key.
+
+    Keys are ``cls``'s fields of a ``_JSON_TYPES`` type, those without default
+    required; an ``rng`` field gets a generator seeded from ``seed``.
+    """
+    _check_json(where, spec, "dict")
+    fields = cls.__dataclass_fields__  # name -> Field; dataclasses.fields() costs a tuple
+    for key, value in spec.items():
+        if key not in fields or fields[key].type not in _JSON_TYPES:
+            raise MarketDataError(f"{where}.{key}: unknown field")
+        _check_json(f"{where}.{key}", value, fields[key].type)
+    for name, f in fields.items():
+        if f.type in _JSON_TYPES and f.default is dataclasses.MISSING and name not in spec:
+            raise MarketDataError(f"{where}.{name}: missing")
+    extra = {"rng": np.random.default_rng(seed)} if "rng" in fields else {}
+    return cls(**spec, **extra)
 
 
 def build_scenario(scenario: dict, seed: int | None):
-    """Instantiate (config, strategies, bidder_ids) from a scenario dict."""
-    cfg = scenario["config"]
-    config = ClockAuctionConfig(
-        target_quantity=cfg["target_quantity"],
-        opening_price=cfg["opening_price"],
-        price_decrement=cfg.get("price_decrement", 1.0),
-        max_rounds=cfg.get("max_rounds", 1000),
-        undershoot_policy=cfg.get("undershoot_policy", "previous_price_prorata"),
-    )
-    seeds = np.random.SeedSequence(seed).spawn(len(scenario["strategies"]))
+    """Instantiate (config, strategies, bidder_ids) from a scenario dict.
+
+    Each strategy's ``kind`` names its class; each random strategy gets its
+    own generator spawned from ``seed``.
+    """
+    top = _from_json(_Scenario, scenario, "scenario")
+    if top.bidder_ids is not None and not all(isinstance(b, str) for b in top.bidder_ids):
+        raise MarketDataError(f"scenario.bidder_ids: expected str ids, got {top.bidder_ids!r}")
+    config = _from_json(ClockAuctionConfig, top.config, "config")
+    seeds = np.random.SeedSequence(seed).spawn(len(top.strategies))
     strategies = []
-    for spec, ss in zip(scenario["strategies"], seeds):
+    for i, (spec, ss) in enumerate(zip(top.strategies, seeds)):
+        where = f"strategies[{i}]"
+        _check_json(where, spec, "dict")
         kind = spec.get("kind")
         if kind not in _STRATEGY_KINDS:
-            raise MarketDataError(f"unknown strategy kind {kind!r}")
-        strategies.append(_STRATEGY_KINDS[kind](spec, np.random.default_rng(ss)))
-    return config, strategies, scenario.get("bidder_ids")
+            raise MarketDataError(f"{where}.kind: unknown strategy kind {kind!r}")
+        fields = {k: v for k, v in spec.items() if k != "kind"}
+        strategies.append(_from_json(_STRATEGY_KINDS[kind], fields, where, ss))
+    return config, strategies, top.bidder_ids
 
 
 def outcome_to_dict(outcome) -> dict:
@@ -337,7 +321,7 @@ def _cmd_simulate(args) -> int:
             raise MarketDataError(f"{args.scenario}: invalid JSON ({exc})") from None
     config, strategies, bidder_ids = build_scenario(scenario, args.seed)
     outcome = run_descending_clock(config, strategies, bidder_ids)
-    payload = {"metadata": _metadata(args, {"seed": args.seed}),
+    payload = {"metadata": {**_metadata(args), "seed": args.seed},
                "outcome": outcome_to_dict(outcome)}
     _write_json(Path(args.out), payload)
     print(f"simulate ok price={outcome.clearing_price} rounds={outcome.rounds_used}")
@@ -352,12 +336,7 @@ def _cmd_report(args) -> int:
     report = {"metadata": _metadata(args), "aggregates": aggregates}
     if len(premiums) >= 4:
         st = distribution_stats(premiums)
-        report["premium_distribution"] = {
-            "n": st.n, "mean": st.mean, "std": st.std,
-            "coefficient_of_variation": st.coefficient_of_variation,
-            "skewness": st.skewness, "kurtosis": st.kurtosis,
-            "jarque_bera": st.jarque_bera,
-        }
+        report["premium_distribution"] = dataclasses.asdict(st)
     by_group: dict[str, list[float]] = {}
     for r in rows:
         by_group.setdefault(r.group, []).append(r.premium)
@@ -478,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error code={EXIT_USAGE} reason={exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MarketDataError, FileNotFoundError) as exc:
+    except (MarketDataError, OSError, UnicodeDecodeError) as exc:
         print(f"error code={EXIT_DATA} reason={exc}", file=sys.stderr)
         return EXIT_DATA
     except (AuctionError, RegressionError, ValueError, np.linalg.LinAlgError) as exc:

@@ -215,6 +215,13 @@ _TEXT = (str, str)
 _DATE = (date.fromisoformat, date.isoformat)
 _FLOAT = (_finite_float, lambda x: repr(float(x)))
 _INT = (int, str)
+_FLAG = (lambda text: bool(("0", "1").index(text)), lambda flag: str(int(flag)))
+
+
+def _fixed(spec: str):
+    """A float written as ``format(x, spec)``; None is a blank cell."""
+    return (lambda text: float(text) if text else None,
+            lambda x: "" if x is None else format(x, spec))
 
 
 def _multi(kind):
@@ -253,6 +260,16 @@ _STRIP_PRICES = _Table({"month": _TEXT, "price": _FLOAT})
 _PANEL = _Table({"unit": _TEXT, "period": _INT, "y": _FLOAT, "vol3y": _FLOAT,
                  "startbidders": _FLOAT, "wbidders": _FLOAT, "pls": _FLOAT}, optional=1)
 _EVENTS = _Table({"date": _DATE})
+# artifacts only the command line writes
+_PREMIUMS = _Table({"auction_ref": _TEXT, "group": _TEXT, "auction_price": _fixed(".4f"),
+                    "spot_avg": _fixed(".4f"), "costs": _fixed(".4f"),
+                    "premium": _fixed(".4f"), "premium_pct": _fixed(".6f"),
+                    "fmpi": _fixed(".4f"), "fmpi_premium": _fixed(".4f"),
+                    "fmpi_premium_pct": _fixed(".6f")})
+_ACTIVITY = _Table({"contract_id": _TEXT, "measure": _TEXT, "date": _DATE,
+                    "value": _fixed(".10g"), "defined": _FLAG})
+_EVENT_STUDY = _Table({"offset": _INT, "t_stat": _fixed(".10g"), "sig01": _FLAG,
+                       "sig05": _FLAG})
 
 
 def _read_table(path, table: _Table) -> list[tuple[int, list]]:
@@ -294,14 +311,15 @@ def _read_table(path, table: _Table) -> list[tuple[int, list]]:
     return rows
 
 
-def _write_table(path, table: _Table, *blocks) -> None:
-    """Write ``table``'s header, then the rows of each block in turn.
+def _write_table(path, table: _Table, *blocks, preamble: str = "") -> None:
+    """Write ``preamble`` as it is, ``table``'s header, then the rows of each block.
 
     A block holds one sequence per column, all of the same length; each
     column is formatted by its kind.
     """
     formats = [fmt for _, fmt in table.columns.values()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(preamble)
         w = csv.writer(fh)
         w.writerow(list(table.columns))
         for block in blocks:

@@ -178,6 +178,22 @@ class TestClockAuction:
         with pytest.raises(AuctionError, match=name.replace("_", " ") + " must be positive"):
             ClockAuctionConfig(**kw)
 
+    @pytest.mark.parametrize("max_rounds", [0, -3, 2.5, 1.0, "5", None])
+    def test_max_rounds_must_be_a_positive_integer(self, max_rounds):
+        # max_rounds=0 used to run no round and fail reading the empty log
+        with pytest.raises(AuctionError, match=re.escape(
+                f"max rounds must be an integer >= 1, got {max_rounds!r}")):
+            config(max_rounds=max_rounds)
+        assert config(max_rounds=np.int64(1)).max_rounds == 1
+
+    @pytest.mark.parametrize("make", [lambda: StochasticExit(4, 0.2),
+                                      lambda: StochasticShrink(4, low=0.7)],
+                             ids=["stochastic_exit", "stochastic_shrink"])
+    def test_random_strategy_needs_a_generator(self, make):
+        # no unseeded default: a random bidder is seeded by whoever builds it
+        with pytest.raises(TypeError, match="rng"):
+            make()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("bad_round", [1, 3])
     def test_non_finite_offer_raises(self, bad, bad_round):

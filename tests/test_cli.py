@@ -1,16 +1,25 @@
+import ast
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import powerauctions
-from powerauctions.cli import main
+from powerauctions.auction_engine import (ClockAuctionConfig, ConstantSupply, StochasticExit,
+                                          StochasticShrink, ThresholdExit)
+from powerauctions.cli import build_scenario, main
 
 AUCTIONS_HEADER = ("market,auction_id,auction_date,product_id,delivery_start,"
                    "delivery_end,load_shape,product_kind,clearing_price,quantity,"
@@ -151,6 +160,160 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"error code=3 reason={reason}\n"
         assert not out.exists()
+
+
+    def test_zero_max_rounds_is_numeric_failure(self, tmp_path, capsys):
+        # used to end in an IndexError traceback from the empty round log
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({
+            "config": {"target_quantity": 5, "opening_price": 10, "max_rounds": 0},
+            "strategies": [{"kind": "constant", "quantity": 10}]}))
+        out = tmp_path / "o.json"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error code=3 reason=max rounds must be an integer >= 1, got 0\n")
+        assert not out.exists()
+
+
+# --- scenario schema ---------------------------------------------------------
+
+_KINDS = {"constant": ConstantSupply, "threshold_exit": ThresholdExit,
+          "stochastic_exit": StochasticExit, "stochastic_shrink": StochasticShrink}
+_POSITIVE = st.one_of(st.integers(1, 500), st.floats(0.01, 500.0))
+_ANY_NUMBER = st.one_of(st.integers(-50, 50), st.floats(-50.0, 50.0))
+
+
+@st.composite
+def _fields(draw, required: dict, optional: dict) -> dict:
+    spec = {name: draw(values) for name, values in required.items()}
+    for name, values in optional.items():
+        if draw(st.booleans()):
+            spec[name] = draw(values)
+    return spec
+
+
+_CONFIG = _fields(
+    {"target_quantity": _POSITIVE, "opening_price": _POSITIVE},
+    {"price_decrement": _POSITIVE, "max_rounds": st.integers(1, 2000),
+     "undershoot_policy": st.sampled_from(["previous_price_prorata",
+                                           "previous_price_priority"])})
+_STRATEGY_FIELDS = {
+    "constant": ({"quantity": _ANY_NUMBER}, {}),
+    "threshold_exit": ({"quantity": _ANY_NUMBER, "threshold": _ANY_NUMBER},
+                       {"below_quantity": _ANY_NUMBER}),
+    "stochastic_exit": ({"quantity": _ANY_NUMBER, "exit_probability": _ANY_NUMBER}, {}),
+    "stochastic_shrink": ({"quantity": _ANY_NUMBER}, {"low": _ANY_NUMBER}),
+}
+_STRATEGY = st.sampled_from(sorted(_STRATEGY_FIELDS)).flatmap(
+    lambda kind: _fields(*_STRATEGY_FIELDS[kind]).map(lambda spec: {"kind": kind, **spec}))
+_SCENARIO = st.fixed_dictionaries({"config": _CONFIG,
+                                   "strategies": st.lists(_STRATEGY, min_size=1, max_size=4)})
+
+
+def _state(strategy) -> dict:
+    fields = dict(vars(strategy))
+    if "rng" in fields:
+        fields["rng"] = fields["rng"].bit_generator.state
+    return fields
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=_SCENARIO, seed=st.integers(0, 2**32 - 1))
+def test_scenario_builds_its_dataclasses(scenario, seed):
+    config, strategies, ids = build_scenario(scenario, seed)
+    assert config == ClockAuctionConfig(**scenario["config"])
+    assert ids is None
+    seeds = np.random.SeedSequence(seed).spawn(len(strategies))
+    for built, spec, ss in zip(strategies, scenario["strategies"], seeds):
+        fields = {k: v for k, v in spec.items() if k != "kind"}
+        cls = _KINDS[spec["kind"]]
+        if cls in (StochasticExit, StochasticShrink):
+            fields["rng"] = np.random.default_rng(ss)
+        expected = cls(**fields)
+        assert type(built) is cls and _state(built) == _state(expected)
+        # JSON numbers are passed on as they are: an int stays an int
+        assert all(type(getattr(built, k)) is type(v) for k, v in spec.items() if k != "kind")
+
+
+_WRONG_VALUES = {"float": ["10", True, None, [1.0]], "int": [2.5, "3", False, None],
+                 "str": [1, None, ["previous_price_prorata"]]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=_SCENARIO, data=st.data())
+def test_bad_scenario_field_is_data_error(scenario, data):
+    # one fault per scenario: a mistyped value, a missing required field or an
+    # unknown key, in the config or in one strategy
+    config_fields = {"target_quantity": "float", "opening_price": "float",
+                     "price_decrement": "float", "max_rounds": "int",
+                     "undershoot_policy": "str"}
+    i = data.draw(st.sampled_from([None, *range(len(scenario["strategies"]))]))
+    if i is None:
+        where, spec, types = "config", scenario["config"], config_fields
+        required = ["target_quantity", "opening_price"]
+    else:
+        where, spec = f"strategies[{i}]", scenario["strategies"][i]
+        required, optional = _STRATEGY_FIELDS[spec["kind"]]
+        types = dict.fromkeys([*required, *optional], "float")
+        required = list(required)
+    fault = data.draw(st.sampled_from(["type", "missing", "unknown"]))
+    if fault == "type":
+        name = data.draw(st.sampled_from(sorted(types)))
+        spec[name] = data.draw(st.sampled_from(_WRONG_VALUES[types[name]]))
+        reason = f"{where}.{name}: expected {types[name]}, got {spec[name]!r}"
+    elif fault == "missing":
+        name = data.draw(st.sampled_from(required))
+        del spec[name]
+        reason = f"{where}.{name}: missing"
+    else:
+        name = data.draw(st.sampled_from(["price_schedule", "rng", "seed", "Quantity"]))
+        spec[name] = 1.0
+        reason = f"{where}.{name}: unknown field"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_text(json.dumps(scenario))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["simulate", "--scenario", str(path), "--out", str(Path(tmp) / "o.json")])
+        assert rc == 2
+        assert err.getvalue() == f"error code=2 reason={reason}\n"
+        assert not (Path(tmp) / "o.json").exists()
+
+
+@pytest.mark.parametrize("scenario,reason", [
+    ({"config": {"target_quantity": "10", "opening_price": 100},
+      "strategies": [{"kind": "constant", "quantity": 12}]},
+     "config.target_quantity: expected float, got '10'"),
+    ({"config": {"target_quantity": 10, "opening_price": 100},
+      "strategies": [{"kind": "constant", "quantity": 12}, {"kind": "threshold_exit",
+                                                           "threshold": 50}]},
+     "strategies[1].quantity: missing"),
+    ({"config": {"target_quantity": 10, "opening_price": 100, "max_rounds": 50.0},
+      "strategies": [{"kind": "constant", "quantity": 12}]},
+     "config.max_rounds: expected int, got 50.0"),
+    ({"config": {"target_quantity": 10, "opening_price": 100},
+      "strategies": [{"kind": "auctioneer", "quantity": 12}]},
+     "strategies[0].kind: unknown strategy kind 'auctioneer'"),
+    ({"config": {"target_quantity": 10, "opening_price": 100}, "strategies": {}},
+     "scenario.strategies: expected list, got {}"),
+    ({"strategies": [{"kind": "constant", "quantity": 12}]}, "scenario.config: missing"),
+    ({"config": {"target_quantity": 10, "opening_price": 100},
+      "strategies": [{"kind": "constant", "quantity": 12}], "seed": 3},
+     "scenario.seed: unknown field"),
+    ({"config": {"target_quantity": 10, "opening_price": 100},
+      "strategies": [{"kind": "constant", "quantity": 12}], "bidder_ids": [1]},
+     "scenario.bidder_ids: expected str ids, got [1]"),
+    ([], "scenario: expected dict, got []"),
+], ids=["string_target", "strategy_without_quantity", "float_max_rounds", "unknown_kind",
+        "strategies_not_a_list", "no_config", "unknown_top_level_key", "int_bidder_id",
+        "not_an_object"])
+def test_malformed_scenario_file_is_data_error(tmp_path, capsys, scenario, reason):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "o.json"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error code=2 reason={reason}\n"
+    assert not out.exists()
 
 
 class TestEventStudyCommand:
@@ -295,6 +458,125 @@ class TestErrorsAndConfig:
         assert rc == 3
         assert "error code=3" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("case", ["scenario_dir", "panel_dir", "prices_not_utf8",
+                                      "scenario_not_utf8"])
+    def test_unreadable_input_is_data_error(self, tmp_path, capsys, case):
+        # a directory used to end in an IsADirectoryError traceback, a
+        # non-UTF-8 byte in exit 3 like a numeric failure
+        folder, bad = tmp_path / "folder", tmp_path / "bad"
+        folder.mkdir()
+        flag, contents, reason = {
+            "scenario_dir": ("--scenario", None, "Is a directory"),
+            "panel_dir": ("--panel", None, "Is a directory"),
+            "prices_not_utf8": ("--prices", b"month,price\n1,4\xff0\n",
+                                "can't decode byte 0xff"),
+            "scenario_not_utf8": ("--scenario", b'{"config": "\xff"}', "can't decode byte 0xff"),
+        }[case]
+        if contents is not None:
+            bad.write_bytes(contents)
+        command = {"--scenario": "simulate", "--panel": "regress", "--prices": "fmpi"}[flag]
+        out = tmp_path / "o.json"
+        rc = main([command, flag, str(folder if contents is None else bad), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error code=2 reason=") and err.count("\n") == 1
+        assert reason in err
+        assert not out.exists()
+
+
+class TestArtifactBytes:
+    """premiums.csv, activity_r2.csv and event_study.csv pinned byte for byte.
+
+    The fixture has an auction without an fmpi value (blank cells), a quoted
+    auction reference, undefined R2 days and an offset with no events (nan).
+    """
+
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        # relative paths keep the config line, and so the bytes, fixed
+        monkeypatch.chdir(tmp_path)
+        Path("auctions.csv").write_text(
+            AUCTIONS_HEADER +
+            "OMEL,1,2007-06-19,M07-07,2007-07-01,2007-07-04,baseload,fixed_quantity,"
+            "46.27,1800,30,15,23\n"
+            'OMEL,2,2007-06-20,"M07,b",2007-07-02,2007-07-05,baseload,fixed_quantity,'
+            "38.5,900,20,9,12\n")
+        Path("spot.csv").write_text("market,zone,date,price\n" + "".join(
+            f"OMEL,ES,2007-07-0{d},{p}\n"
+            for d, p in zip(range(1, 6), (40.1, 42.35, 39.0, 44.2, 41.75))))
+        Path("fmpi.csv").write_text("market,key,fmpi\nOMEL,M07-07,44.45\n")
+        oi = [500, 520, 520, 490, 530, 560, 540, 540, 575, 600, 585, 610, 650, 640]
+        vol = [80, 95, 60, 120, 70, 88, 101, 64, 90, 111, 77, 93, 105, 84]
+        Path("futures.csv").write_text(
+            "contract_id,market,zone,date,settle,volume,open_interest\n" + "".join(
+                f"F1,OMEL,ES,2007-01-{i + 1:02d},50,{v},{o}\n"
+                for i, (v, o) in enumerate(zip(vol, oi))))
+        Path("events.csv").write_text("date\n2007-01-06\n2007-01-14\n")
+
+    def test_premiums_csv(self, inputs):
+        assert main(["premium", "--auctions", "auctions.csv", "--spot", "spot.csv",
+                     "--fmpi", "fmpi.csv", "--out", "out"]) == 0
+        assert Path("out/premiums.csv").read_bytes() == (
+            b"# powerauctions 0.1.0\n"
+            b'# config={"auctions": "auctions.csv", "command": "premium", "fmpi": "fmpi.csv", '
+            b'"spot": "spot.csv", "spot_mode": "strict"}\n'
+            b"auction_ref,group,auction_price,spot_avg,costs,premium,premium_pct,fmpi,"
+            b"fmpi_premium,fmpi_premium_pct\r\n"
+            b"M07-07,2007,46.2700,41.4125,0.0000,4.8575,0.104982,44.4500,1.8200,0.039334\r\n"
+            b'"M07,b",2007,38.5000,41.8250,0.0000,-3.3250,-0.086364,,,\r\n')
+
+    def test_activity_csv(self, inputs):
+        assert main(["activity", "--futures", "futures.csv", "--measure", "r2",
+                     "--out", "out"]) == 0
+        values = ["", "4.75", "", "4", "1.75", "2.933333333", "5.05", "", "2.571428571",
+                  "4.44", "5.133333333", "3.72", "2.625", "8.4"]
+        assert Path("out/activity_r2.csv").read_bytes() == (
+            b"# powerauctions 0.1.0\n"
+            b'# config={"command": "activity", "futures": "futures.csv", "measure": "r2"}\n'
+            b"contract_id,measure,date,value,defined\r\n" + "".join(
+                f"F1,R2,2007-01-{i + 1:02d},{v},{int(bool(v))}\r\n"
+                for i, v in enumerate(values)).encode())
+
+    def test_event_study_csv(self, inputs):
+        assert main(["event-study", "--futures", "futures.csv", "--measure", "r2",
+                     "--events", "events.csv", "--window", "-1", "2", "--out", "out"]) == 0
+        assert Path("out/event_study.csv").read_bytes() == (
+            b"# powerauctions 0.1.0\n"
+            b'# config={"alpha": 0.05, "command": "event-study", "events": "events.csv", '
+            b'"futures": "futures.csv", "measure": "r2", "variance": "welch", '
+            b'"window": [-1, 2]}\n'
+            b"offset,t_stat,sig01,sig05\r\n"
+            b"-1,-3.343842537,0,0\r\n"
+            b"0,0.5671111765,0,0\r\n"
+            b"1,0.9691435582,0,0\r\n"
+            b"2,nan,0,0\r\n")
+
+
+def test_one_table_reader_and_writer():
+    # only market_data imports csv, and only its codec calls csv.reader/csv.writer
+    package = Path(powerauctions.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        if path.name == "market_data.py":
+            assert "csv" in modules
+        else:
+            assert "csv" not in modules, path.name
+
+    def csv_calls(node):
+        return sorted(n.func.attr for n in ast.walk(node)
+                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                      and isinstance(n.func.value, ast.Name) and n.func.value.id == "csv")
+
+    tree = ast.parse((package / "market_data.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert csv_calls(tree) == ["reader", "writer"]
+    assert csv_calls(functions["_read_table"]) == ["reader"]
+    assert csv_calls(functions["_write_table"]) == ["writer"]
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg"])
