@@ -26,10 +26,10 @@ from .auction_engine import (AuctionError, ClockAuctionConfig, ConstantSupply,
                              run_descending_clock)
 from .market_data import (_ACTIVITY, _AVERAGES, _EVENT_STUDY, _EVENTS, _FMPI, _PANEL,
                           _PREMIUMS, _STRIP_PRICES, MarketDataError, MarketZone,
-                          _read_table, _write_table, average_price, load_auctions_csv,
-                          load_costs_csv, load_futures_csv, load_spot_csv_multi,
-                          write_auctions_csv, write_costs_csv, write_futures_csv,
-                          write_spot_csv)
+                          _read_table, _read_text, _write_table, average_price,
+                          load_auctions_csv, load_costs_csv, load_futures_csv,
+                          load_spot_csv_multi, write_auctions_csv, write_costs_csv,
+                          write_futures_csv, write_spot_csv)
 from .panel import PanelObservation, RegressionError, fit_pooled_ols
 from .premiums import (FmpiSpec, PremiumRow, cesur_premium, distribution_stats,
                        equality_of_means, fmpi_premium, fmpi_strip,
@@ -314,11 +314,10 @@ def outcome_to_dict(outcome) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.scenario, encoding="utf-8") as fh:
-        try:
-            scenario = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MarketDataError(f"{args.scenario}: invalid JSON ({exc})") from None
+    try:
+        scenario = json.loads(_read_text(args.scenario))
+    except json.JSONDecodeError as exc:
+        raise MarketDataError(f"{args.scenario}: invalid JSON ({exc})") from None
     config, strategies, bidder_ids = build_scenario(scenario, args.seed)
     outcome = run_descending_clock(config, strategies, bidder_ids)
     payload = {"metadata": {**_metadata(args), "seed": args.seed},
@@ -432,15 +431,14 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         raise UsageError("argument --config: expected one argument")
     path = argv[i + 1]
     extra = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            flag = f"--{key.strip().replace('_', '-')}"
-            if flag not in argv:
-                extra.extend([flag, value.strip()])
+    for line in _read_text(path).split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        flag = f"--{key.strip().replace('_', '-')}"
+        if flag not in argv:
+            extra.extend([flag, value.strip()])
     # subcommand stays first; defaults appended after existing args so that
     # argparse (last occurrence wins) prefers explicit flags for nargs cases
     rest = argv[:i] + argv[i + 2:]
@@ -457,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error code={EXIT_USAGE} reason={exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MarketDataError, OSError, UnicodeDecodeError) as exc:
+    except (MarketDataError, OSError) as exc:
         print(f"error code={EXIT_DATA} reason={exc}", file=sys.stderr)
         return EXIT_DATA
     except (AuctionError, RegressionError, ValueError, np.linalg.LinAlgError) as exc:

@@ -10,10 +10,13 @@ through the one table codec in this module.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from datetime import date
+from typing import Sequence
 
 import numpy as np
 
@@ -63,12 +66,18 @@ class DeliveryPeriod:
         return [date.fromordinal(o) for o in range(self.start.toordinal(), self.end.toordinal() + 1)]
 
 
-def _date_index(dates, what: str) -> np.ndarray:
+def _date_index(dates, what: str, ordinals=None) -> np.ndarray:
     """The read-only ``date.toordinal()`` index of strictly increasing ``dates``.
 
-    A duplicate or decreasing date raises, naming the first offending pair.
+    ``ordinals``, when given, must be that index already (contracts on one
+    calendar share one); only its length, ends and order are checked. A
+    duplicate or decreasing date raises, naming the first offending pair.
     """
-    ordinals = np.fromiter((d.toordinal() for d in dates), dtype=np.int64, count=len(dates))
+    if ordinals is None:
+        ordinals = np.fromiter((d.toordinal() for d in dates), dtype=np.int64, count=len(dates))
+    elif len(ordinals) != len(dates) or (len(dates) and (
+            ordinals[0] != dates[0].toordinal() or ordinals[-1] != dates[-1].toordinal())):
+        raise MarketDataError(f"date index does not match the dates of {what}")
     bad = np.flatnonzero(np.diff(ordinals) <= 0)
     if bad.size:
         prev, d = dates[bad[0]], dates[bad[0] + 1]
@@ -129,8 +138,9 @@ class FuturesContractSeries:
     volume: np.ndarray
     open_interest: np.ndarray
     ordinals: np.ndarray = field(init=False, repr=False)
+    index: InitVar[np.ndarray | None] = None  # the dates' ordinals, if already built
 
-    def __post_init__(self):
+    def __post_init__(self, index):
         n = len(self.dates)
         arrays = {}
         for name in ("settle", "volume", "open_interest"):
@@ -141,7 +151,7 @@ class FuturesContractSeries:
                 raise MarketDataError(f"non-finite {name} in {self.contract_id}")
             arrays[name] = arr
         object.__setattr__(self, "ordinals",
-                           _date_index(self.dates, f"futures {self.contract_id}"))
+                           _date_index(self.dates, f"futures {self.contract_id}", index))
         if np.any(arrays["volume"] < 0):
             raise MarketDataError(f"negative volume in {self.contract_id}")
         if np.any(arrays["open_interest"] < 0):
@@ -227,7 +237,7 @@ def _fixed(spec: str):
 def _multi(kind):
     """A ";"-separated list of values of ``kind`` in one cell."""
     parse, fmt = kind
-    return (lambda text: [parse(part.strip()) for part in text.split(";")],
+    return (lambda text: tuple(parse(part.strip()) for part in text.split(";")),
             lambda values: ";".join(fmt(v) for v in values))
 
 
@@ -272,40 +282,143 @@ _EVENT_STUDY = _Table({"offset": _INT, "t_stat": _fixed(".10g"), "sig01": _FLAG,
                        "sig05": _FLAG})
 
 
-def _read_table(path, table: _Table) -> list[tuple[int, list]]:
-    """Parse a CSV file of ``table`` into (line number, parsed row) pairs.
+@dataclass(frozen=True)
+class _Rows:
+    """A parsed table: the file line of each row and one sequence per column.
+
+    A _FLOAT column is a float64 array, every other column a list. As a
+    sequence it holds (line number, row) pairs, floats as Python floats.
+    """
+    linenos: Sequence[int]
+    columns: list
+
+    def __len__(self) -> int:
+        return len(self.linenos)
+
+    def __iter__(self):
+        cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns)
+        return zip(self.linenos, zip(*cells))
+
+    def __getitem__(self, i: int):
+        return self.linenos[i], tuple(c.item(i) if isinstance(c, np.ndarray) else c[i]
+                                      for c in self.columns)
+
+
+def _read_text(path, newline=None) -> str:
+    """The whole of a UTF-8 file; a file that is not UTF-8 is a data error naming it."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MarketDataError(f"{path}: {exc}") from None
+
+
+def _header_fits(header: list, table: _Table) -> bool:
+    """Whether stripped ``header`` names ``table``'s columns, the optional ones aside."""
+    names = list(table.columns)
+    return len(header) >= len(names) - table.optional and header == names[:len(header)]
+
+
+_BLANK_LINE = re.compile(r"\n(?:[^\S\n]|,)*\n")  # only whitespace and commas
+_CSV_FIELD_LIMIT = 131072  # the csv module's default field_size_limit()
+_CHUNK_ROWS = 8192  # rows whose cells exist as strings at one time
+
+
+def _parse_columns(text: str, table: _Table) -> _Rows | None:
+    """Parse CSV ``text`` of ``table`` column by column, or None if it cannot.
+
+    This gives what _read_table's per-cell loop gives, and so it declines
+    (None) every file that loop treats specially: one with a quote, a lone
+    carriage return, a blank row, a line the csv module would refuse as too
+    long, a header that does not match, a row of the wrong width or a cell
+    its column's kind rejects. Float columns are parsed by one np.loadtxt,
+    which accepts a subset of what float() does and gives the same value,
+    so a non-finite value is the one further check; every other cell goes
+    through its kind's own parser, once per distinct cell.
+    """
+    if '"' in text:
+        return None
+    text = text.replace("\r\n", "\n")
+    if "\r" in text:
+        return None
+    text = text.removesuffix("\n")
+    lines = text.split("\n")
+    if _BLANK_LINE.search(f"\n{text}\n") or max(map(len, lines)) > _CSV_FIELD_LIMIT:
+        return None
+    header = [h.strip() for h in lines[0].split(",")]
+    if not _header_fits(header, table):
+        return None
+    width, body = len(header), lines[1:]
+    if any(line.count(",") != width - 1 for line in body):
+        return None
+    kinds = list(table.columns.values())[:width]
+    floats = [j for j, kind in enumerate(kinds) if kind is _FLOAT]
+    columns = [np.empty(0) if kind is _FLOAT else [] for kind in kinds]
+    memos = [{} for _ in kinds]
+    try:
+        if floats and body:
+            values = np.loadtxt(body, delimiter=",", usecols=floats, comments=None, ndmin=2)
+            if not np.isfinite(values).all():
+                return None
+            for j, column in zip(floats, values.T):
+                columns[j] = column
+        for start in range(0, len(body), _CHUNK_ROWS):
+            cells = ",".join(body[start:start + _CHUNK_ROWS]).split(",")
+            for j, (parse, _) in enumerate(kinds):
+                if j not in floats:
+                    memo = memos[j]
+                    columns[j] += [memo[c] if c in memo else memo.setdefault(c, parse(c.strip()))
+                                   for c in cells[j::width]]
+    except ValueError:
+        return None
+    return _Rows(range(2, len(body) + 2), columns)
+
+
+def _read_table(path, table: _Table) -> _Rows:
+    """Parse a CSV file of ``table``.
 
     The stripped header must equal the table's column names. Blank rows are
     skipped; every other row needs one field per header column, and each
-    stripped cell is parsed by its column's kind.
+    stripped cell is parsed by its column's kind. Most files parse column by
+    column (_parse_columns); the rest go through the csv module row by row,
+    which also words every error.
     """
-    names = list(table.columns)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        width = len(header)
-        if width < len(names) - table.optional or header != names[:width]:
-            raise MarketDataError(f"{path}: header {header} does not match expected {names}")
-        parsers = [parse for parse, _ in table.columns.values()][:width]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            if len(row) != width:
-                raise MarketDataError(
-                    f"{path} line {lineno}: expected {width} fields, got {len(row)}"
-                )
-            try:
-                rows.append((lineno, [parse(c.strip()) for parse, c in zip(parsers, row)]))
-            except ValueError:
-                for name, parse, cell in zip(names, parsers, row):
+    text = _read_text(path, newline="")
+    rows = _parse_columns(text, table)
+    if rows is None:
+        names = list(table.columns)
+        reader = enumerate(csv.reader(io.StringIO(text, newline="")), start=1)
+        lineno = 0
+        try:
+            lineno, header = next(reader, (1, []))
+            header = [h.strip() for h in header]
+            if not _header_fits(header, table):
+                raise MarketDataError(f"{path}: header {header} does not match expected {names}")
+            width = len(header)
+            kinds = list(table.columns.values())[:width]
+            linenos, parsed = [], []
+            for lineno, row in reader:
+                if not "".join(row).strip():
+                    continue
+                if len(row) != width:
+                    raise MarketDataError(
+                        f"{path} line {lineno}: expected {width} fields, got {len(row)}"
+                    )
+                cells = []
+                for name, (parse, _), cell in zip(names, kinds, row):
                     try:
-                        parse(cell.strip())
+                        cells.append(parse(cell.strip()))
                     except ValueError:
                         raise MarketDataError(
                             f"{path} line {lineno}: unparseable {name} {cell.strip()!r}"
                         ) from None
-                raise
+                linenos.append(lineno)
+                parsed.append(cells)
+        except csv.Error as exc:
+            raise MarketDataError(f"{path} line {lineno + 1}: {exc}") from None
+        columns = [list(column) for column in zip(*parsed)] or [[] for _ in kinds]
+        rows = _Rows(linenos, [np.array(c, dtype=float) if kind is _FLOAT else c
+                               for c, kind in zip(columns, kinds)])
     if not rows:
         warnings.warn(f"{path}: no data rows", stacklevel=3)
     return rows
@@ -323,51 +436,83 @@ def _write_table(path, table: _Table, *blocks, preamble: str = "") -> None:
         w = csv.writer(fh)
         w.writerow(list(table.columns))
         for block in blocks:
-            w.writerows(zip(*[map(fmt, column) for fmt, column in zip(formats, block)]))
+            # an array is formatted from .tolist(): converting its numpy
+            # scalars one at a time costs more
+            w.writerows(zip(*[map(fmt, c.tolist() if isinstance(c, np.ndarray) else c)
+                              for fmt, c in zip(formats, block)]))
 
 
 # --- loaders and writers -----------------------------------------------------
 
 
-def _spot_series(zone: MarketZone, rows) -> SpotPriceSeries:
-    return SpotPriceSeries(zone=zone, dates=tuple(r[2] for r in rows),
-                           prices=np.array([r[3] for r in rows], dtype=float))
+def _first_seen_codes(keys) -> np.ndarray:
+    """One int per key, equal for equal keys, numbered 0, 1, ... as first seen."""
+    codes: dict = {}
+    return np.fromiter((codes.setdefault(k, len(codes)) for k in keys), dtype=np.int64)
+
+
+def _blocks(code: np.ndarray, columns) -> list[list]:
+    """``columns`` cut into one block per ``code``, in code order, rows in file order.
+
+    A file whose codes already run in order is only sliced, so an array
+    block is a view.
+    """
+    if np.any(np.diff(code) < 0):
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        columns = [c[order] if isinstance(c, np.ndarray) else [c[i] for i in order.tolist()]
+                   for c in columns]
+    edges = [0, *np.cumsum(np.bincount(code)).tolist()]
+    return [[c[lo:hi] for c in columns] for lo, hi in zip(edges, edges[1:])]
 
 
 def load_spot_csv(path, zone: MarketZone) -> SpotPriceSeries:
     """Load a spot-price CSV (``market,zone,date,price``) for one zone."""
     rows = _read_table(path, _SPOT)
-    for lineno, (market, z, _, _) in rows:
+    markets, zones, dates, prices = rows.columns
+    for lineno, market, z in zip(rows.linenos, markets, zones):
         if market != zone.market or z != zone.zone:
             raise MarketDataError(
                 f"{path} line {lineno}: row for {market}/{z}, expected {zone.market}/{zone.zone}"
             )
-    return _spot_series(zone, [row for _, row in rows])
+    return SpotPriceSeries(zone=zone, dates=tuple(dates), prices=prices)
 
 
 def load_spot_csv_multi(path) -> dict[MarketZone, SpotPriceSeries]:
     """Load a spot CSV that may carry several market zones in one file."""
-    buckets: dict[MarketZone, list] = {}
-    for _, row in _read_table(path, _SPOT):
-        buckets.setdefault(MarketZone(row[0], row[1]), []).append(row)
-    return {zone: _spot_series(zone, rows) for zone, rows in buckets.items()}
+    rows = _read_table(path, _SPOT)
+    blocks = _blocks(_first_seen_codes(zip(*rows.columns[:2])), rows.columns)
+    zones = [MarketZone(markets[0], zones[0]) for markets, zones, _, _ in blocks]
+    return {zone: SpotPriceSeries(zone=zone, dates=tuple(dates), prices=prices)
+            for zone, (_, _, dates, prices) in zip(zones, blocks)}
 
 
 def load_futures_csv(path) -> list[FuturesContractSeries]:
-    """Load a futures CSV; returns one series per contract_id, in file order."""
-    per_contract: dict[str, tuple[tuple[str, str], list]] = {}
-    for lineno, row in _read_table(path, _FUTURES):
-        cid, zone = row[0], (row[1], row[2])
-        bucket = per_contract.setdefault(cid, (zone, []))
-        if bucket[0] != zone:
-            raise MarketDataError(f"{path} line {lineno}: contract {cid} changes zone")
-        bucket[1].append(row)
+    """Load a futures CSV; returns one series per contract_id, in file order.
+
+    Contracts with the same trading days share one dates tuple and one index.
+    """
+    rows = _read_table(path, _FUTURES)
+    cids, markets, zones, dates = rows.columns[:4]
+    contract = _first_seen_codes(cids)
+    zone = _first_seen_codes(zip(markets, zones))
+    first_row = np.unique(contract, return_index=True)[1]
+    changed = np.flatnonzero(zone != zone[first_row[contract]])
+    if changed.size:
+        i = changed[0]
+        raise MarketDataError(f"{path} line {rows.linenos[i]}: contract {cids[i]} changes zone")
+    ordinals = np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
+    calendars: dict[bytes, tuple] = {}
     out = []
-    for cid, (zone, rows) in per_contract.items():
-        _, _, _, dates, settle, volume, open_interest = zip(*rows)
+    for cid, market, z, days, settle, volume, open_interest, days_ordinals in _blocks(
+            contract, [*rows.columns, ordinals]):
+        key = days_ordinals.tobytes()
+        if key not in calendars:
+            calendars[key] = tuple(days), days_ordinals.copy()
+        days, index = calendars[key]
         out.append(FuturesContractSeries(
-            contract_id=cid, zone=MarketZone(*zone), dates=dates, settle=np.array(settle),
-            volume=np.array(volume), open_interest=np.array(open_interest),
+            contract_id=cid[0], zone=MarketZone(market[0], z[0]), dates=days, settle=settle,
+            volume=volume, open_interest=open_interest, index=index,
         ))
     return out
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 MWH_PER_MW_CAPACITY = 2200.0
 FMPI_STRIP_LENGTH = 36
@@ -228,6 +227,9 @@ def _two_sample_t(a: np.ndarray, nb: int, mean_b: float, vb: float,
         se2, dof = pooled * (1 / na + 1 / nb), na + nb - 2
     if se2 == 0:
         raise _ZeroVarianceError("both samples have zero variance")
+    # imported here: scipy.special is most of the package's import time, and
+    # only the subcommands that report a p value need it
+    from scipy import special
     t = float((a.mean() - mean_b) / math.sqrt(se2))
     return t, float(dof), 2.0 * float(special.stdtr(dof, -abs(t)))
 

@@ -485,6 +485,29 @@ class TestErrorsAndConfig:
         assert reason in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fmpi", "simulate", "config"])
+    def test_non_utf8_input_names_the_file(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad"
+        bad.write_bytes({"fmpi": b"month,price\n1,4\xff0\n", "simulate": b'{"config": "\xff"}',
+                         "config": b"rate=0.1\xff\n"}[command])
+        argv = {"fmpi": ["fmpi", "--prices", str(bad)],
+                "simulate": ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")],
+                "config": ["fmpi", "--prices", str(bad), "--config", str(bad)]}[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error code=2 reason={bad}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_overlong_cell_is_data_error(self, tmp_path, capsys, line):
+        # past the csv module's field limit (131072 characters)
+        rows = ["month,price", "1,50.5", "2,51.5"]
+        rows.insert(line - 1, "x" * 200_000 + ",1.0")
+        prices = tmp_path / "prices.csv"
+        prices.write_text("\n".join(rows) + "\n")
+        assert main(["fmpi", "--prices", str(prices)]) == 2
+        assert capsys.readouterr().err == (
+            f"error code=2 reason={prices} line {line}: field larger than field limit (131072)\n")
+
 
 class TestArtifactBytes:
     """premiums.csv, activity_r2.csv and event_study.csv pinned byte for byte.
@@ -579,8 +602,32 @@ def test_one_table_reader_and_writer():
     assert csv_calls(functions["_write_table"]) == ["writer"]
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg", "scipy.special"])
 def test_cli_import_leaves_scipy_stats_out(module):
     env = dict(os.environ, PYTHONPATH=str(Path(powerauctions.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", "import powerauctions.cli, sys; "
                     f"assert {module!r} not in sys.modules"], env=env, check=True)
+
+
+def test_subcommands_without_p_values_leave_scipy_out(tmp_path):
+    # ingest, fmpi, regress and simulate report no p value, so they never
+    # pay for importing scipy.special
+    (tmp_path / "futures.csv").write_text(
+        "contract_id,market,zone,date,settle,volume,open_interest\n"
+        "A,OMEL,ES,2007-01-01,50.5,1,10\nA,OMEL,ES,2007-01-02,51,3,30\n")
+    (tmp_path / "prices.csv").write_text(
+        "month,price\n" + "".join(f"{m},{40 + m}\n" for m in range(1, 37)))
+    (tmp_path / "panel.csv").write_text("unit,period,y,vol3y,startbidders,wbidders\n" + "".join(
+        f"{u},{t},{(i * 7 + t) % 5 - 2},{8 + (i * 3 + t) % 7},{20 + (t * i) % 4},{5 + i}\n"
+        for i, u in enumerate(("ACE", "JCPL", "PSEG", "RECO")) for t in range(2007, 2013)))
+    (tmp_path / "scenario.json").write_text(json.dumps(TestSimulateCommand.SCENARIO))
+    runs = [["ingest", "--kind", "futures", "--input", "futures.csv", "--out", "ingest"],
+            ["fmpi", "--prices", "prices.csv"],
+            ["regress", "--panel", "panel.csv", "--out", "regress.json"],
+            ["simulate", "--scenario", "scenario.json", "--out", "simulate.json"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(powerauctions.__file__).parents[1]))
+    for argv in runs:
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from powerauctions.cli import main; "
+                        f"assert main({argv!r}) == 0; assert 'scipy.special' not in sys.modules"],
+                       env=env, cwd=tmp_path, check=True, capture_output=True)

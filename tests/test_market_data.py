@@ -1,10 +1,16 @@
+import tempfile
+import warnings
 from datetime import date
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from powerauctions import (DeliveryPeriod, MarketDataError, MarketZone,
-                           average_price, load_auctions_csv, load_costs_csv,
+from powerauctions import (DeliveryPeriod, FuturesContractSeries, MarketDataError,
+                           MarketZone, average_price, load_auctions_csv, load_costs_csv,
                            load_futures_csv, load_spot_csv)
 from powerauctions import market_data
 from powerauctions.market_data import (write_auctions_csv, write_costs_csv,
@@ -102,6 +108,54 @@ class TestFuturesLoader:
         series = load_futures_csv(p)
         assert [s.contract_id for s in series] == ["A", "B"]
         assert len(series[0]) == 2 and len(series[1]) == 1
+
+    HEADER = "contract_id,market,zone,date,settle,volume,open_interest\n"
+
+    def test_interleaved_contracts_keep_file_order(self, tmp_path):
+        p = write(tmp_path / "f.csv", self.HEADER +
+                  "B,PJM,ACE,2007-01-01,51,2,20\nA,OMEL,ES,2007-01-01,50,1,10\n"
+                  "B,PJM,ACE,2007-01-03,53,4,40\nA,OMEL,ES,2007-01-02,52,3,30\n")
+        b, a = load_futures_csv(p)
+        assert (b.contract_id, b.zone, a.contract_id, a.zone) == ("B", MarketZone("PJM", "ACE"),
+                                                                 "A", ES)
+        assert b.dates == (date(2007, 1, 1), date(2007, 1, 3))
+        assert b.settle.tolist() == [51.0, 53.0] and a.open_interest.tolist() == [10.0, 30.0]
+
+    def test_zone_change_reports_first_line(self, tmp_path):
+        # B's change on line 5 comes before A's on line 6
+        p = write(tmp_path / "f.csv", self.HEADER +
+                  "A,OMEL,ES,2007-01-01,50,1,10\nB,OMEL,ES,2007-01-01,50,1,10\n"
+                  "A,OMEL,ES,2007-01-02,50,1,10\nB,PJM,ACE,2007-01-02,50,1,10\n"
+                  "A,PJM,ACE,2007-01-03,50,1,10\n")
+        with pytest.raises(MarketDataError, match="line 5: contract B changes zone"):
+            load_futures_csv(p)
+
+    def test_contracts_on_one_calendar_share_their_index(self, tmp_path):
+        rows = [f"{c},OMEL,ES,2007-01-0{d},50,1,10\n" for c in "ABC" for d in (1, 2, 4)]
+        rows[-1] = "C,OMEL,ES,2007-01-05,50,1,10\n"
+        a, b, c = load_futures_csv(write(tmp_path / "f.csv", self.HEADER + "".join(rows)))
+        assert a.ordinals is b.ordinals and a.dates is b.dates
+        assert c.ordinals is not a.ordinals
+        assert c.ordinals.tolist() == [d.toordinal() for d in c.dates]
+        assert not a.ordinals.flags.writeable
+
+    def test_shared_index_still_checks_order(self, tmp_path):
+        p = write(tmp_path / "f.csv", self.HEADER +
+                  "A,OMEL,ES,2007-01-02,50,1,10\nA,OMEL,ES,2007-01-01,50,1,10\n"
+                  "B,OMEL,ES,2007-01-02,50,1,10\nB,OMEL,ES,2007-01-01,50,1,10\n")
+        with pytest.raises(MarketDataError, match="non-monotone dates in futures A"):
+            load_futures_csv(p)
+
+    def test_index_must_match_the_dates(self):
+        dates = (date(2007, 1, 1), date(2007, 1, 2))
+        good = np.array([d.toordinal() for d in dates])
+        series = FuturesContractSeries("A", ES, dates, np.ones(2), np.ones(2), np.ones(2),
+                                       index=good)
+        assert series.ordinals is good
+        for bad in (good[:1], good + 1):
+            with pytest.raises(MarketDataError, match="date index does not match"):
+                FuturesContractSeries("A", ES, dates, np.ones(2), np.ones(2), np.ones(2),
+                                      index=bad)
 
 
 class TestAuctionsLoader:
@@ -301,3 +355,127 @@ def test_write_read_write_byte_identical(tmp_path, name):
     write_table(first, load(write(tmp_path / "in.csv", text)))
     write_table(second, load(first))
     assert first.read_bytes() == second.read_bytes()
+
+
+# --- column-by-column parse vs the per-cell loop -----------------------------
+
+ALL_TABLES = {name: table for name, table in vars(market_data).items()
+              if isinstance(table, market_data._Table)}
+# one cell each kind accepts, or none; hypothesis mixes them with drawn numbers
+CELL_POOL = ["0", "1", "7", "-3", "2.5", "1e-07", "1e22", "-0", "50.25", "2007-01-01",
+             "2016-12-31", "OMEL", "ES", "FTB-01", "Q3-07", "", "a;b", "1.5;2.5",
+             "2007-01-01;2007-03-01"]
+HOSTILE_CELLS = ["1_000", "nan", "inf", "-inf", "1e400", "١", "2007-01", "20070101",
+                 " 1.5 ", "\t2007-01-01 ", " ES", "\xa01", "\x1c2", "0x1p3", "1.5e", "n/a",
+                 " ", '"1,5"', '"ES"', '"2007-01-01"', "E\rS", "\rES", "ES\r",
+                 "x" * 140_000]
+
+
+def _accepts(kind, cell):
+    try:
+        kind[0](cell.strip())
+    except ValueError:
+        return False
+    return True
+
+
+def _read_outcome(path, table):
+    """repr of the rows and column types, or the error; plus the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rows = market_data._read_table(path, table)
+            result = repr(([type(c).__name__ for c in rows.columns], list(rows)))
+        except MarketDataError as exc:
+            result = f"MarketDataError: {exc}"
+    return result, [str(w.message) for w in caught]
+
+
+@st.composite
+def _table_text(draw, table):
+    """A file of good rows with up to two hostile or quoted cells and one odd row."""
+    names, kinds = list(table.columns), list(table.columns.values())
+    width = draw(st.integers(len(names) - table.optional, len(names)))
+    good = [[c for c in CELL_POOL if _accepts(kind, c)] for kind in kinds[:width]]
+    numbers = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+               | st.integers(-99, 99).map(str))
+
+    def good_row():
+        return [draw(numbers if _accepts(kinds[j], "2.5") and draw(st.booleans())
+                     else st.sampled_from(good[j] or [""])) for j in range(width)]
+
+    rows = [good_row() for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        j = draw(st.integers(0, width - 1))
+        row[j] = draw(st.sampled_from(HOSTILE_CELLS + [f'"{row[j]}"']))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 1))):
+        row = good_row()
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([
+            "", "  \t", " ," * (width - 1), ",".join(row[:-1]), ",".join(row + ["1"])])))
+    header = ",".join(draw(st.sampled_from([n, f" {n} "])) for n in names[:width])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([header] + lines) + draw(st.sampled_from([end, ""]))
+
+
+@pytest.mark.parametrize("name", ALL_TABLES)
+def test_column_parse_matches_per_cell_loop(name):
+    # _read_table's answer with the column-by-column parse must equal the
+    # per-cell loop's alone: the same rows (repr), or the same error, and the
+    # same warnings
+    table = ALL_TABLES[name]
+    taken = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=_table_text(table))
+    def check(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            fast = _read_outcome(path, table)
+            with mock.patch.object(market_data, "_parse_columns", lambda text, table: None):
+                slow = _read_outcome(path, table)
+        assert fast == slow
+        taken.append(market_data._parse_columns(text, table) is not None)
+
+    check()
+    # both paths must have been exercised for the comparison to mean anything
+    assert any(taken) and not all(taken)
+
+
+_PREMIUMS_ROW = "a,b,1,2,3,4,5,6,7,8"
+COLUMN_PARSE_CASES = {
+    # name: (table, data lines, whether the column parse takes the file)
+    "lf": (market_data._FMPI, "OMEL,Q3-07,44.45\nOMEL,Q4-07,-0\n", True),
+    "crlf": (market_data._FMPI, "OMEL,Q3-07,44.45\r\nOMEL,Q4-07,1e22\r\n", True),
+    "no_final_newline": (market_data._FMPI, "OMEL,Q3-07,44.45\nOMEL,Q4-07,1", True),
+    "padded": (market_data._FMPI, " OMEL ,\tQ3-07, 44.45 \n", True),
+    "text_only": (market_data._PREMIUMS, f"{_PREMIUMS_ROW}\n x ,,,,,,,,,\n", True),
+    "quoted_text": (market_data._PREMIUMS, f'"a"{_PREMIUMS_ROW[1:]}\n', False),
+    "lone_cr_in_cell": (market_data._PREMIUMS, f"a\rx{_PREMIUMS_ROW[1:]}\n", False),
+    "lone_cr_line_end": (market_data._FMPI, "OMEL,Q3-07,44.45\rOMEL,Q4-07,1\r", False),
+    "commas_row": (market_data._PREMIUMS, f"{_PREMIUMS_ROW}\n , ,,,,,,,,\n", False),
+    "blank_line": (market_data._FMPI, "OMEL,Q3-07,44.45\n\nOMEL,Q4-07,1\n", False),
+    "spaces_line": (market_data._EVENTS, "2007-01-01\n \t\n", False),
+    "overlong_cell": (market_data._FMPI, f"OMEL,{'x' * 140_000},1.5\n", False),
+    "nan": (market_data._FMPI, "OMEL,Q3-07,nan\n", False),
+    "1e400": (market_data._FMPI, "OMEL,Q3-07,1e400\n", False),
+    "underscore": (market_data._FMPI, "OMEL,Q3-07,1_000\n", False),
+    "arabic_digit": (market_data._FMPI, "OMEL,Q3-07,١\n", False),
+    "short_row": (market_data._FMPI, "OMEL,Q3-07\n", False),
+    "long_row": (market_data._FMPI, "OMEL,Q3-07,1,2\n", False),
+    "bad_date": (market_data._EVENTS, "2007-01\n", False),
+}
+
+
+@pytest.mark.parametrize("case", COLUMN_PARSE_CASES)
+def test_column_parse_takes_only_plain_files(tmp_path, case):
+    table, data, taken = COLUMN_PARSE_CASES[case]
+    text = ",".join(table.columns) + "\n" + data
+    assert (market_data._parse_columns(text, table) is not None) == taken
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(market_data, "_parse_columns", lambda text, table: None):
+        slow = _read_outcome(path, table)
+    assert _read_outcome(path, table) == slow
