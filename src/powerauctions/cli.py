@@ -278,23 +278,27 @@ def _from_json(cls, spec, where: str, seed=None):
 def build_scenario(scenario: dict, seed: int | None):
     """Instantiate (config, strategies, bidder_ids) from a scenario dict.
 
-    Each strategy's ``kind`` names its class; each random strategy gets its
-    own generator spawned from ``seed``.
+    Each strategy's ``kind`` names its class; the random strategy at index i
+    gets a generator seeded by child i of ``SeedSequence(seed).spawn(n)``.
     """
     top = _from_json(_Scenario, scenario, "scenario")
     if top.bidder_ids is not None and not all(isinstance(b, str) for b in top.bidder_ids):
         raise MarketDataError(f"scenario.bidder_ids: expected str ids, got {top.bidder_ids!r}")
     config = _from_json(ClockAuctionConfig, top.config, "config")
-    seeds = np.random.SeedSequence(seed).spawn(len(top.strategies))
+    root = np.random.SeedSequence(seed)
     strategies = []
-    for i, (spec, ss) in enumerate(zip(top.strategies, seeds)):
+    for i, spec in enumerate(top.strategies):
         where = f"strategies[{i}]"
         _check_json(where, spec, "dict")
         kind = spec.get("kind")
         if kind not in _STRATEGY_KINDS:
             raise MarketDataError(f"{where}.kind: unknown strategy kind {kind!r}")
+        cls = _STRATEGY_KINDS[kind]
+        # child i of root.spawn(n), built only for the bidders that draw
+        ss = (np.random.SeedSequence(root.entropy, spawn_key=(i,), pool_size=root.pool_size)
+              if "rng" in cls.__dataclass_fields__ else None)
         fields = {k: v for k, v in spec.items() if k != "kind"}
-        strategies.append(_from_json(_STRATEGY_KINDS[kind], fields, where, ss))
+        strategies.append(_from_json(cls, fields, where, ss))
     return config, strategies, top.bidder_ids
 
 

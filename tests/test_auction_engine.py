@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from dataclasses import dataclass, field
@@ -5,12 +6,15 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerauctions import (AuctionError, ClockAuctionConfig, ConstantSupply,
                            DeliveryPeriod, SeasonalPayoutFactors, StochasticExit,
                            StochasticShrink, ThresholdExit,
                            full_requirements_payout, run_descending_clock,
                            settle_cfd)
+from powerauctions.auction_engine import RoundLogEntry
 
 from conftest import make_spot
 
@@ -266,6 +270,166 @@ class TestClockAuction:
             for b in out.round_log[0].offers:
                 offers = [e.offers[b] for e in out.round_log]
                 assert all(o2 <= o1 + 1e-12 for o1, o2 in zip(offers, offers[1:]))
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make,name", [
+        (lambda v: StochasticShrink(4, low=v, rng=np.random.default_rng(1)), "StochasticShrink.low"),
+        (lambda v: StochasticExit(4, v, rng=np.random.default_rng(1)),
+         "StochasticExit.exit_probability")], ids=["low", "exit_probability"])
+    def test_non_finite_random_parameter_rejected(self, make, name, bad):
+        # a NaN low used to end in an OverflowError from rng.uniform, and a
+        # NaN exit probability silently meant "never exits"
+        with pytest.raises(AuctionError, match=re.escape(f"{name} must be finite, got {bad!r}")):
+            make(bad)
+
+    def test_round_log_reads_like_a_tuple_of_entries(self):
+        strategies = [ThresholdExit(6, 80, below_quantity=4), ThresholdExit(6, 90, 2),
+                      StochasticShrink(5, low=0.8, rng=np.random.default_rng(3))]
+        out = run_descending_clock(config(target=12, tick=5), strategies, ["A", "B", "C"])
+        log = out.round_log
+        entries = tuple(log)
+        assert len(entries) == out.rounds_used >= 3
+        assert all(type(e) is RoundLogEntry for e in entries)
+        assert [e.round_no for e in entries] == list(range(1, len(log) + 1))
+        assert log[-1] == entries[-1] and log[1:3] == entries[1:3]
+        assert type(log[1:]) is tuple and log[::-1] == entries[::-1]
+        assert log == entries and entries == log and log == list(entries)
+        assert log != entries[:-1] and log != (*entries[:-1], dataclasses.replace(
+            entries[-1], aggregate=entries[-1].aggregate + 1))
+        with pytest.raises(IndexError):
+            log[len(log)]
+        assert entries[0].offers == {"A": 6.0, "B": 6.0, "C": 5.0}
+        assert entries[0].announced_price == 100 and type(entries[0].announced_price) is int
+        # an outcome with the log replaced by its entries is the same outcome
+        assert dataclasses.replace(out, round_log=entries) == out
+
+    def test_block_boundaries_and_retired_bidders(self):
+        # a clock of 200 rounds spans several blocks; the exit bidders retire
+        # mid-block and are logged at 0.0 from then on
+        strategies = [ConstantSupply(1.0)] + [
+            StochasticExit(1.0, 0.02, rng=np.random.default_rng(s)) for s in range(8)]
+        out = run_descending_clock(config(target=2, opening=300, tick=1, max_rounds=299),
+                                   strategies)
+        assert out.rounds_used > 64
+        for b in out.round_log[0].offers:
+            offers = [e.offers[b] for e in out.round_log]
+            first_zero = offers.index(0.0) if 0.0 in offers else len(offers)
+            assert set(offers[:first_zero]) <= {1.0} and set(offers[first_zero:]) <= {0.0}
+
+    def test_aggregate_is_pythons_sum(self):
+        # sum() starts from 0, so offers of -0.0 add up to 0.0, not -0.0
+        with pytest.raises(AuctionError, match=re.escape("aggregate 0.0 < target 5")):
+            run_descending_clock(config(target=5), [ConstantSupply(-0.0), ConstantSupply(-0.0)])
+
+    def test_retired_bidders_draw_no_more(self):
+        # rounds 2-64 are drawn at once at the start of the first block; a
+        # bidder retired in that block (in round 1 or 2 here) draws nothing
+        # in the next one, though the clock runs on to round 82
+        strategies = [StochasticExit(1.0, 1.0, rng=np.random.default_rng(1)),
+                      StochasticExit(0.0, 0.5, rng=np.random.default_rng(2)),
+                      ThresholdExit(5.0, 20.0)]
+        out = run_descending_clock(config(target=1, opening=100, tick=1), strategies)
+        assert out.rounds_used == 82
+        for seed, s in zip((1, 2), strategies):
+            drew = np.random.default_rng(seed)
+            drew.random(63)
+            assert s.rng.bit_generator.state == drew.bit_generator.state
+
+    def test_listed_strategy_held_by_a_wrapper_is_called_per_round(self):
+        def run(shared):
+            first = StochasticShrink(6, low=0.9, rng=np.random.default_rng(4))
+            second = first if shared else StochasticShrink(6, low=0.9, rng=np.random.default_rng(4))
+            return run_descending_clock(config(target=7, tick=1), [Forward(second), first])
+
+        # both bidders draw from one generator, one draw each per round, in bidder order
+        shared = run(True)
+        assert shared != run(False)
+        g = np.random.default_rng(4)
+        offers = [6.0, 6.0]
+        for entry in shared.round_log[1:]:
+            offers = [q * g.uniform(0.9, 1.0) for q in offers]
+            assert list(entry.offers.values()) == offers
+
+    def test_big_int_prices_compare_exactly(self):
+        # 2**60 - 1 < 2**60, but not once the price is a float
+        cfg = ClockAuctionConfig(target_quantity=3, opening_price=2 ** 60 + 1, price_decrement=1)
+        out = run_descending_clock(cfg, [ThresholdExit(5, float(2 ** 60), below_quantity=1),
+                                         ConstantSupply(2)])
+        assert out.rounds_used == 3 and out.clearing_price == 2 ** 60 - 1
+
+class Forward:
+    """Forwards offer() to a built-in strategy: the engine can only call it
+    per round, which makes it the reference for the block path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def offer(self, round_no, announced_price, last_offer):
+        return self.inner.offer(round_no, announced_price, last_offer)
+
+
+_QUANTITY = st.one_of(st.floats(0.0, 20.0), st.integers(-3, 20), st.sampled_from(
+    [0.0, -0.0, -2.5, 1e6] * 3 + [math.inf, -math.inf, math.nan]))
+_BIDDER = st.one_of(
+    st.tuples(st.just(ConstantSupply), st.fixed_dictionaries({"quantity": _QUANTITY})),
+    st.tuples(st.just(ThresholdExit), st.fixed_dictionaries({
+        "quantity": _QUANTITY, "below_quantity": _QUANTITY,
+        "threshold": st.one_of(st.floats(0.0, 250.0), st.integers(0, 250), st.floats(0.0, 20.0))})),
+    st.tuples(st.just(StochasticExit), st.fixed_dictionaries({
+        "quantity": _QUANTITY,
+        "exit_probability": st.one_of(st.sampled_from([0, 1, 1.5, 0.0, -0.5]),
+                                      st.floats(0.0, 0.5), st.floats(0.0, 0.03))})),
+    st.tuples(st.just(StochasticShrink), st.fixed_dictionaries({
+        "quantity": _QUANTITY,
+        "low": st.one_of(st.sampled_from([0, 1, 1.5, -0.5, 0.5]), st.floats(-1.0, 1.0),
+                         st.floats(0.97, 1.0))})))
+# the target is drawn as a share of the finite opening offers
+_CLOCK = st.fixed_dictionaries({
+    "opening_price": st.one_of(st.floats(1.0, 200.0), st.integers(1, 200)),
+    "price_decrement": st.one_of(st.floats(0.01, 5.0), st.integers(1, 5),
+                                 st.sampled_from([0.05, 0.1, 0.25])),
+    "max_rounds": st.integers(1, 400),
+    "undershoot_policy": st.sampled_from(["previous_price_prorata", "previous_price_priority"])})
+
+def _run(clock, bidders, seed, forward):
+    """Fresh strategies for ``bidders``, each wrapped in Forward where asked."""
+    strategies = []
+    for i, ((cls, fields), wrap) in enumerate(zip(bidders, forward)):
+        extra = {"rng": np.random.default_rng([seed, i])} if "rng" in cls.__dataclass_fields__ else {}
+        s = cls(**fields, **extra)
+        strategies.append(Forward(s) if wrap else s)
+    try:
+        return run_descending_clock(ClockAuctionConfig(**clock), strategies)
+    except (AuctionError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(clock=_CLOCK, share=st.floats(0.05, 0.95) | st.floats(0.05, 0.3), int_target=st.booleans(),
+       bidders=st.lists(_BIDDER, min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_block_path_matches_per_call_path(clock, share, int_target, bidders, seed, data):
+    opening = [f["below_quantity"] if cls is ThresholdExit and f["threshold"] > clock[
+        "opening_price"] else f["quantity"] for cls, f in bidders]
+    target = share * sum(q for q in opening if 0 < q < math.inf) + 0.5
+    clock = {**clock, "target_quantity": math.ceil(target) if int_target else target}
+    n = len(bidders)
+    block = _run(clock, bidders, seed, [False] * n)
+    mixed = _run(clock, bidders, seed, data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    per_call = _run(clock, bidders, seed, [True] * n)
+    assert block == per_call and mixed == per_call
+    assert _run(clock, bidders, seed, [False] * n) == block  # fresh strategies, same seed
+    if isinstance(block, str):
+        return
+    target = clock["target_quantity"]
+    assert math.isclose(sum(block.awards.values()), target, rel_tol=1e-9, abs_tol=1e-9)
+    log = block.round_log
+    for b in log[0].offers:
+        offers = [e.offers[b] for e in log]
+        assert all(q2 <= q1 for q1, q2 in zip(offers, offers[1:]))
+        first_zero = offers.index(0.0) if 0.0 in offers else len(offers)
+        assert all(q == 0.0 for q in offers[first_zero:])
 
 
 class TestSettlement:

@@ -142,20 +142,31 @@ class TestSimulateCommand:
             "error code=3 reason=announced price must be positive (round 5: -2)\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("config,quantity,reason", [
-        ({"target_quantity": math.nan, "opening_price": 100}, 5,
+    @pytest.mark.parametrize("config,strategy,reason", [
+        ({"target_quantity": math.nan, "opening_price": 100}, {"kind": "constant", "quantity": 5},
          "target quantity must be positive"),
-        ({"target_quantity": 5, "opening_price": math.nan}, 5,
+        ({"target_quantity": 5, "opening_price": math.nan}, {"kind": "constant", "quantity": 5},
          "opening price must be positive"),
-        ({"target_quantity": 5, "opening_price": 100}, math.nan,
+        ({"target_quantity": 5, "opening_price": 100}, {"kind": "constant", "quantity": math.nan},
          "non-finite offer nan from bidder B1 in round 1"),
-    ], ids=["nan_target", "nan_opening_price", "nan_offer"])
-    def test_nan_in_scenario_is_numeric_failure(self, tmp_path, capsys, config, quantity,
+        # a NaN low used to end in an OverflowError traceback from rng.uniform
+        ({"target_quantity": 5, "opening_price": 100},
+         {"kind": "stochastic_shrink", "quantity": 10, "low": math.nan},
+         "StochasticShrink.low must be finite, got nan"),
+        ({"target_quantity": 5, "opening_price": 100},
+         {"kind": "stochastic_shrink", "quantity": 10, "low": -math.inf},
+         "StochasticShrink.low must be finite, got -inf"),
+        # a NaN exit probability used to mean "never exits"
+        ({"target_quantity": 5, "opening_price": 100},
+         {"kind": "stochastic_exit", "quantity": 10, "exit_probability": math.nan},
+         "StochasticExit.exit_probability must be finite, got nan"),
+    ], ids=["nan_target", "nan_opening_price", "nan_offer", "nan_low", "inf_low",
+            "nan_exit_probability"])
+    def test_nan_in_scenario_is_numeric_failure(self, tmp_path, capsys, config, strategy,
                                                 reason):
         # json.dumps writes the NaN token, which json.load accepts
         scenario = tmp_path / "s.json"
-        scenario.write_text(json.dumps(
-            {"config": config, "strategies": [{"kind": "constant", "quantity": quantity}]}))
+        scenario.write_text(json.dumps({"config": config, "strategies": [strategy]}))
         out = tmp_path / "o.json"
         assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"error code=3 reason={reason}\n"
@@ -233,6 +244,21 @@ def test_scenario_builds_its_dataclasses(scenario, seed):
         assert type(built) is cls and _state(built) == _state(expected)
         # JSON numbers are passed on as they are: an int stays an int
         assert all(type(getattr(built, k)) is type(v) for k, v in spec.items() if k != "kind")
+
+
+def test_only_random_bidders_are_seeded_as_spawned_children():
+    kinds = ["constant", "stochastic_exit", "threshold_exit", "stochastic_shrink",
+             "stochastic_shrink", "constant", "stochastic_exit"]
+    params = {"constant": {}, "threshold_exit": {"threshold": 50},
+              "stochastic_exit": {"exit_probability": 0.1}, "stochastic_shrink": {}}
+    scenario = {"config": {"target_quantity": 5, "opening_price": 100},
+                "strategies": [{"kind": k, "quantity": 3, **params[k]} for k in kinds]}
+    _, strategies, _ = build_scenario(scenario, 2022)
+    children = np.random.SeedSequence(2022).spawn(len(kinds))
+    for built, child in zip(strategies, children):
+        if hasattr(built, "rng"):
+            assert built.rng.bit_generator.state == np.random.default_rng(
+                child).bit_generator.state
 
 
 _WRONG_VALUES = {"float": ["10", True, None, [1.0]], "int": [2.5, "3", False, None],
