@@ -220,8 +220,10 @@ def significance_tally(results: Iterable[EventStudyResult],
     """Count signed significant t statistics and call the dominant activity.
 
     Negative-dominant tallies read as hedging pressure around events,
-    positive-dominant as speculation.
+    positive-dominant as speculation. ``alpha`` must lie in (0, 1).
     """
+    if not 0 < alpha < 1:  # NaN fails too
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     pos = neg = total = 0
     for r in results:
         if math.isnan(r.t_stat):

@@ -168,7 +168,7 @@ def _cmd_fmpi(args) -> int:
                "annual_rate": args.rate, "n_prices": len(prices)}
     if args.out:
         _write_json(Path(args.out), payload)
-    print(json.dumps({"strip_value": value}, sort_keys=True))
+    print(json.dumps({"strip_value": value}, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -208,10 +208,10 @@ def _cmd_event_study(args) -> int:
         raise MarketDataError(f"{args.events}: no event dates")
     results = event_study(measure, events, window=(args.window[0], args.window[1]),
                           variance=args.variance)
+    tally = significance_tally(results, alpha=args.alpha)
     out_dir = Path(args.out)
     _write_artifact(out_dir / "event_study.csv", args, _EVENT_STUDY,
                     *([getattr(r, name) for r in results] for name in _EVENT_STUDY.columns))
-    tally = significance_tally(results, alpha=args.alpha)
     _write_json(out_dir / "event_study_summary.json",
                 {"metadata": _metadata(args), "tally": dataclasses.asdict(tally)})
     print(f"event-study ok offsets={len(results)} verdict={tally.verdict}")
@@ -254,6 +254,11 @@ class _Scenario:
 def _check_json(where: str, value, expected: str) -> None:
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[expected]):
         raise MarketDataError(f"{where}: expected {expected}, got {value!r}")
+    if expected == "float":
+        try:
+            float(value)
+        except OverflowError:
+            raise MarketDataError(f"{where}: integer too large for a float") from None
 
 
 def _from_json(cls, spec, where: str, seed=None):
@@ -318,9 +323,10 @@ def outcome_to_dict(outcome) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    text = _read_text(args.scenario)
     try:
-        scenario = json.loads(_read_text(args.scenario))
-    except json.JSONDecodeError as exc:
+        scenario = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise MarketDataError(f"{args.scenario}: invalid JSON ({exc})") from None
     config, strategies, bidder_ids = build_scenario(scenario, args.seed)
     outcome = run_descending_clock(config, strategies, bidder_ids)

@@ -424,22 +424,51 @@ def _read_table(path, table: _Table) -> _Rows:
     return rows
 
 
+_QUOTED = re.compile(r'[,"\r\n]')  # a cell holding one of these is quoted
+
+
 def _write_table(path, table: _Table, *blocks, preamble: str = "") -> None:
     """Write ``preamble`` as it is, ``table``'s header, then the rows of each block.
 
     A block holds one sequence per column, all of the same length; each
-    column is formatted by its kind.
+    column is formatted by its kind, and a column object that the next block
+    holds again (the dates contracts on one calendar share) is not formatted
+    again. A block's rows are joined as they are unless a cell may need
+    quoting; such a block goes through the csv module, which decides it.
     """
-    formats = [fmt for _, fmt in table.columns.values()]
+    kinds = list(table.columns.values())
+    alone = len(kinds) == 1
+    last = [(None, None, None)] * len(kinds)  # per column: (object, its cells, may need quoting)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(preamble)
         w = csv.writer(fh)
         w.writerow(list(table.columns))
         for block in blocks:
-            # an array is formatted from .tolist(): converting its numpy
-            # scalars one at a time costs more
-            w.writerows(zip(*[map(fmt, c.tolist() if isinstance(c, np.ndarray) else c)
-                              for fmt, c in zip(formats, block)]))
+            cells, plain = [], True
+            for j, (kind, column) in enumerate(zip(kinds, block)):
+                if last[j][0] is not column:
+                    last[j] = column, *_format_column(kind, column, alone)
+                cells.append(last[j][1])
+                plain = plain and not last[j][2]
+            if not plain:
+                w.writerows(zip(*cells))
+            elif rows := "\r\n".join(map(",".join, zip(*cells))):
+                fh.write(rows + "\r\n")
+
+
+def _format_column(kind, column, alone: bool) -> tuple[list, bool]:
+    """``column``'s cells as ``kind`` writes them, and whether one may need quoting.
+
+    A float's repr never does; a cell with a comma, a quote or a line break
+    may, and so may an empty cell in a table of one column (``alone``).
+    """
+    if isinstance(column, np.ndarray):
+        if kind is _FLOAT and column.dtype == np.float64:
+            # .tolist() gives Python floats, whose repr the kind writes
+            return list(map(repr, column.tolist())), False
+        column = column.tolist()
+    cells = list(map(kind[1], column))
+    return cells, bool(_QUOTED.search("".join(cells))) or (alone and "" in cells)
 
 
 # --- loaders and writers -----------------------------------------------------

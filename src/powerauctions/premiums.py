@@ -68,6 +68,8 @@ class FmpiSpec:
             )
         if not all(math.isfinite(p) for p in self.monthly_prices):
             raise ValueError("non-finite price in strip")
+        if not math.isfinite(self.annual_rate):
+            raise ValueError(f"non-finite annual rate {self.annual_rate}")
         if self.annual_rate <= -1:
             raise ValueError("annual rate must exceed -1")
 

@@ -196,3 +196,8 @@ class TestSignificanceTally:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             significance_tally([])
+
+    @pytest.mark.parametrize("alpha", [float("nan"), 0.0, 1.0, -0.05, 1.5, float("inf")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            significance_tally([result(0, 5.0, 0.0001)], alpha=alpha)

@@ -330,9 +330,15 @@ def test_bad_scenario_field_is_data_error(scenario, data):
       "strategies": [{"kind": "constant", "quantity": 12}], "bidder_ids": [1]},
      "scenario.bidder_ids: expected str ids, got [1]"),
     ([], "scenario: expected dict, got []"),
+    ({"config": {"target_quantity": 10, "opening_price": 100},
+      "strategies": [{"kind": "constant", "quantity": 10 ** 400}]},
+     "strategies[0].quantity: integer too large for a float"),
+    ({"config": {"target_quantity": 10, "opening_price": -10 ** 400},
+      "strategies": [{"kind": "constant", "quantity": 12}]},
+     "config.opening_price: integer too large for a float"),
 ], ids=["string_target", "strategy_without_quantity", "float_max_rounds", "unknown_kind",
         "strategies_not_a_list", "no_config", "unknown_top_level_key", "int_bidder_id",
-        "not_an_object"])
+        "not_an_object", "huge_quantity", "huge_opening_price"])
 def test_malformed_scenario_file_is_data_error(tmp_path, capsys, scenario, reason):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(scenario))
@@ -340,6 +346,18 @@ def test_malformed_scenario_file_is_data_error(tmp_path, capsys, scenario, reaso
     assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error code=2 reason={reason}\n"
     assert not out.exists()
+
+
+def test_integer_past_the_digit_limit_is_data_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for it
+    path = tmp_path / "s.json"
+    path.write_text('{"config": {"target_quantity": 10, "opening_price": %s}, '
+                    '"strategies": [{"kind": "constant", "quantity": 12}]}' % ("9" * 5000))
+    out = tmp_path / "o.json"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error code=2 reason={path}: invalid JSON (Exceeds the limit")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 class TestEventStudyCommand:
@@ -370,6 +388,18 @@ class TestEventStudyCommand:
         assert rows[0] == ["offset", "t_stat", "sig01", "sig05"]
         assert len(rows) == 12
         assert [r[0] for r in rows[1:]] == [str(k) for k in range(-5, 6)]
+
+    @pytest.mark.parametrize("alpha", ["nan", "0", "1", "1.5"])
+    def test_alpha_outside_unit_interval_writes_no_file(self, tmp_path, futures_fixture,
+                                                        capsys, alpha):
+        futures, events = futures_fixture
+        out = tmp_path / "out"
+        rc = main(["event-study", "--futures", str(futures), "--measure", "volume",
+                   "--events", str(events), "--alpha", alpha, "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error code=3 reason=alpha must lie in (0, 1), got {float(alpha)}\n")
+        assert not out.exists()
 
     def test_activity_command(self, tmp_path, futures_fixture):
         futures, _ = futures_fixture
@@ -470,6 +500,16 @@ class TestErrorsAndConfig:
             assert rc == 2
             err = capsys.readouterr().err
             assert "error code=2" in err and reason.format(cell) in err
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    def test_non_finite_rate_is_numeric_error(self, tmp_path, capsys, rate):
+        # a NaN rate used to print {"strip_value": NaN} and exit 0
+        prices = tmp_path / "prices.csv"
+        prices.write_text("month,price\n" + "".join(f"{m},{40 + m}\n" for m in range(1, 37)))
+        out = tmp_path / "fmpi.json"
+        assert main(["fmpi", "--prices", str(prices), f"--rate={rate}", "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", f"error code=3 reason=non-finite annual rate {rate}\n")
+        assert not out.exists()
 
     def test_non_finite_json_is_numeric_error(self, tmp_path, capsys):
         # y = 0 fits exactly: every standard error is 0 and every t statistic inf

@@ -1,3 +1,4 @@
+import csv
 import tempfile
 import warnings
 from datetime import date
@@ -479,3 +480,107 @@ def test_column_parse_takes_only_plain_files(tmp_path, case):
     with mock.patch.object(market_data, "_parse_columns", lambda text, table: None):
         slow = _read_outcome(path, table)
     assert _read_outcome(path, table) == slow
+
+
+# --- column-at-a-time write vs the csv.writer loop ---------------------------
+
+
+def _write_rows_one_at_a_time(path, table, *blocks, preamble=""):
+    """The writer _write_table replaced: every row through csv.writer."""
+    formats = [fmt for _, fmt in table.columns.values()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(preamble)
+        w = csv.writer(fh)
+        w.writerow(list(table.columns))
+        for block in blocks:
+            w.writerows(zip(*[map(fmt, c.tolist() if isinstance(c, np.ndarray) else c)
+                              for fmt, c in zip(formats, block)]))
+
+
+# tables of one column whose cells can be empty: csv.writer quotes such a cell
+WRITE_TABLES = {**ALL_TABLES, "one_text": market_data._Table({"note": market_data._TEXT}),
+                "one_fixed": market_data._Table({"x": market_data._fixed(".4f")})}
+TEXT = st.text(st.sampled_from(["a", "Z", "0", " ", ";", "-", ",", '"', "\r", "\n", "é",
+                                "€", "日", "\x00"]), max_size=5)
+FLOATS = (st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5, 1e22])
+          | st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6))
+VALUES = {id(market_data._TEXT): TEXT, id(market_data._DATE): st.dates(),
+          id(market_data._FLOAT): FLOATS, id(market_data._INT): st.integers(-10**20, 10**20),
+          id(market_data._FLAG): st.booleans()}
+# the ";"-list columns of _AUCTIONS, by the kind of their entries
+MULTI = {"product_id": TEXT, "load_shape": TEXT, "delivery_start": st.dates(),
+         "delivery_end": st.dates(), "clearing_price": FLOATS, "quantity": FLOATS}
+
+
+@st.composite
+def _column(draw, name, kind, n):
+    """``n`` values of ``kind``; a float column is often a numpy array."""
+    if id(kind) in VALUES:
+        values = draw(st.lists(VALUES[id(kind)], min_size=n, max_size=n))
+    elif name in MULTI:
+        values = draw(st.lists(st.lists(MULTI[name], min_size=1, max_size=3),
+                               min_size=n, max_size=n))
+    else:  # a _fixed kind: None is a blank cell
+        assert kind[1](None) == ""
+        values = draw(st.lists(st.none() | FLOATS, min_size=n, max_size=n))
+    if kind is market_data._FLOAT and draw(st.booleans()):
+        dtype = np.int64 if all(isinstance(v, int) for v in values) else np.float64
+        return np.array(values, dtype=dtype)
+    return draw(st.sampled_from([list, tuple]))(values)
+
+
+@st.composite
+def _write_blocks(draw, table):
+    """Blocks of 0-4 rows; a column object may come back in a later block."""
+    kinds = list(table.columns.items())
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 4))
+        block = []
+        for j, (name, kind) in enumerate(kinds):
+            earlier = [b[j] for b in blocks if len(b[j]) == n]
+            if earlier and draw(st.booleans()):
+                block.append(draw(st.sampled_from(earlier)))
+            else:
+                block.append(draw(_column(name, kind, n)))
+        blocks.append(block)
+    return blocks
+
+
+def test_write_matches_csv_writer_loop():
+    # _write_table's bytes must equal those of every row through csv.writer,
+    # whether a block's rows were joined or went through csv.writer
+    rows_by_path = {"joined": 0, "csv.writer": 0}
+
+    class Recording:
+        """csv.writer, counting the rows each writerows call takes."""
+
+        def __init__(self, fh):
+            self.writer = csv.writer(fh)
+            self.writerow = self.writer.writerow
+
+        def writerows(self, rows):
+            rows = list(rows)
+            rows_by_path["csv.writer"] += len(rows)
+            self.writer.writerows(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(WRITE_TABLES)),
+           preamble=st.sampled_from(["", "# a\n# b=1\n"]))
+    def check(data, name, preamble):
+        table = WRITE_TABLES[name]
+        blocks = data.draw(_write_blocks(table))
+        with tempfile.TemporaryDirectory() as tmp:
+            expected, written = Path(tmp) / "expected.csv", Path(tmp) / "written.csv"
+            _write_rows_one_at_a_time(expected, table, *blocks, preamble=preamble)
+            before = rows_by_path["csv.writer"]
+            with mock.patch.object(market_data, "csv",
+                                   mock.Mock(writer=Recording, reader=csv.reader)):
+                market_data._write_table(written, table, *blocks, preamble=preamble)
+            assert written.read_bytes() == expected.read_bytes()
+        rows = sum(min(map(len, block), default=0) for block in blocks)
+        rows_by_path["joined"] += rows - (rows_by_path["csv.writer"] - before)
+
+    check()
+    # both paths must have written rows for the comparison to mean anything
+    assert rows_by_path["joined"] and rows_by_path["csv.writer"]

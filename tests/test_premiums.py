@@ -88,6 +88,12 @@ class TestFmpiStrip:
         with pytest.raises(ValueError, match="36"):
             FmpiSpec((50.0,) * 35)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        # NaN used to pass the "> -1" check and give a NaN strip value
+        with pytest.raises(ValueError, match="non-finite annual rate"):
+            FmpiSpec((50.0,) * 36, annual_rate=rate)
+
 
 class TestFmpiPremium:
     def test_cesur_auction_1(self):
