@@ -6,12 +6,16 @@ a config echo, seed included), JSON reports use stable key ordering, and
 re-running with identical inputs and seed reproduces outputs byte for byte.
 A plain-text config file of ``key=value`` lines can replace flags; flags
 win on conflict.
+
+Each subcommand imports the modules it runs when it runs, so a process pays
+only for its own: ``ingest`` needs nothing beyond ``market_data``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -19,21 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .activity import (event_study, open_interest_series, r1_series, r2_series,
-                       significance_tally, volume_series)
-from .auction_engine import (AuctionError, ClockAuctionConfig, ConstantSupply,
-                             StochasticExit, StochasticShrink, ThresholdExit,
-                             run_descending_clock)
 from .market_data import (_ACTIVITY, _AVERAGES, _EVENT_STUDY, _EVENTS, _FMPI, _PANEL,
                           _PREMIUMS, _STRIP_PRICES, MarketDataError, MarketZone,
                           _read_table, _read_text, _write_table, average_price,
                           load_auctions_csv, load_costs_csv, load_futures_csv,
                           load_spot_csv_multi, write_auctions_csv, write_costs_csv,
                           write_futures_csv, write_spot_csv)
-from .panel import PanelObservation, RegressionError, fit_pooled_ols
-from .premiums import (FmpiSpec, PremiumRow, cesur_premium, distribution_stats,
-                       equality_of_means, fmpi_premium, fmpi_strip,
-                       pjm_premium, yearly_aggregate)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,7 +101,9 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _premium_rows(args) -> list[PremiumRow]:
+def _premium_rows(args) -> list:
+    from .premiums import PremiumRow, cesur_premium, fmpi_premium, pjm_premium
+
     records = load_auctions_csv(args.auctions)
     fmpi_map = ({(m, k): v for _, (m, k, v) in _read_table(args.fmpi, _FMPI)}
                 if args.fmpi else {})
@@ -145,6 +142,8 @@ def _premium_rows(args) -> list[PremiumRow]:
 
 
 def _emit_premium_table(rows, args, out_dir: Path):
+    from .premiums import yearly_aggregate
+
     # the table's columns are named after PremiumRow's fields
     _write_artifact(out_dir / "premiums.csv", args, _PREMIUMS,
                     *([getattr(r, name) for r in rows] for name in _PREMIUMS.columns))
@@ -162,6 +161,8 @@ def _cmd_premium(args) -> int:
 
 
 def _cmd_fmpi(args) -> int:
+    from .premiums import FmpiSpec, fmpi_strip
+
     prices = [price for _, (_, price) in _read_table(args.prices, _STRIP_PRICES)]
     value = fmpi_strip(FmpiSpec(monthly_prices=tuple(prices), annual_rate=args.rate))
     payload = {"metadata": _metadata(args), "strip_value": value,
@@ -172,8 +173,14 @@ def _cmd_fmpi(args) -> int:
     return EXIT_OK
 
 
-_MEASURES = {"r1": r1_series, "r2": r2_series, "volume": volume_series,
-             "open_interest": open_interest_series}
+_MEASURES = ("open_interest", "r1", "r2", "volume")  # activity.<measure>_series
+
+
+def _measure(args):
+    from . import activity
+
+    contract = _select_contract(args.futures, args.contract)
+    return getattr(activity, f"{args.measure}_series")(contract)
 
 
 def _select_contract(path, contract):
@@ -189,8 +196,7 @@ def _select_contract(path, contract):
 
 
 def _cmd_activity(args) -> int:
-    contract = _select_contract(args.futures, args.contract)
-    measure = _MEASURES[args.measure](contract)
+    measure = _measure(args)
     n, mask = len(measure.dates), measure.defined_mask().tolist()
     _write_artifact(Path(args.out) / f"activity_{args.measure}.csv", args, _ACTIVITY,
                     [measure.contract_id] * n, [measure.measure_kind] * n, measure.dates,
@@ -201,8 +207,9 @@ def _cmd_activity(args) -> int:
 
 
 def _cmd_event_study(args) -> int:
-    contract = _select_contract(args.futures, args.contract)
-    measure = _MEASURES[args.measure](contract)
+    from .activity import event_study, significance_tally
+
+    measure = _measure(args)
     events = [day for _, (day,) in _read_table(args.events, _EVENTS)]
     if not events:
         raise MarketDataError(f"{args.events}: no event dates")
@@ -219,6 +226,8 @@ def _cmd_event_study(args) -> int:
 
 
 def _cmd_regress(args) -> int:
+    from .panel import PanelObservation, fit_pooled_ols
+
     covariate_names = list(_PANEL.columns)[3:]
     # rows without the optional pls column are one field shorter; zip stops there
     panel = [PanelObservation(unit=row[0], period=row[1], y=row[2],
@@ -236,19 +245,31 @@ def _cmd_regress(args) -> int:
     return EXIT_OK
 
 
-_STRATEGY_KINDS = {"constant": ConstantSupply, "threshold_exit": ThresholdExit,
-                   "stochastic_exit": StochasticExit, "stochastic_shrink": StochasticShrink}
+@functools.cache
+def _scenario_types() -> tuple[type, type, dict[str, type]]:
+    """The scenario's own type, ClockAuctionConfig and the class of each strategy ``kind``.
+
+    Built and imported on the first call, so only a run that builds a
+    scenario loads the clock engine, and later calls pay no import statement.
+    """
+    from .auction_engine import (ClockAuctionConfig, ConstantSupply, StochasticExit,
+                                 StochasticShrink, ThresholdExit)
+
+    @dataclasses.dataclass
+    class Scenario:
+        config: dict
+        strategies: list
+        bidder_ids: list | None = None
+
+    return Scenario, ClockAuctionConfig, {
+        "constant": ConstantSupply, "threshold_exit": ThresholdExit,
+        "stochastic_exit": StochasticExit, "stochastic_shrink": StochasticShrink}
+
+
 # The scenario keys are the dataclass fields of these types. A JSON number
 # passes as it is (an int stays an int); true/false is no number.
 _JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "dict": (dict,),
                "list": (list,), "list | None": (list, type(None))}
-
-
-@dataclasses.dataclass
-class _Scenario:
-    config: dict
-    strategies: list
-    bidder_ids: list | None = None
 
 
 def _check_json(where: str, value, expected: str) -> None:
@@ -286,19 +307,20 @@ def build_scenario(scenario: dict, seed: int | None):
     Each strategy's ``kind`` names its class; the random strategy at index i
     gets a generator seeded by child i of ``SeedSequence(seed).spawn(n)``.
     """
-    top = _from_json(_Scenario, scenario, "scenario")
+    scenario_type, config_type, strategy_types = _scenario_types()
+    top = _from_json(scenario_type, scenario, "scenario")
     if top.bidder_ids is not None and not all(isinstance(b, str) for b in top.bidder_ids):
         raise MarketDataError(f"scenario.bidder_ids: expected str ids, got {top.bidder_ids!r}")
-    config = _from_json(ClockAuctionConfig, top.config, "config")
+    config = _from_json(config_type, top.config, "config")
     root = np.random.SeedSequence(seed)
     strategies = []
     for i, spec in enumerate(top.strategies):
         where = f"strategies[{i}]"
         _check_json(where, spec, "dict")
         kind = spec.get("kind")
-        if kind not in _STRATEGY_KINDS:
+        if kind not in strategy_types:
             raise MarketDataError(f"{where}.kind: unknown strategy kind {kind!r}")
-        cls = _STRATEGY_KINDS[kind]
+        cls = strategy_types[kind]
         # child i of root.spawn(n), built only for the bidders that draw
         ss = (np.random.SeedSequence(root.entropy, spawn_key=(i,), pool_size=root.pool_size)
               if "rng" in cls.__dataclass_fields__ else None)
@@ -323,6 +345,10 @@ def outcome_to_dict(outcome) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    from .auction_engine import run_descending_clock
+
+    if args.seed < 0:
+        raise UsageError(f"argument --seed: expected a non-negative integer, got {args.seed}")
     text = _read_text(args.scenario)
     try:
         scenario = json.loads(text)
@@ -338,6 +364,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .premiums import distribution_stats, equality_of_means
+
     out_dir = Path(args.out)
     rows = _premium_rows(args)
     aggregates = _emit_premium_table(rows, args, out_dir)
@@ -376,6 +404,7 @@ def _build_parser() -> _CliParser:
     parser = _CliParser(prog="powerauctions")
     parser.add_argument("--config", help="key=value defaults file; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> its parser
 
     p = sub.add_parser("ingest")
     p.add_argument("--kind", required=True, choices=["spot", "futures", "auctions", "costs"])
@@ -395,14 +424,14 @@ def _build_parser() -> _CliParser:
 
     p = sub.add_parser("activity")
     p.add_argument("--futures", required=True)
-    p.add_argument("--measure", required=True, choices=sorted(_MEASURES))
+    p.add_argument("--measure", required=True, choices=_MEASURES)
     p.add_argument("--contract")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_activity)
 
     p = sub.add_parser("event-study")
     p.add_argument("--futures", required=True)
-    p.add_argument("--measure", required=True, choices=sorted(_MEASURES))
+    p.add_argument("--measure", required=True, choices=_MEASURES)
     p.add_argument("--contract")
     p.add_argument("--events", required=True)
     p.add_argument("--window", nargs=2, type=int, default=[-5, 5])
@@ -432,34 +461,70 @@ def _build_parser() -> _CliParser:
     return parser
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Insert defaults from --config as flags, placed so real flags win."""
-    if "--config" not in argv:
+def _apply_config_file(argv: list[str], commands: dict) -> list[str]:
+    """Append each ``key=value`` of the --config file as a flag ``argv`` lacks.
+
+    The file is named by ``--config FILE`` or ``--config=FILE``; a flag given
+    as ``--flag value``, ``--flag=value`` or abbreviated wins over its key.
+    ``commands`` maps each subcommand to its parser: the value of an on/off
+    flag is true or false (false adds nothing), that of a two-value option
+    two whitespace-separated values.
+    """
+    at = next((i for i, a in enumerate(argv)
+               if a == "--config" or a.startswith("--config=")), None)
+    if at is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        raise UsageError("argument --config: expected one argument")
-    path = argv[i + 1]
+    if argv[at] == "--config":
+        if at + 1 == len(argv):
+            raise UsageError("argument --config: expected one argument")
+        path, rest = argv[at + 1], argv[:at] + argv[at + 2:]
+    else:
+        path, rest = argv[at].partition("=")[2], argv[:at] + argv[at + 1:]
+    command = next((commands[a] for a in rest if a in commands), None)
+    options = command._option_string_actions if command else {}
+    # the options given, each as written or as argparse's unique abbreviation
+    given = set()
+    for name in (a.partition("=")[0] for a in rest if a.startswith("--")):
+        given |= {name} if name in options else {o for o in options if o.startswith(name)}
     extra = []
     for line in _read_text(path).split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        flag = f"--{key.strip().replace('_', '-')}"
-        if flag not in argv:
-            extra.extend([flag, value.strip()])
-    # subcommand stays first; defaults appended after existing args so that
-    # argparse (last occurrence wins) prefers explicit flags for nargs cases
-    rest = argv[:i] + argv[i + 2:]
+        key, _, value = (part.strip() for part in line.partition("="))
+        flag = f"--{key.replace('_', '-')}"
+        if flag in given:
+            continue
+        action = options.get(flag)
+        if action and action.nargs == 0:
+            if value not in ("true", "false"):
+                raise UsageError(f"config key {key}: expected true or false, got {value!r}")
+            if value == "true":
+                extra.append(flag)
+        elif action and action.nargs == 2:
+            if len(value.split()) != 2:
+                raise UsageError(f"config key {key}: expected 2 values, got {value!r}")
+            extra += [flag, *value.split()]
+        else:
+            extra += [flag, value]
     return rest + extra
+
+
+def _numeric_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that exit 3 (a RegressionError is a ValueError).
+
+    Only a loaded clock engine raises AuctionError, so it is taken from the
+    engine once loaded instead of importing the engine for every run.
+    """
+    engine = sys.modules.get(f"{__package__}.auction_engine")
+    return (ValueError, np.linalg.LinAlgError) + ((engine.AuctionError,) if engine else ())
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        argv = _apply_config_file(argv)
+        argv = _apply_config_file(argv, parser.commands)
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
@@ -468,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
     except (MarketDataError, OSError) as exc:
         print(f"error code={EXIT_DATA} reason={exc}", file=sys.stderr)
         return EXIT_DATA
-    except (AuctionError, RegressionError, ValueError, np.linalg.LinAlgError) as exc:
+    except _numeric_errors() as exc:
         print(f"error code={EXIT_NUMERIC} reason={exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

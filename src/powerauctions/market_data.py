@@ -241,15 +241,18 @@ def _multi(kind):
             lambda values: ";".join(fmt(v) for v in values))
 
 
-@dataclass(frozen=True)
+# The codec's own types are plain classes: every process that imports this
+# module would otherwise pay about a millisecond per dataclass built.
 class _Table:
     """Column name -> kind, in header order.
 
     The last ``optional`` columns may be absent from a file's header; its
     rows then hold one field per column the header names.
     """
-    columns: dict
-    optional: int = 0
+    __slots__ = ("columns", "optional")
+
+    def __init__(self, columns: dict, optional: int = 0):
+        self.columns, self.optional = columns, optional
 
 
 _SPOT = _Table({"market": _TEXT, "zone": _TEXT, "date": _DATE, "price": _FLOAT})
@@ -282,26 +285,64 @@ _EVENT_STUDY = _Table({"offset": _INT, "t_stat": _fixed(".10g"), "sig01": _FLAG,
                        "sig05": _FLAG})
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """A parsed table: the file line of each row and one sequence per column.
+class _Coded:
+    """A parsed column that is not _FLOAT: row i holds ``values[codes[i]]``.
 
-    A _FLOAT column is a float64 array, every other column a list. As a
+    The codes number the column's distinct stripped cells 0, 1, ... as first
+    seen, so equal codes mean equal values, and in a _TEXT column, whose
+    value is the stripped cell, equal values mean equal codes. Like a numpy
+    array, it is cut by a slice or an index array and read by item and tolist.
+    """
+    __slots__ = ("codes", "values")
+
+    def __init__(self, codes: np.ndarray, values: list):
+        self.codes, self.values = codes, values
+
+    def __getitem__(self, rows) -> _Coded:
+        return _Coded(self.codes[rows], self.values)
+
+    def item(self, i: int):
+        return self.values[self.codes[i]]
+
+    def tolist(self) -> list:
+        return list(map(self.values.__getitem__, self.codes.tolist()))
+
+
+def _coder(parse):
+    """A function from a stripped cell to its code, and the list of the codes' values.
+
+    Each distinct cell is parsed once, when first seen; a cell ``parse``
+    rejects raises its ValueError and gets no code.
+    """
+    codes, values = {}, []
+
+    def code(text: str) -> int:
+        if text not in codes:
+            values.append(parse(text))
+            codes[text] = len(codes)
+        return codes[text]
+    return code, values
+
+
+class _Rows:
+    """A parsed table: the file line of each row and one column per table column.
+
+    A _FLOAT column is a float64 array, every other column a _Coded. As a
     sequence it holds (line number, row) pairs, floats as Python floats.
     """
-    linenos: Sequence[int]
-    columns: list
+    __slots__ = ("linenos", "columns")
+
+    def __init__(self, linenos: Sequence[int], columns: list):
+        self.linenos, self.columns = linenos, columns
 
     def __len__(self) -> int:
         return len(self.linenos)
 
     def __iter__(self):
-        cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns)
-        return zip(self.linenos, zip(*cells))
+        return zip(self.linenos, zip(*(c.tolist() for c in self.columns)))
 
     def __getitem__(self, i: int):
-        return self.linenos[i], tuple(c.item(i) if isinstance(c, np.ndarray) else c[i]
-                                      for c in self.columns)
+        return self.linenos[i], tuple(c.item(i) for c in self.columns)
 
 
 def _read_text(path, newline=None) -> str:
@@ -324,6 +365,20 @@ _CSV_FIELD_LIMIT = 131072  # the csv module's default field_size_limit()
 _CHUNK_ROWS = 8192  # rows whose cells exist as strings at one time
 
 
+def _fields_per_line_are(text: str, width: int) -> bool:
+    """Whether every line of ``text`` holds ``width`` comma-separated fields.
+
+    Counted on the UTF-8 bytes, where no multi-byte sequence holds a comma
+    or a line break: among the commas and line breaks, in order, each line
+    break must come ``width`` places after the one before.
+    """
+    data = np.frombuffer(text.encode(), dtype=np.uint8)
+    breaks = data == ord(",")
+    breaks |= data == ord("\n")
+    ends = np.flatnonzero(data[breaks] == ord("\n"))
+    return bool(np.all(np.diff(ends, prepend=-1, append=np.count_nonzero(breaks)) == width))
+
+
 def _parse_columns(text: str, table: _Table) -> _Rows | None:
     """Parse CSV ``text`` of ``table`` column by column, or None if it cannot.
 
@@ -333,8 +388,8 @@ def _parse_columns(text: str, table: _Table) -> _Rows | None:
     long, a header that does not match, a row of the wrong width or a cell
     its column's kind rejects. Float columns are parsed by one np.loadtxt,
     which accepts a subset of what float() does and gives the same value,
-    so a non-finite value is the one further check; every other cell goes
-    through its kind's own parser, once per distinct cell.
+    so a non-finite value is the one further check; every other column is
+    coded as the per-cell loop codes it, looking each cell up once.
     """
     if '"' in text:
         return None
@@ -349,12 +404,14 @@ def _parse_columns(text: str, table: _Table) -> _Rows | None:
     if not _header_fits(header, table):
         return None
     width, body = len(header), lines[1:]
-    if any(line.count(",") != width - 1 for line in body):
+    if not _fields_per_line_are(text, width):
         return None
     kinds = list(table.columns.values())[:width]
-    floats = [j for j, kind in enumerate(kinds) if kind is _FLOAT]
-    columns = [np.empty(0) if kind is _FLOAT else [] for kind in kinds]
-    memos = [{} for _ in kinds]
+    coders = [None if kind is _FLOAT else _coder(kind[0]) for kind in kinds]
+    floats = [j for j, coder in enumerate(coders) if not coder]
+    # a _FLOAT column's values, any other column's codes
+    columns = [[] if coder else np.empty(0) for coder in coders]
+    memos = [{} for _ in kinds]  # per column: cell as read -> its code
     try:
         if floats and body:
             values = np.loadtxt(body, delimiter=",", usecols=floats, comments=None, ndmin=2)
@@ -364,14 +421,16 @@ def _parse_columns(text: str, table: _Table) -> _Rows | None:
                 columns[j] = column
         for start in range(0, len(body), _CHUNK_ROWS):
             cells = ",".join(body[start:start + _CHUNK_ROWS]).split(",")
-            for j, (parse, _) in enumerate(kinds):
-                if j not in floats:
-                    memo = memos[j]
-                    columns[j] += [memo[c] if c in memo else memo.setdefault(c, parse(c.strip()))
+            for j, coder in enumerate(coders):
+                if coder:
+                    memo, code = memos[j], coder[0]
+                    columns[j] += [memo[c] if c in memo else memo.setdefault(c, code(c.strip()))
                                    for c in cells[j::width]]
     except ValueError:
         return None
-    return _Rows(range(2, len(body) + 2), columns)
+    return _Rows(range(2, len(body) + 2), [
+        _Coded(np.fromiter(c, np.int64, len(body)), coder[1]) if coder else c
+        for c, coder in zip(columns, coders)])
 
 
 def _read_table(path, table: _Table) -> _Rows:
@@ -396,6 +455,9 @@ def _read_table(path, table: _Table) -> _Rows:
                 raise MarketDataError(f"{path}: header {header} does not match expected {names}")
             width = len(header)
             kinds = list(table.columns.values())[:width]
+            # a _FLOAT cell gives its value, any other cell its code
+            coders = [None if kind is _FLOAT else _coder(kind[0]) for kind in kinds]
+            parsers = [coder[0] if coder else _FLOAT[0] for coder in coders]
             linenos, parsed = [], []
             for lineno, row in reader:
                 if not "".join(row).strip():
@@ -405,7 +467,7 @@ def _read_table(path, table: _Table) -> _Rows:
                         f"{path} line {lineno}: expected {width} fields, got {len(row)}"
                     )
                 cells = []
-                for name, (parse, _), cell in zip(names, kinds, row):
+                for name, parse, cell in zip(names, parsers, row):
                     try:
                         cells.append(parse(cell.strip()))
                     except ValueError:
@@ -417,8 +479,9 @@ def _read_table(path, table: _Table) -> _Rows:
         except csv.Error as exc:
             raise MarketDataError(f"{path} line {lineno + 1}: {exc}") from None
         columns = [list(column) for column in zip(*parsed)] or [[] for _ in kinds]
-        rows = _Rows(linenos, [np.array(c, dtype=float) if kind is _FLOAT else c
-                               for c, kind in zip(columns, kinds)])
+        rows = _Rows(linenos, [_Coded(np.array(c, dtype=np.int64), coder[1]) if coder
+                               else np.array(c, dtype=float)
+                               for c, coder in zip(columns, coders)])
     if not rows:
         warnings.warn(f"{path}: no data rows", stacklevel=3)
     return rows
@@ -474,10 +537,13 @@ def _format_column(kind, column, alone: bool) -> tuple[list, bool]:
 # --- loaders and writers -----------------------------------------------------
 
 
-def _first_seen_codes(keys) -> np.ndarray:
-    """One int per key, equal for equal keys, numbered 0, 1, ... as first seen."""
-    codes: dict = {}
-    return np.fromiter((codes.setdefault(k, len(codes)) for k in keys), dtype=np.int64)
+def _zone_codes(markets: _Coded, zones: _Coded) -> np.ndarray:
+    """One int per row, equal for rows of one (market, zone), numbered 0, 1, ... as first seen."""
+    pairs = markets.codes * len(zones.values) + zones.codes
+    _, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
 
 
 def _blocks(code: np.ndarray, columns) -> list[list]:
@@ -489,8 +555,7 @@ def _blocks(code: np.ndarray, columns) -> list[list]:
     if np.any(np.diff(code) < 0):
         order = np.argsort(code, kind="stable")
         code = code[order]
-        columns = [c[order] if isinstance(c, np.ndarray) else [c[i] for i in order.tolist()]
-                   for c in columns]
+        columns = [c[order] for c in columns]
     edges = [0, *np.cumsum(np.bincount(code)).tolist()]
     return [[c[lo:hi] for c in columns] for lo, hi in zip(edges, edges[1:])]
 
@@ -499,20 +564,20 @@ def load_spot_csv(path, zone: MarketZone) -> SpotPriceSeries:
     """Load a spot-price CSV (``market,zone,date,price``) for one zone."""
     rows = _read_table(path, _SPOT)
     markets, zones, dates, prices = rows.columns
-    for lineno, market, z in zip(rows.linenos, markets, zones):
+    for lineno, market, z in zip(rows.linenos, markets.tolist(), zones.tolist()):
         if market != zone.market or z != zone.zone:
             raise MarketDataError(
                 f"{path} line {lineno}: row for {market}/{z}, expected {zone.market}/{zone.zone}"
             )
-    return SpotPriceSeries(zone=zone, dates=tuple(dates), prices=prices)
+    return SpotPriceSeries(zone=zone, dates=tuple(dates.tolist()), prices=prices)
 
 
 def load_spot_csv_multi(path) -> dict[MarketZone, SpotPriceSeries]:
     """Load a spot CSV that may carry several market zones in one file."""
     rows = _read_table(path, _SPOT)
-    blocks = _blocks(_first_seen_codes(zip(*rows.columns[:2])), rows.columns)
-    zones = [MarketZone(markets[0], zones[0]) for markets, zones, _, _ in blocks]
-    return {zone: SpotPriceSeries(zone=zone, dates=tuple(dates), prices=prices)
+    blocks = _blocks(_zone_codes(*rows.columns[:2]), rows.columns)
+    zones = [MarketZone(markets.item(0), zones.item(0)) for markets, zones, _, _ in blocks]
+    return {zone: SpotPriceSeries(zone=zone, dates=tuple(dates.tolist()), prices=prices)
             for zone, (_, _, dates, prices) in zip(zones, blocks)}
 
 
@@ -523,25 +588,26 @@ def load_futures_csv(path) -> list[FuturesContractSeries]:
     """
     rows = _read_table(path, _FUTURES)
     cids, markets, zones, dates = rows.columns[:4]
-    contract = _first_seen_codes(cids)
-    zone = _first_seen_codes(zip(markets, zones))
+    contract, zone = cids.codes, _zone_codes(markets, zones)
     first_row = np.unique(contract, return_index=True)[1]
     changed = np.flatnonzero(zone != zone[first_row[contract]])
     if changed.size:
         i = changed[0]
-        raise MarketDataError(f"{path} line {rows.linenos[i]}: contract {cids[i]} changes zone")
-    ordinals = np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
+        raise MarketDataError(
+            f"{path} line {rows.linenos[i]}: contract {cids.item(i)} changes zone")
+    ordinals = np.fromiter(map(date.toordinal, dates.values), dtype=np.int64,
+                           count=len(dates.values))[dates.codes]
     calendars: dict[bytes, tuple] = {}
     out = []
     for cid, market, z, days, settle, volume, open_interest, days_ordinals in _blocks(
             contract, [*rows.columns, ordinals]):
         key = days_ordinals.tobytes()
         if key not in calendars:
-            calendars[key] = tuple(days), days_ordinals.copy()
+            calendars[key] = tuple(days.tolist()), days_ordinals.copy()
         days, index = calendars[key]
         out.append(FuturesContractSeries(
-            contract_id=cid[0], zone=MarketZone(market[0], z[0]), dates=days, settle=settle,
-            volume=volume, open_interest=open_interest, index=index,
+            contract_id=cid.item(0), zone=MarketZone(market.item(0), z.item(0)), dates=days,
+            settle=settle, volume=volume, open_interest=open_interest, index=index,
         ))
     return out
 

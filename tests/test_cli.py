@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import powerauctions
 from powerauctions.auction_engine import (ClockAuctionConfig, ConstantSupply, StochasticExit,
                                           StochasticShrink, ThresholdExit)
-from powerauctions.cli import build_scenario, main
+from powerauctions.cli import _build_parser, build_scenario, main
 
 AUCTIONS_HEADER = ("market,auction_id,auction_date,product_id,delivery_start,"
                    "delivery_end,load_shape,product_kind,clearing_price,quantity,"
@@ -467,6 +468,69 @@ class TestErrorsAndConfig:
         assert rc == 1
         assert "error code=1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, seed", [
+        (["--config=CFG"], 5), (["--seed=7", "--config", "CFG"], 7),
+        (["--config=CFG", "--seed", "7"], 7), (["--se", "7", "--config", "CFG"], 7),
+        (["--se=7", "--config", "CFG"], 7)])
+    def test_config_and_flags_in_equals_form(self, tmp_path, argv, seed):
+        # --config=FILE is read, and a flag written --flag=value or abbreviated
+        # still wins
+        scenario, cfg = tmp_path / "s.json", tmp_path / "run.cfg"
+        scenario.write_text(json.dumps(TestSimulateCommand.SCENARIO))
+        cfg.write_text(f"scenario={scenario}\nseed=5\n")
+        out = tmp_path / "o.json"
+        argv = [a.replace("CFG", str(cfg)) for a in argv]
+        assert main(["simulate", *argv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["metadata"]["seed"] == seed
+
+    @pytest.mark.parametrize("value, dropped", [("true", True), ("false", False)])
+    def test_config_on_off_flag(self, tmp_path, value, dropped):
+        panel, cfg = tmp_path / "panel.csv", tmp_path / "run.cfg"
+        panel.write_text("unit,period,y,vol3y,startbidders,wbidders\n" + "".join(
+            f"{u},{t},{(i * 7 + t) % 5 - 2},{8 + (i * 3 + t) % 7},{20 + (t * i) % 4},{5 + i}\n"
+            for i, u in enumerate(("ACE", "JCPL", "PSEG", "RECO")) for t in range(2007, 2013)))
+        cfg.write_text(f"panel={panel}\nno_period_effects={value}\n")
+        out = tmp_path / "o.json"
+        assert main(["regress", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["metadata"]["config"]["no_period_effects"] is dropped
+        assert ("period_2008" in payload["coefficients"]) is not dropped
+
+    def test_config_two_values(self, tmp_path):
+        futures, events, cfg = tmp_path / "f.csv", tmp_path / "e.csv", tmp_path / "run.cfg"
+        futures.write_text("contract_id,market,zone,date,settle,volume,open_interest\n" + "".join(
+            f"A,OMEL,ES,2007-01-{d:02d},50,{d % 4 + 1},{10 + d}\n" for d in range(1, 29)))
+        events.write_text("date\n2007-01-14\n")
+        cfg.write_text(f"futures={futures}\nevents={events}\nwindow=-3 3\n")
+        out = tmp_path / "out"
+        assert main(["event-study", "--config", str(cfg), "--measure", "volume",
+                     "--out", str(out)]) == 0
+        rows = read_csv_skipping_comments(out / "event_study.csv")
+        assert [r[0] for r in rows[1:]] == [str(k) for k in range(-3, 4)]
+
+    @pytest.mark.parametrize("line, reason", [
+        ("no_period_effects=yes", "config key no_period_effects: expected true or false, "
+                                  "got 'yes'"),
+        ("no_period_effects=", "config key no_period_effects: expected true or false, got ''"),
+        ("window=1", "config key window: expected 2 values, got '1'"),
+        ("window=1 2 3", "config key window: expected 2 values, got '1 2 3'")])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, line, reason):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        command = "regress" if line.startswith("no_") else "event-study"
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error code=1 reason={reason}\n"
+
+    @pytest.mark.parametrize("seed", [["--seed", "-1"], ["--seed=-1"]])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, seed):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(TestSimulateCommand.SCENARIO))
+        out = tmp_path / "o.json"
+        assert main(["simulate", "--scenario", str(scenario), *seed, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error code=1 reason=argument --seed: expected a non-negative integer, got -1\n")
+        assert not out.exists()
+
     def test_spot_file_without_needed_zone_is_data_error(self, tmp_path, omel_fixture, capsys):
         auctions, _, _ = omel_fixture
         spot = tmp_path / "pjm_spot.csv"
@@ -675,25 +739,97 @@ def test_cli_import_leaves_scipy_stats_out(module):
                     f"assert {module!r} not in sys.modules"], env=env, check=True)
 
 
-def test_subcommands_without_p_values_leave_scipy_out(tmp_path):
-    # ingest, fmpi, regress and simulate report no p value, so they never
-    # pay for importing scipy.special
+# the powerauctions modules a subcommand may load besides cli and market_data
+FOOTPRINT = {"ingest": set(), "premium": {"premiums"}, "report": {"premiums"},
+             "fmpi": {"premiums"}, "activity": {"activity", "premiums"},
+             "event-study": {"activity", "premiums"}, "regress": {"panel"},
+             "simulate": {"auction_engine"}}
+P_VALUES = {"report", "event-study"}  # the subcommands that may import scipy.special
+
+
+def test_subcommands_without_p_values_leave_scipy_out(tmp_path, omel_fixture):
+    # each subcommand imports only the modules it runs, and only those that
+    # report a p value pay for importing scipy.special
+    auctions, spot, fmpi = omel_fixture
     (tmp_path / "futures.csv").write_text(
-        "contract_id,market,zone,date,settle,volume,open_interest\n"
-        "A,OMEL,ES,2007-01-01,50.5,1,10\nA,OMEL,ES,2007-01-02,51,3,30\n")
+        "contract_id,market,zone,date,settle,volume,open_interest\n" + "".join(
+            f"A,OMEL,ES,2007-01-{d:02d},{50 + d % 3},{d % 4 + 1},{10 + d}\n" for d in range(1, 29)))
+    (tmp_path / "events.csv").write_text("date\n2007-01-14\n")
     (tmp_path / "prices.csv").write_text(
         "month,price\n" + "".join(f"{m},{40 + m}\n" for m in range(1, 37)))
     (tmp_path / "panel.csv").write_text("unit,period,y,vol3y,startbidders,wbidders\n" + "".join(
         f"{u},{t},{(i * 7 + t) % 5 - 2},{8 + (i * 3 + t) % 7},{20 + (t * i) % 4},{5 + i}\n"
         for i, u in enumerate(("ACE", "JCPL", "PSEG", "RECO")) for t in range(2007, 2013)))
     (tmp_path / "scenario.json").write_text(json.dumps(TestSimulateCommand.SCENARIO))
-    runs = [["ingest", "--kind", "futures", "--input", "futures.csv", "--out", "ingest"],
-            ["fmpi", "--prices", "prices.csv"],
-            ["regress", "--panel", "panel.csv", "--out", "regress.json"],
-            ["simulate", "--scenario", "scenario.json", "--out", "simulate.json"]]
+    premium_inputs = ["--auctions", str(auctions), "--spot", str(spot), "--fmpi", str(fmpi)]
+    runs = {"ingest": ["--kind", "futures", "--input", "futures.csv", "--out", "ingest"],
+            "premium": [*premium_inputs, "--out", "premium"],
+            "report": [*premium_inputs, "--out", "report"],
+            "fmpi": ["--prices", "prices.csv"],
+            "activity": ["--futures", "futures.csv", "--measure", "r1", "--out", "activity"],
+            "event-study": ["--futures", "futures.csv", "--measure", "volume", "--events",
+                            "events.csv", "--window", "-2", "2", "--out", "event_study"],
+            "regress": ["--panel", "panel.csv", "--out", "regress.json"],
+            "simulate": ["--scenario", "scenario.json", "--out", "simulate.json"]}
+    assert set(runs) == set(FOOTPRINT) == set(_build_parser().commands)
     env = dict(os.environ, PYTHONPATH=str(Path(powerauctions.__file__).parents[1]))
-    for argv in runs:
-        subprocess.run([sys.executable, "-c",
-                        "import sys; from powerauctions.cli import main; "
-                        f"assert main({argv!r}) == 0; assert 'scipy.special' not in sys.modules"],
-                       env=env, cwd=tmp_path, check=True, capture_output=True)
+    for command, argv in runs.items():
+        out = subprocess.run(
+            [sys.executable, "-c", "import json, sys; from powerauctions.cli import main; "
+             f"code = main({[command, *argv]!r}); "
+             "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)"],
+            env=env, cwd=tmp_path, check=True, capture_output=True, text=True)
+        code, modules = json.loads(out.stderr.splitlines()[-1])
+        assert code == 0, (command, out.stderr)
+        loaded = {m.removeprefix("powerauctions.") for m in modules
+                  if m.startswith("powerauctions.")}
+        assert loaded == {"cli", "market_data"} | FOOTPRINT[command], command
+        if command not in P_VALUES:
+            assert "scipy.special" not in modules, command
+
+
+EXPORTED = """
+    AggregateReport AuctionError AuctionOutcome AuctionRecord ClockAuctionConfig Coefficient
+    ConstantSupply CostComponents DeliveryPeriod DistributionStats EventStudyResult FmpiSpec
+    FuturesContractSeries MarketDataError MarketZone MeanComparison MeasureSeries
+    PanelObservation PremiumRow RegressionError RegressionResult SeasonalPayoutFactors
+    SignificanceTally SpotPriceSeries StochasticExit StochasticShrink ThresholdExit activity
+    auction_engine average_price baseline_mean_excluding cesur_premium distribution_stats
+    equality_of_means event_study fit_pooled_ols fmpi_premium fmpi_strip fmpi_weights
+    full_requirements_payout load_auctions_csv load_costs_csv load_futures_csv load_spot_csv
+    load_spot_csv_multi market_data monetary_impact open_interest_series panel pjm_premium
+    premiums r1_series r2_series run_descending_clock settle_cfd significance_tally
+    standardize_by_group vol3y volume_series welch_t yearly_aggregate
+""".split()
+SUBMODULES = ("activity", "auction_engine", "market_data", "panel", "premiums")
+
+
+def test_package_namespace():
+    # every name the package exported when it imported all five modules up
+    # front still resolves, to the object its module defines
+    assert sorted(powerauctions.__all__) == sorted(EXPORTED)
+    listed = dir(powerauctions)
+    for name in EXPORTED:
+        value = getattr(powerauctions, name)
+        if name in SUBMODULES:
+            assert value is importlib.import_module(f"powerauctions.{name}")
+        else:
+            assert value.__module__.removeprefix("powerauctions.") in SUBMODULES, name
+            assert getattr(sys.modules[value.__module__], name) is value, name
+        assert name in listed, name
+    star: dict = {}
+    exec("from powerauctions import *", star)
+    star.pop("__builtins__")
+    assert star == {name: getattr(powerauctions, name) for name in EXPORTED}
+    with pytest.raises(AttributeError, match="has no attribute 'nonsense'"):
+        powerauctions.nonsense  # noqa: B018
+
+
+def test_package_imports_a_module_when_a_name_is_used():
+    env = dict(os.environ, PYTHONPATH=str(Path(powerauctions.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", "import sys, powerauctions; "
+                    "loaded = lambda: {m for m in sys.modules if m.startswith('powerauctions')}; "
+                    "assert loaded() == {'powerauctions'}, loaded(); "
+                    "powerauctions.run_descending_clock; "
+                    "assert loaded() == {'powerauctions', 'powerauctions.auction_engine', "
+                    "'powerauctions.market_data'}, loaded()"], env=env, check=True)

@@ -482,6 +482,117 @@ def test_column_parse_takes_only_plain_files(tmp_path, case):
     assert _read_outcome(path, table) == slow
 
 
+# --- loaders on the parse-time codes vs the per-cell loop ---------------------
+
+SERIES_ZONES = [("OMEL", "ES"), ("PJM", "ACE"), ("PJM", "RECO")]
+
+
+@st.composite
+def _series_text(draw, futures: bool):
+    """A futures or spot file of a few series, with drawn faults.
+
+    Cells may be padded with spaces, series interleaved by date, a series may
+    change zone, a date may repeat or go back, a cell may be non-ASCII and a
+    row may have the wrong width.
+    """
+    keys = draw(st.lists(st.sampled_from(["A", "B", "Ü7", "日本"] if futures else SERIES_ZONES),
+                         min_size=1, max_size=3, unique=True))
+    rows = []
+    for key in keys:
+        market, zone = draw(st.sampled_from(SERIES_ZONES)) if futures else key
+        for day in sorted(draw(st.lists(st.integers(1, 28), min_size=1, max_size=5,
+                                        unique=True))):
+            numbers = [draw(st.sampled_from(["50", "50.5", "-0", "1e3"]))]
+            if futures:
+                numbers += [str(draw(st.integers(0, 9))) for _ in range(2)]
+            rows.append([key] * futures + [market, zone, f"2007-01-{day:02d}", *numbers])
+    if draw(st.booleans()):  # series interleaved by date
+        rows.sort(key=lambda row: row[2 + futures])
+    faults = st.sampled_from(["pad", "pad", "zone", "repeat", "back", "non_ascii", "short",
+                              "long"])
+    for fault in draw(st.lists(faults, max_size=3)):
+        i = draw(st.integers(0, len(rows) - 1))
+        date_col = 2 + futures
+        if fault == "pad":
+            j = draw(st.integers(0, date_col))
+            rows[i][j] = draw(st.sampled_from([" ", "\t", ""])) + rows[i][j] + " "
+        elif fault == "zone":
+            rows[i][futures:date_col] = draw(st.sampled_from(SERIES_ZONES))
+        elif fault == "repeat" and i:
+            rows[i][date_col] = rows[i - 1][date_col]
+        elif fault == "back":
+            rows[i][date_col] = "2006-12-31"
+        elif fault == "non_ascii":
+            rows[i][draw(st.integers(0, date_col - 1))] = "Ésé"
+        elif fault == "short":
+            rows[i] = rows[i][:-1]
+        elif fault == "long":
+            rows[i] = rows[i] + ["1"]
+    header = (["contract_id"] * futures + ["market", "zone", "date"]
+              + (["settle", "volume", "open_interest"] if futures else ["price"]))
+    return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+
+
+def _series_outcome(load, path):
+    """repr of every series a loader returns, or its error."""
+    try:
+        loaded = load(path)
+    except MarketDataError as exc:
+        return f"MarketDataError: {exc}"
+    series = loaded.values() if isinstance(loaded, dict) else loaded
+    return repr([(getattr(s, "contract_id", None), s.zone, s.dates, s.ordinals.tolist(),
+                  *(getattr(s, name).tolist() for name in
+                    ("settle", "volume", "open_interest", "prices") if hasattr(s, name)))
+                 for s in series])
+
+
+@pytest.mark.parametrize("futures", [True, False], ids=["futures", "spot"])
+def test_loaders_on_codes_match_per_cell_loop(futures):
+    # load_futures_csv and load_spot_csv_multi group rows by the codes of the
+    # column parse; the per-cell loop must give the same series or error
+    load = market_data.load_futures_csv if futures else market_data.load_spot_csv_multi
+    table = market_data._FUTURES if futures else market_data._SPOT
+    taken, failed = [], []
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_series_text(futures))
+    def check(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            fast = _series_outcome(load, path)
+            with mock.patch.object(market_data, "_parse_columns", lambda text, table: None):
+                slow = _series_outcome(load, path)
+        assert fast == slow
+        taken.append(market_data._parse_columns(text, table) is not None)
+        failed.append(fast.startswith("MarketDataError"))
+
+    check()
+    assert any(taken) and not all(taken)
+    assert any(failed) and not all(failed)
+
+
+def test_padded_cells_are_one_zone(tmp_path):
+    # the codes are those of the stripped cells, so " ES" and "ES" are one zone
+    p = write(tmp_path / "f.csv", "contract_id,market,zone,date,settle,volume,open_interest\n"
+              "A,OMEL,ES,2007-01-01,50,1,10\n A ,OMEL, ES,2007-01-02,50,1,10\n")
+    assert market_data._parse_columns(p.read_text(), market_data._FUTURES) is not None
+    (series,) = load_futures_csv(p)
+    assert (series.contract_id, series.zone, len(series)) == ("A", ES, 2)
+    spot = write(tmp_path / "s.csv", "market,zone,date,price\n"
+                 "OMEL,ES,2007-01-01,30\nOMEL , ES,2007-01-02,31\n")
+    assert list(market_data.load_spot_csv_multi(spot)) == [ES]
+
+
+def test_spot_zones_come_in_file_order(tmp_path):
+    p = write(tmp_path / "s.csv", "market,zone,date,price\n"
+              "PJM,RECO,2007-01-01,30\nOMEL,ES,2007-01-01,31\nPJM,ACE,2007-01-01,32\n"
+              "OMEL,ES,2007-01-02,33\n")
+    zones = market_data.load_spot_csv_multi(p)
+    assert [(z.market, z.zone, len(s)) for z, s in zones.items()] == [
+        ("PJM", "RECO", 1), ("OMEL", "ES", 2), ("PJM", "ACE", 1)]
+
+
 # --- column-at-a-time write vs the csv.writer loop ---------------------------
 
 
