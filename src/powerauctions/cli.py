@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .market_data import (_ACTIVITY, _AVERAGES, _EVENT_STUDY, _EVENTS, _FMPI, _PANEL,
                           _PREMIUMS, _STRIP_PRICES, MarketDataError, MarketZone,
-                          _read_table, _read_text, _write_table, average_price,
+                          _read_table, _read_text, _repeated, _write_table, average_price,
                           load_auctions_csv, load_costs_csv, load_futures_csv,
                           load_spot_csv_multi, write_auctions_csv, write_costs_csv,
                           write_futures_csv, write_spot_csv)
@@ -53,15 +53,26 @@ def _metadata(args) -> dict:
     return {"tool": f"powerauctions {__version__}", "config": echo}
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    # strict JSON: a NaN or infinity fails the run before the file exists
+def _json_file(path: Path, payload: dict):
+    """A function that writes ``payload`` to ``path`` as strict JSON.
+
+    The text is made first: a NaN or infinity fails the run here, so a run
+    that writes a CSV artifact too can fail before either file exists.
+    """
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
         raise ValueError(f"{path}: non-finite number in JSON output") from None
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+
+    def write() -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return write
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    _json_file(path, payload)()
 
 
 def _write_artifact(path: Path, args, table, *columns) -> None:
@@ -141,21 +152,25 @@ def _premium_rows(args) -> list:
     return rows
 
 
-def _emit_premium_table(rows, args, out_dir: Path):
+def _aggregates(rows) -> dict:
     from .premiums import yearly_aggregate
 
-    # the table's columns are named after PremiumRow's fields
-    _write_artifact(out_dir / "premiums.csv", args, _PREMIUMS,
-                    *([getattr(r, name) for r in rows] for name in _PREMIUMS.columns))
     return dataclasses.asdict(yearly_aggregate(rows))
 
 
+def _emit_premium_table(rows, args, out_dir: Path, json_name: str, payload: dict) -> None:
+    """Write premiums.csv, then ``payload`` as ``json_name``, once both can be written."""
+    write_json = _json_file(out_dir / json_name, payload)
+    # the table's columns are named after PremiumRow's fields
+    _write_artifact(out_dir / "premiums.csv", args, _PREMIUMS,
+                    *([getattr(r, name) for r in rows] for name in _PREMIUMS.columns))
+    write_json()
+
+
 def _cmd_premium(args) -> int:
-    out_dir = Path(args.out)
     rows = _premium_rows(args)
-    summary = _emit_premium_table(rows, args, out_dir)
-    _write_json(out_dir / "premium_summary.json",
-                {"metadata": _metadata(args), "aggregates": summary})
+    _emit_premium_table(rows, args, Path(args.out), "premium_summary.json",
+                        {"metadata": _metadata(args), "aggregates": _aggregates(rows)})
     print(f"premium ok rows={len(rows)}")
     return EXIT_OK
 
@@ -185,6 +200,8 @@ def _measure(args):
 
 def _select_contract(path, contract):
     series = load_futures_csv(path)
+    if not series:
+        raise MarketDataError(f"{path}: no contracts")
     if contract:
         matches = [s for s in series if s.contract_id == contract]
         if not matches:
@@ -199,7 +216,8 @@ def _cmd_activity(args) -> int:
     measure = _measure(args)
     n, mask = len(measure.dates), measure.defined_mask().tolist()
     _write_artifact(Path(args.out) / f"activity_{args.measure}.csv", args, _ACTIVITY,
-                    [measure.contract_id] * n, [measure.measure_kind] * n, measure.dates,
+                    _repeated(measure.contract_id, n), _repeated(measure.measure_kind, n),
+                    measure.dates,
                     [v if d else None for v, d in zip(measure.values.tolist(), mask)], mask)
     print(f"activity ok measure={args.measure} n={n} "
           f"undefined={len(measure.undefined_dates)}")
@@ -209,6 +227,9 @@ def _cmd_activity(args) -> int:
 def _cmd_event_study(args) -> int:
     from .activity import event_study, significance_tally
 
+    if args.window[0] > args.window[1]:
+        raise UsageError(f"argument --window: lower bound {args.window[0]} exceeds "
+                         f"upper bound {args.window[1]}")
     measure = _measure(args)
     events = [day for _, (day,) in _read_table(args.events, _EVENTS)]
     if not events:
@@ -217,10 +238,11 @@ def _cmd_event_study(args) -> int:
                           variance=args.variance)
     tally = significance_tally(results, alpha=args.alpha)
     out_dir = Path(args.out)
+    write_json = _json_file(out_dir / "event_study_summary.json",
+                            {"metadata": _metadata(args), "tally": dataclasses.asdict(tally)})
     _write_artifact(out_dir / "event_study.csv", args, _EVENT_STUDY,
                     *([getattr(r, name) for r in results] for name in _EVENT_STUDY.columns))
-    _write_json(out_dir / "event_study_summary.json",
-                {"metadata": _metadata(args), "tally": dataclasses.asdict(tally)})
+    write_json()
     print(f"event-study ok offsets={len(results)} verdict={tally.verdict}")
     return EXIT_OK
 
@@ -354,6 +376,8 @@ def _cmd_simulate(args) -> int:
         scenario = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise MarketDataError(f"{args.scenario}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise MarketDataError(f"{args.scenario}: JSON nested too deeply") from None
     config, strategies, bidder_ids = build_scenario(scenario, args.seed)
     outcome = run_descending_clock(config, strategies, bidder_ids)
     payload = {"metadata": {**_metadata(args), "seed": args.seed},
@@ -366,11 +390,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_report(args) -> int:
     from .premiums import distribution_stats, equality_of_means
 
-    out_dir = Path(args.out)
     rows = _premium_rows(args)
-    aggregates = _emit_premium_table(rows, args, out_dir)
     premiums = [r.premium for r in rows]
-    report = {"metadata": _metadata(args), "aggregates": aggregates}
+    report = {"metadata": _metadata(args), "aggregates": _aggregates(rows)}
     if len(premiums) >= 4:
         st = distribution_stats(premiums)
         report["premium_distribution"] = dataclasses.asdict(st)
@@ -382,7 +404,7 @@ def _cmd_report(args) -> int:
             {"a": c.label_a, "b": c.label_b, "t": c.t_stat, "dof": c.dof, "p": c.p_value}
             for c in equality_of_means(by_group)
         ]
-    _write_json(out_dir / "report.json", report)
+    _emit_premium_table(rows, args, Path(args.out), "report.json", report)
     print(f"report ok rows={len(rows)}")
     return EXIT_OK
 

@@ -286,12 +286,14 @@ _EVENT_STUDY = _Table({"offset": _INT, "t_stat": _fixed(".10g"), "sig01": _FLAG,
 
 
 class _Coded:
-    """A parsed column that is not _FLOAT: row i holds ``values[codes[i]]``.
+    """A column of repeated values: row i holds ``values[codes[i]]``.
 
-    The codes number the column's distinct stripped cells 0, 1, ... as first
-    seen, so equal codes mean equal values, and in a _TEXT column, whose
-    value is the stripped cell, equal values mean equal codes. Like a numpy
-    array, it is cut by a slice or an index array and read by item and tolist.
+    _read_table gives every column that is not _FLOAT as one: its codes
+    number the column's distinct stripped cells 0, 1, ... as first seen, so
+    equal codes mean equal values, and in a _TEXT column, whose value is the
+    stripped cell, equal values mean equal codes. _write_table formats each
+    of the values once. Like a numpy array, it is cut by a slice or an index
+    array and read by item and tolist.
     """
     __slots__ = ("codes", "values")
 
@@ -306,6 +308,11 @@ class _Coded:
 
     def tolist(self) -> list:
         return list(map(self.values.__getitem__, self.codes.tolist()))
+
+
+def _repeated(value, n: int) -> _Coded:
+    """A column of ``n`` rows that all hold ``value``."""
+    return _Coded(np.zeros(n, dtype=np.int64), [value])
 
 
 def _coder(parse):
@@ -360,23 +367,12 @@ def _header_fits(header: list, table: _Table) -> bool:
     return len(header) >= len(names) - table.optional and header == names[:len(header)]
 
 
-_BLANK_LINE = re.compile(r"\n(?:[^\S\n]|,)*\n")  # only whitespace and commas
 _CSV_FIELD_LIMIT = 131072  # the csv module's default field_size_limit()
-_CHUNK_ROWS = 8192  # rows whose cells exist as strings at one time
-
-
-def _fields_per_line_are(text: str, width: int) -> bool:
-    """Whether every line of ``text`` holds ``width`` comma-separated fields.
-
-    Counted on the UTF-8 bytes, where no multi-byte sequence holds a comma
-    or a line break: among the commas and line breaks, in order, each line
-    break must come ``width`` places after the one before.
-    """
-    data = np.frombuffer(text.encode(), dtype=np.uint8)
-    breaks = data == ord(",")
-    breaks |= data == ord("\n")
-    ends = np.flatnonzero(data[breaks] == ord("\n"))
-    return bool(np.all(np.diff(ends, prepend=-1, append=np.count_nonzero(breaks)) == width))
+_KEY_BYTES = 32  # the longest non-float cell, in UTF-8 bytes, that _parse_columns codes
+# masks of a little-endian word: its low n bytes, and bytes 4 and 7
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+_BYTE_4, _BYTE_7 = np.uint64(0xFF << 32), np.uint64(0xFF << 56)
+_DATE_DASHES = np.uint64(int.from_bytes(b"\0\0\0\0-\0\0-", "little"))
 
 
 def _parse_columns(text: str, table: _Table) -> _Rows | None:
@@ -386,51 +382,139 @@ def _parse_columns(text: str, table: _Table) -> _Rows | None:
     (None) every file that loop treats specially: one with a quote, a lone
     carriage return, a blank row, a line the csv module would refuse as too
     long, a header that does not match, a row of the wrong width or a cell
-    its column's kind rejects. Float columns are parsed by one np.loadtxt,
-    which accepts a subset of what float() does and gives the same value,
-    so a non-finite value is the one further check; every other column is
-    coded as the per-cell loop codes it, looking each cell up once.
+    its column's kind rejects. It also declines a non-float cell longer than
+    _KEY_BYTES. Cells are found among the commas and line breaks of the
+    UTF-8 bytes, where no multi-byte sequence holds either. Float columns
+    are parsed by one np.loadtxt, which accepts a subset of what float()
+    does and gives the same value, so a non-finite value is the one further
+    check; every other column is coded by _code_cells.
     """
     if '"' in text:
         return None
-    text = text.replace("\r\n", "\n")
-    if "\r" in text:
-        return None
-    text = text.removesuffix("\n")
-    lines = text.split("\n")
-    if _BLANK_LINE.search(f"\n{text}\n") or max(map(len, lines)) > _CSV_FIELD_LIMIT:
-        return None
-    header = [h.strip() for h in lines[0].split(",")]
+    if not text.endswith("\n"):
+        text += "\n"
+    header = [h.strip() for h in text[:text.index("\n")].split(",")]
     if not _header_fits(header, table):
         return None
-    width, body = len(header), lines[1:]
-    if not _fields_per_line_are(text, width):
+    width = len(header)
+    # padded so that _cell_keys can read a cell's words past the last line
+    raw = text.encode() + bytes(_KEY_BYTES)
+    data = np.frombuffer(raw, dtype=np.uint8)
+    at = data == ord(",")
+    at |= data == ord("\n")
+    seps = np.flatnonzero(at)
+    del at
+    if len(seps) % width:
         return None
+    seps = seps.reshape(-1, width)  # where each field of each line ends
+    line_break = data[seps] == ord("\n")
+    if not line_break[:, -1].all() or line_break[:, :-1].any():
+        return None
+    # a carriage return may only end a line; the line's last cell keeps it and strips it
+    line_cr = data[seps[:, -1] - 1] == ord("\r")
+    if np.count_nonzero(data == ord("\r")) != np.count_nonzero(line_cr):
+        return None
+    if np.diff(seps[:, -1], prepend=-1).max() > _CSV_FIELD_LIMIT + 1:  # + 1: the line break
+        return None
+    n = len(seps) - 1
     kinds = list(table.columns.values())[:width]
-    coders = [None if kind is _FLOAT else _coder(kind[0]) for kind in kinds]
-    floats = [j for j, coder in enumerate(coders) if not coder]
-    # a _FLOAT column's values, any other column's codes
-    columns = [[] if coder else np.empty(0) for coder in coders]
-    memos = [{} for _ in kinds]  # per column: cell as read -> its code
+    floats = [j for j, kind in enumerate(kinds) if kind is _FLOAT]
+    columns = [np.empty(0)] * width
     try:
-        if floats and body:
-            values = np.loadtxt(body, delimiter=",", usecols=floats, comments=None, ndmin=2)
-            if not np.isfinite(values).all():
+        if floats and n:
+            values = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=1, max_rows=n,
+                                usecols=floats, comments=None, ndmin=2, encoding="utf-8")
+            if len(values) != n or not np.isfinite(values).all():
                 return None
             for j, column in zip(floats, values.T):
                 columns[j] = column
-        for start in range(0, len(body), _CHUNK_ROWS):
-            cells = ",".join(body[start:start + _CHUNK_ROWS]).split(",")
-            for j, coder in enumerate(coders):
-                if coder:
-                    memo, code = memos[j], coder[0]
-                    columns[j] += [memo[c] if c in memo else memo.setdefault(c, code(c.strip()))
-                                   for c in cells[j::width]]
     except ValueError:
         return None
-    return _Rows(range(2, len(body) + 2), [
-        _Coded(np.fromiter(c, np.int64, len(body)), coder[1]) if coder else c
-        for c, coder in zip(columns, coders)])
+    # a row is blank when every cell strips to empty; np.loadtxt rejects
+    # such a float cell, so only a table without float columns can hold one
+    blank = np.full(n, not floats)
+    for j, kind in enumerate(kinds):
+        if kind is not _FLOAT:
+            starts = (seps[:-1, -1] if j == 0 else seps[1:, j - 1]) + 1
+            coded = _code_cells(data, starts, seps[1:, j], kind[0])
+            if coded is None:
+                return None
+            columns[j], empty = coded
+            blank &= empty
+    if blank.any():
+        return None
+    return _Rows(range(2, n + 2), columns)
+
+
+def _code_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                parse) -> tuple[_Coded, np.ndarray] | None:
+    """The cells ``data[starts[i]:ends[i]]`` coded as _coder(parse) codes them, and
+    which of them strip to empty; None if a cell is longer than _KEY_BYTES or
+    ``parse`` rejects one.
+
+    Each cell gets an integer key (_cell_keys), and the first cell of each
+    distinct key is decoded, stripped and coded once, in the order first
+    seen, so the codes and values are those the per-cell loop gives.
+    """
+    sizes = ends - starts
+    if len(sizes) and sizes.max() > _KEY_BYTES:
+        return None
+    first, distinct = _first_seen(_cell_keys(data, starts, sizes))
+    cells = [data[i:j].tobytes().decode().strip()
+             for i, j in zip(starts[first].tolist(), ends[first].tolist())]
+    code, values = _coder(parse)
+    try:
+        codes = np.array([code(cell) for cell in cells], dtype=np.int64)
+    except ValueError:
+        return None
+    empty = np.array([not cell for cell in cells], dtype=bool)
+    return _Coded(codes[distinct], values), empty[distinct]
+
+
+def _cell_keys(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """One row of integers per cell ``data[starts[i]:starts[i] + sizes[i]]``,
+    equal for cells of equal bytes.
+
+    A YYYY-MM-DD shaped cell (10 bytes, "-" at bytes 4 and 7), when every
+    cell of the column has that shape, gets one word: its other 8 bytes.
+    Any other cell gets its 8-byte words, the bytes past its end zeroed, and
+    its length. ``data`` must hold _KEY_BYTES bytes past the last cell.
+    """
+    # the little-endian 8-byte word at each byte offset
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    if len(sizes) and np.all(sizes == 10):
+        head, tail = words[starts], words[starts + 2]  # bytes 0-7 and 2-9
+        if np.all(head & (_BYTE_4 | _BYTE_7) == _DATE_DASHES):
+            # bytes 8 and 9 take the places of the dashes
+            return (head & ~(_BYTE_4 | _BYTE_7) | tail >> 16 & _BYTE_4 | tail & _BYTE_7)[:, None]
+    n_words = max(1, -(-int(sizes.max(initial=0)) // 8))
+    keys = np.empty((len(starts), n_words + 1), dtype=np.uint64)
+    for w in range(n_words):
+        keys[:, w] = words[starts + 8 * w] & _LOW_BYTES[np.clip(sizes - 8 * w, 0, 8)]
+    keys[:, -1] = sizes
+    return keys
+
+
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row of ``keys``, in row order, and each
+    row's number among them: 0, 1, ... as first seen.
+
+    Only the first row of each run of equal rows is sorted.
+    """
+    new_run = np.ones(len(keys), dtype=bool)
+    np.any(keys[1:] != keys[:-1], axis=1, out=new_run[1:])
+    heads = np.flatnonzero(new_run)
+    keys = keys[heads]
+    order = np.lexsort(keys.T)  # stable, so each key's rows stay in row order
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    first = order[new]
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    codes = np.empty_like(order)
+    codes[order] = rank[np.cumsum(new) - 1]
+    return heads[np.sort(first)], codes[np.cumsum(new_run) - 1]
 
 
 def _read_table(path, table: _Table) -> _Rows:
@@ -493,11 +577,12 @@ _QUOTED = re.compile(r'[,"\r\n]')  # a cell holding one of these is quoted
 def _write_table(path, table: _Table, *blocks, preamble: str = "") -> None:
     """Write ``preamble`` as it is, ``table``'s header, then the rows of each block.
 
-    A block holds one sequence per column, all of the same length; each
-    column is formatted by its kind, and a column object that the next block
-    holds again (the dates contracts on one calendar share) is not formatted
-    again. A block's rows are joined as they are unless a cell may need
-    quoting; such a block goes through the csv module, which decides it.
+    A block holds one sequence or _Coded per column, all of the same length.
+    Each column is formatted by its kind, a _Coded one of its values at a
+    time, and a column object that the next block holds again (the dates
+    contracts on one calendar share) is not formatted again. A block's rows
+    are joined as they are unless a cell may need quoting; such a block goes
+    through the csv module, which decides it.
     """
     kinds = list(table.columns.values())
     alone = len(kinds) == 1
@@ -525,6 +610,9 @@ def _format_column(kind, column, alone: bool) -> tuple[list, bool]:
     A float's repr never does; a cell with a comma, a quote or a line break
     may, and so may an empty cell in a table of one column (``alone``).
     """
+    if isinstance(column, _Coded):
+        cells, quote = _format_column(kind, column.values, alone)
+        return list(map(cells.__getitem__, column.codes.tolist())), quote
     if isinstance(column, np.ndarray):
         if kind is _FLOAT and column.dtype == np.float64:
             # .tolist() gives Python floats, whose repr the kind writes
@@ -539,11 +627,7 @@ def _format_column(kind, column, alone: bool) -> tuple[list, bool]:
 
 def _zone_codes(markets: _Coded, zones: _Coded) -> np.ndarray:
     """One int per row, equal for rows of one (market, zone), numbered 0, 1, ... as first seen."""
-    pairs = markets.codes * len(zones.values) + zones.codes
-    _, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse]
+    return _first_seen(np.column_stack([markets.codes, zones.codes]))[1]
 
 
 def _blocks(code: np.ndarray, columns) -> list[list]:
@@ -660,14 +744,14 @@ def load_costs_csv(path) -> list[CostComponents]:
 
 def write_spot_csv(path, series: SpotPriceSeries) -> None:
     n = len(series)
-    _write_table(path, _SPOT, [[series.zone.market] * n, [series.zone.zone] * n,
+    _write_table(path, _SPOT, [_repeated(series.zone.market, n), _repeated(series.zone.zone, n),
                                series.dates, series.prices])
 
 
 def write_futures_csv(path, series_list: list[FuturesContractSeries]) -> None:
     _write_table(path, _FUTURES, *(
-        [[s.contract_id] * len(s), [s.zone.market] * len(s), [s.zone.zone] * len(s),
-         s.dates, s.settle, s.volume, s.open_interest]
+        [_repeated(s.contract_id, len(s)), _repeated(s.zone.market, len(s)),
+         _repeated(s.zone.zone, len(s)), s.dates, s.settle, s.volume, s.open_interest]
         for s in series_list
     ))
 

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -361,6 +362,19 @@ def test_integer_past_the_digit_limit_is_data_error(tmp_path, capsys):
     assert err.count("\n") == 1 and not out.exists()
 
 
+@pytest.mark.parametrize("nested", ["[" * 1000 + "]" * 1000,
+                                    '{"config": ' * 1000 + "1" + "}" * 1000],
+                         ids=["array", "object"])
+def test_deeply_nested_scenario_is_data_error(tmp_path, capsys, nested):
+    # json.loads raises RecursionError, which used to end in a traceback
+    path = tmp_path / "s.json"
+    path.write_text(nested)
+    out = tmp_path / "o.json"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error code=2 reason={path}: JSON nested too deeply\n"
+    assert not out.exists()
+
+
 class TestEventStudyCommand:
     @pytest.fixture
     def futures_fixture(self, tmp_path, rng):
@@ -402,6 +416,46 @@ class TestEventStudyCommand:
             f"error code=3 reason=alpha must lie in (0, 1), got {float(alpha)}\n")
         assert not out.exists()
 
+    def test_reversed_window_is_usage_error(self, tmp_path, futures_fixture, capsys):
+        futures, events = futures_fixture
+        out = tmp_path / "out"
+        rc = main(["event-study", "--futures", str(futures), "--measure", "volume",
+                   "--events", str(events), "--window", "5", "-5", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error code=1 reason=argument --window: lower bound 5 exceeds upper bound -5\n")
+        assert not out.exists()
+
+    def test_json_failure_writes_no_csv(self, tmp_path, futures_fixture, capsys, monkeypatch):
+        # the summary's JSON text is made before event_study.csv is written
+        from powerauctions import activity
+
+        tally = activity.significance_tally
+        monkeypatch.setattr(activity, "significance_tally", lambda results, alpha:
+                            dataclasses.replace(tally(results, alpha), total=math.nan))
+        futures, events = futures_fixture
+        out = tmp_path / "out"
+        rc = main(["event-study", "--futures", str(futures), "--measure", "volume",
+                   "--events", str(events), "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (f"error code=3 reason={out}/event_study_summary.json: "
+                                           "non-finite number in JSON output\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["activity", "event-study"])
+    def test_futures_file_without_rows_is_data_error(self, tmp_path, futures_fixture, capsys,
+                                                     command):
+        _, events = futures_fixture
+        futures = tmp_path / "empty.csv"
+        futures.write_text("contract_id,market,zone,date,settle,volume,open_interest\n")
+        out = tmp_path / "out"
+        argv = [command, "--futures", str(futures), "--measure", "r1", "--out", str(out)]
+        with pytest.warns(UserWarning, match="no data rows"):
+            rc = main(argv + ["--events", str(events)] * (command == "event-study"))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error code=2 reason={futures}: no contracts\n"
+        assert not out.exists()
+
     def test_activity_command(self, tmp_path, futures_fixture):
         futures, _ = futures_fixture
         out = tmp_path / "out"
@@ -411,6 +465,43 @@ class TestEventStudyCommand:
         rows = read_csv_skipping_comments(out / "activity_r1.csv")
         assert rows[0][:2] == ["contract_id", "measure"]
         assert len(rows) == 121
+
+
+class TestNoFileFromAFailedRun:
+    """A premium or report run computes every number before it writes a file."""
+
+    @pytest.mark.parametrize("command", ["premium", "report"])
+    def test_auctions_without_rows(self, tmp_path, omel_fixture, capsys, command):
+        _, spot, _ = omel_fixture
+        auctions = tmp_path / "empty.csv"
+        auctions.write_text(AUCTIONS_HEADER)
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="no data rows"):
+            rc = main([command, "--auctions", str(auctions), "--spot", str(spot),
+                       "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "error code=3 reason=no rows to aggregate\n"
+        assert not out.exists()
+
+    def test_report_whose_tests_fail(self, tmp_path, capsys):
+        # equal premiums in both years: the equality-of-means tests have no variance
+        auctions = tmp_path / "auctions.csv"
+        auctions.write_text(AUCTIONS_HEADER + "".join(
+            f"OMEL,{i},{day},{key},{start},{end},baseload,fixed_quantity,46,1800,30,15,23\n"
+            for i, (day, key, start, end) in enumerate([
+                ("2007-06-19", "Q3-07", "2007-07-01", "2007-09-30"),
+                ("2007-09-18", "Q4-07", "2007-10-01", "2007-12-31"),
+                ("2008-03-13", "Q2-08", "2008-04-01", "2008-06-30"),
+                ("2008-06-17", "Q3-08", "2008-07-01", "2008-09-30")], start=1)))
+        days = [date(2007, 7, 1) + timedelta(days=i) for i in range(460)]
+        spot = tmp_path / "spot.csv"
+        spot.write_text("market,zone,date,price\n" + "".join(f"OMEL,ES,{d},40\n" for d in days))
+        out = tmp_path / "out"
+        rc = main(["report", "--auctions", str(auctions), "--spot", str(spot),
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error code=3 reason=")
+        assert not out.exists()
 
 
 class TestRegressCommand:

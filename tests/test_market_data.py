@@ -362,6 +362,7 @@ def test_write_read_write_byte_identical(tmp_path, name):
 
 ALL_TABLES = {name: table for name, table in vars(market_data).items()
               if isinstance(table, market_data._Table)}
+_KEY_BYTES = market_data._KEY_BYTES  # the longest non-float cell the column parse codes
 # one cell each kind accepts, or none; hypothesis mixes them with drawn numbers
 CELL_POOL = ["0", "1", "7", "-3", "2.5", "1e-07", "1e22", "-0", "50.25", "2007-01-01",
              "2016-12-31", "OMEL", "ES", "FTB-01", "Q3-07", "", "a;b", "1.5;2.5",
@@ -369,7 +370,7 @@ CELL_POOL = ["0", "1", "7", "-3", "2.5", "1e-07", "1e22", "-0", "50.25", "2007-0
 HOSTILE_CELLS = ["1_000", "nan", "inf", "-inf", "1e400", "١", "2007-01", "20070101",
                  " 1.5 ", "\t2007-01-01 ", " ES", "\xa01", "\x1c2", "0x1p3", "1.5e", "n/a",
                  " ", '"1,5"', '"ES"', '"2007-01-01"', "E\rS", "\rES", "ES\r",
-                 "x" * 140_000]
+                 "x" * 140_000, "y" * (_KEY_BYTES + 1)]
 
 
 def _accepts(kind, cell):
@@ -467,6 +468,20 @@ COLUMN_PARSE_CASES = {
     "short_row": (market_data._FMPI, "OMEL,Q3-07\n", False),
     "long_row": (market_data._FMPI, "OMEL,Q3-07,1,2\n", False),
     "bad_date": (market_data._EVENTS, "2007-01\n", False),
+    # non-float cells are coded by byte keys of at most _KEY_BYTES bytes
+    "crlf_text_last": (market_data._EVENTS, "2007-01-01\r\n2007-01-02\r\n", True),
+    "cell_at_key_bound": (market_data._FMPI, f"OMEL,{'x' * _KEY_BYTES},1\nOMEL,x,2\n", True),
+    "cell_past_key_bound": (market_data._FMPI, f"OMEL,{'x' * (_KEY_BYTES + 1)},1\n", False),
+    "multi_byte_past_key_bound": (market_data._FMPI, f"OMEL,{'é' * (_KEY_BYTES // 2 + 1)},1\n",
+                                  False),
+    "non_ascii_keys": (market_data._FMPI, "OMEL,Ü7,1\nOMEL,日本,2\nOMEL,Ü7,3\n", True),
+    "nul_ended_key": (market_data._FMPI, "OMEL,a,1\nOMEL,a\0,2\n", True),
+    "date_shape_in_text": (market_data._FMPI, "OMEL,2007-01-20,1\nOMEL,2007/01-20,2\n", True),
+    "month_13": (market_data._EVENTS, "2007-01-01\n2007-13-01\n", False),
+    "february_30": (market_data._EVENTS, "2007-02-30\n", False),
+    # date.fromisoformat takes these too, so the per-cell loop does
+    "basic_date": (market_data._EVENTS, "20070101\n2007-01-01\n", True),
+    "week_date": (market_data._EVENTS, "2007-W01-1\n", True),
 }
 
 
@@ -604,7 +619,7 @@ def _write_rows_one_at_a_time(path, table, *blocks, preamble=""):
         w = csv.writer(fh)
         w.writerow(list(table.columns))
         for block in blocks:
-            w.writerows(zip(*[map(fmt, c.tolist() if isinstance(c, np.ndarray) else c)
+            w.writerows(zip(*[map(fmt, c.tolist() if hasattr(c, "tolist") else c)
                               for fmt, c in zip(formats, block)]))
 
 
@@ -640,18 +655,29 @@ def _column(draw, name, kind, n):
     return draw(st.sampled_from([list, tuple]))(values)
 
 
+def _rows_of(column) -> int:
+    return len(column.codes if isinstance(column, market_data._Coded) else column)
+
+
 @st.composite
 def _write_blocks(draw, table):
-    """Blocks of 0-4 rows; a column object may come back in a later block."""
+    """Blocks of 0-4 rows; a column object may come back in a later block.
+
+    A column may be a _Coded of 1-3 values, not all of them used.
+    """
     kinds = list(table.columns.items())
     blocks = []
     for _ in range(draw(st.integers(0, 4))):
         n = draw(st.integers(0, 4))
         block = []
         for j, (name, kind) in enumerate(kinds):
-            earlier = [b[j] for b in blocks if len(b[j]) == n]
+            earlier = [b[j] for b in blocks if _rows_of(b[j]) == n]
             if earlier and draw(st.booleans()):
                 block.append(draw(st.sampled_from(earlier)))
+            elif draw(st.integers(0, 2)) == 0:
+                values = list(draw(_column(name, kind, draw(st.integers(1, 3)))))
+                codes = draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))
+                block.append(market_data._Coded(np.array(codes, dtype=np.int64), values))
             else:
                 block.append(draw(_column(name, kind, n)))
         blocks.append(block)
@@ -689,7 +715,7 @@ def test_write_matches_csv_writer_loop():
                                    mock.Mock(writer=Recording, reader=csv.reader)):
                 market_data._write_table(written, table, *blocks, preamble=preamble)
             assert written.read_bytes() == expected.read_bytes()
-        rows = sum(min(map(len, block), default=0) for block in blocks)
+        rows = sum(min(map(_rows_of, block), default=0) for block in blocks)
         rows_by_path["joined"] += rows - (rows_by_path["csv.writer"] - before)
 
     check()
