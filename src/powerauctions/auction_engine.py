@@ -20,7 +20,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from datetime import date
 from typing import Callable, Protocol
 
@@ -69,12 +69,19 @@ class Strategy(Protocol):
     def offer(self, round_no: int, announced_price: float, last_offer: float) -> float: ...
 
 
-# Each built-in strategy's _block_offers(bidders) gives the offer rule of
-# those bidders over a block of rounds: a function (first, prices, last) ->
-# raw offers, rounds x bidders, where ``first`` is true for a block that
-# starts at round 1, ``prices`` are the block's announced prices and
-# ``last`` the bidders' logged offers before the block. A bidder's offers
-# depend only on its own history, so the whole block has a closed form.
+# Each built-in strategy's _block_offers(bidders, cols) gives the offer rule
+# of those bidders, columns ``cols`` of the auction, over a block of rounds:
+# a function (first, prices, last, raw) that writes their raw offers into
+# raw[:, cols], rounds x bidders. ``first`` is true for a block that starts
+# at round 1, ``prices`` are the block's announced prices and ``last`` every
+# bidder's logged offer before the block. A bidder's offers depend only on
+# its own history, so the whole block has a closed form.
+
+
+def _fields(bidders, *names) -> np.ndarray:
+    """The fields ``names`` of ``bidders`` as floats, one row per name."""
+    return np.array(list(map(operator.attrgetter(*names), bidders)), dtype=float).reshape(
+        len(bidders), len(names)).T
 
 
 @dataclass
@@ -86,9 +93,12 @@ class ConstantSupply:
         return self.quantity
 
     @staticmethod
-    def _block_offers(bidders):
-        q = np.array([b.quantity for b in bidders], dtype=float)
-        return lambda first, prices, last: q
+    def _block_offers(bidders, cols):
+        q, = _fields(bidders, "quantity")
+
+        def offers(first, prices, last, raw):
+            raw[:, cols] = q
+        return offers
 
 
 @dataclass
@@ -102,16 +112,17 @@ class ThresholdExit:
         return self.quantity if announced_price >= self.threshold else self.below_quantity
 
     @staticmethod
-    def _block_offers(bidders):
-        q, threshold, below = (np.array([getattr(b, name) for b in bidders], dtype=float)
-                               for name in ("quantity", "threshold", "below_quantity"))
-        return lambda first, prices, last: np.where(
-            np.array(prices, dtype=float)[:, None] >= threshold, q, below)
+    def _block_offers(bidders, cols):
+        q, threshold, below = _fields(bidders, "quantity", "threshold", "below_quantity")
+
+        def offers(first, prices, last, raw):
+            raw[:, cols] = np.where(np.array(prices, dtype=float)[:, None] >= threshold, q, below)
+        return offers
 
 
 def _draws(active, n: int, draw) -> np.ndarray:
     """``draw(j, n)`` for each active bidder j, as an n x len(active) array."""
-    return np.array([draw(j, n) for j in active]).reshape(len(active), n).T
+    return np.array([draw(j, n) for j in active.tolist()]).reshape(len(active), n).T
 
 
 @dataclass
@@ -133,17 +144,15 @@ class StochasticExit:
         return self.quantity
 
     @staticmethod
-    def _block_offers(bidders):
-        q, p = (np.array([getattr(b, name) for b in bidders], dtype=float)
-                for name in ("quantity", "exit_probability"))
+    def _block_offers(bidders, cols):
+        q, p = _fields(bidders, "quantity", "exit_probability")
         rngs = [b.rng for b in bidders]
 
-        def offers(first, prices, last):
-            raw = np.full((len(prices), q.size), q)
-            active = np.flatnonzero(last)  # a retired bidder draws nothing
+        def offers(first, prices, last, raw):
+            raw[:, cols] = q
+            active = last[cols].nonzero()[0]  # a retired bidder draws nothing
             u = _draws(active, len(prices) - first, lambda j, n: rngs[j].random(n))
-            raw[first:, active] = np.where(u < p[active], 0.0, q[active])
-            return raw
+            raw[first:, cols[active]] = np.where(u < p[active], 0.0, q[active])
         return offers
 
 
@@ -164,23 +173,25 @@ class StochasticShrink:
         return last_offer * self.rng.uniform(self.low, 1.0)
 
     @staticmethod
-    def _block_offers(bidders):
-        q, low = (np.array([getattr(b, name) for b in bidders], dtype=float)
-                  for name in ("quantity", "low"))
+    def _block_offers(bidders, cols):
+        q, low = _fields(bidders, "quantity", "low")
         rngs = [b.rng for b in bidders]
 
-        def offers(first, prices, last):
-            raw = np.zeros((len(prices), len(rngs)))
-            active = np.flatnonzero(last)  # a retired bidder draws nothing
-            factor = np.ones((len(prices), active.size))  # round 1 offers the quantity
-            factor[first:] = _draws(active, len(prices) - first,
-                                    lambda j, n: rngs[j].uniform(low[j], 1.0, n))
+        def offers(first, prices, last, raw):
+            # a retired bidder draws nothing, and its raw offers stay 0
+            active = last[cols].nonzero()[0]
             # with low <= 1 no factor exceeds 1, so an offer is only ever
             # clamped to 0, which retires the bidder: until then each raw
-            # offer is the previous one times its factor
-            start = q[active] if first else last[active]
-            raw[:, active] = np.multiply.accumulate(np.vstack([start, factor]))[1:]
-            return raw
+            # offer is the previous one times its factor. Round 1 offers the
+            # quantity; the first factor of a later block multiplies the last offer.
+            steps = np.empty((len(prices), active.size))
+            steps[first:] = _draws(active, len(prices) - first,
+                                   lambda j, n: rngs[j].uniform(low[j], 1.0, n))
+            if first:
+                steps[0] = q[active]
+            else:
+                steps[0] *= last[cols[active]]
+            raw[:, cols[active]] = np.multiply.accumulate(steps)
         return offers
 
 
@@ -245,92 +256,128 @@ class AuctionOutcome:
     undershoot_resolved: bool = False
 
 
-def _resolve_undershoot(config, prev_offers, final_offers):
+def _resolve_undershoot(config, bidder_ids, prev, final):
     """Clear at the previous round's price, restoring final-round reductions.
 
+    ``prev`` and ``final`` are the offer arrays of the last two rounds.
     prorata: every bidder's reduction is scaled by the common factor that
     makes awards sum to the target. priority: reductions are restored whole,
     in descending previous-offer order (ties by bidder id), the last one
-    partially.
+    partially. Every sum is Python's left-to-right one.
     """
     target = config.target_quantity
-    shortfall = target - sum(final_offers.values())
-    reductions = {b: prev_offers[b] - q for b, q in final_offers.items()}
-    total_reduction = sum(reductions.values())
-    awards = dict(final_offers)
+    shortfall = target - sum(final.tolist())
     if config.undershoot_policy == "previous_price_prorata":
-        scale = shortfall / total_reduction
-        for b, r in reductions.items():
-            awards[b] = final_offers[b] + r * scale
+        reductions = prev - final
+        awards = (final + reductions * (shortfall / sum(reductions.tolist()))).tolist()
     else:
-        remaining = shortfall
-        by_priority = sorted(final_offers, key=lambda b: (-prev_offers[b], b))
-        for b in by_priority:
-            give = min(reductions[b], remaining)
-            awards[b] = final_offers[b] + give
+        awards, prev_l, remaining = final.tolist(), prev.tolist(), shortfall
+        for _, _, i in sorted(zip((-prev).tolist(), bidder_ids, range(len(awards)))):
+            give = min(prev_l[i] - awards[i], remaining)
+            awards[i] += give
             remaining -= give
             if remaining <= 0:
                 break
-    # exact conservation regardless of float rounding above
-    drift = target - sum(awards.values())
-    if awards:
-        largest = max(awards, key=lambda b: (awards[b], b))
-        awards[largest] += drift
-    return {b: q for b, q in awards.items() if q > 0}
+    # exact conservation regardless of float rounding above: the drift goes
+    # to the largest award, ties by bidder id
+    top = max(awards)
+    largest = awards.index(top) if awards.count(top) == 1 else max(
+        (i for i, q in enumerate(awards) if q == top), key=bidder_ids.__getitem__)
+    awards[largest] += target - sum(awards)
+    return {b: q for b, q in zip(bidder_ids, awards) if q > 0}
 
 
 def _split_bidders(strategies, exact_prices: bool):
-    """Columns and block rules of the bidders priced a block of rounds at a
-    time, by type, and the columns of the bidders called per round.
+    """The block rules of the bidders priced a block of rounds at a time, one
+    per type, and the columns of the bidders called per round.
 
-    Only the exact built-in types with exact numeric fields go into blocks.
-    A bidder whose strategy object or generator is also held by another
-    bidder stays per call: drawing its block at once would change the draws
-    the other sees. A ThresholdExit needs exact prices to compare.
+    Only the exact built-in types with exact numeric fields (a float, or an
+    int that a float holds exactly, so that float64 arithmetic on it is
+    Python's) go into blocks. A bidder whose strategy object or generator is
+    also held by another bidder stays per call: drawing its block at once
+    would change the draws the other sees. A ThresholdExit needs exact
+    prices to compare.
     """
-    held = Counter(map(id, strategies))
-    for s in strategies:
-        if type(s) in (StochasticExit, StochasticShrink):
-            held[id(s.rng)] += 1
-        elif type(s) not in _BLOCK_TYPES:
-            held.update(map(id, getattr(s, "__dict__", {}).values()))
-
-    def in_block(s) -> bool:
-        fields = vars(s)
-        if held[id(s)] > 1 or not all(_exact(v) for k, v in fields.items() if k != "rng"):
-            return False
-        if "rng" in fields and (type(s.rng) is not np.random.Generator or held[id(s.rng)] > 1):
-            return False
-        if type(s) is ThresholdExit:
-            return exact_prices
-        if type(s) is StochasticShrink:
-            return s.low <= 1  # numpy raises at a draw from uniform(low > 1, 1.0)
-        return True
-
-    by_type = {t: [] for t in _BLOCK_TYPES}
+    held = list(map(id, strategies))  # the ids of the objects each bidder holds
+    by_type = {t: [] for t in _BLOCK_TYPES if exact_prices or t is not ThresholdExit}
+    shrink = by_type[StochasticShrink]
     per_call = []
     for i, s in enumerate(strategies):
-        (by_type[type(s)] if type(s) in by_type and in_block(s) else per_call).append(i)
-    blocks = [(np.array(cols), t._block_offers([strategies[i] for i in cols]))
+        cols = by_type.get(type(s))
+        if cols is not None:
+            fields = s.__dict__
+            rng = fields.get("rng", s)  # s: no generator
+            for v in fields.values():
+                if not (type(v) is float or v is rng
+                        or type(v) is int and -_EXACT_INT <= v <= _EXACT_INT):
+                    break
+            else:
+                # numpy raises at a draw from uniform(low > 1, 1.0)
+                if (rng is s or type(rng) is np.random.Generator) and (
+                        cols is not shrink or s.low <= 1):
+                    cols.append(i)
+                    if rng is not s:
+                        held.append(id(rng))
+                    continue
+        held += map(id, getattr(s, "__dict__", {}).values())
+        per_call.append(i)
+    if len(set(held)) < len(held):  # an object held twice: its bidders go per call
+        count = Counter(held)
+
+        def alone(s) -> bool:
+            return count[id(s)] == 1 and count[id(vars(s).get("rng", s))] == 1
+        for t, cols in by_type.items():
+            per_call += [i for i in cols if not alone(strategies[i])]
+            by_type[t] = [i for i in cols if alone(strategies[i])]
+        per_call.sort()
+    blocks = [t._block_offers([strategies[i] for i in cols], np.array(cols))
               for t, cols in by_type.items() if cols]
     return blocks, per_call
 
 
-def _clamp(raw, last):
-    """Logged offers, clamp flags and non-finite flags of a block of rounds.
+def _clamp(raw, last, bounds):
+    """Logged offers, clamp flags and non-finite flags (None if there are
+    none) of a block of rounds.
 
     A bidder is asked while its previous offer is not 0, and an asked offer
     outside [0, previous] is clamped into it: the logged offers are a
     running minimum of max(raw, 0) from ``last``, and 0.0 once retired.
+    ``bounds`` is a buffer of at least one row more than ``raw`` to hold it.
     """
-    nonneg = raw >= 0.0
-    bounds = np.minimum.accumulate(np.vstack([last, np.where(nonneg, raw, 0.0)]))
-    prev = bounds[:-1]
-    asked = prev != 0.0
+    bounds = bounds[:len(raw) + 1]
+    bounds[0] = last
+    bounds[1:] = np.where(raw >= 0.0, raw, 0.0)
+    np.minimum.accumulate(bounds, out=bounds)
+    asked = bounds[:-1] != 0.0
     offers = np.where(asked, bounds[1:], 0.0)
-    return offers, asked & ~(nonneg & (raw <= prev)), asked & ~np.isfinite(raw)
+    # an asked offer in [0, previous] is logged as it is
+    clamped = asked & (offers != raw)
+    finite = np.isfinite(raw)
+    return offers, clamped, None if finite.all() else asked & ~finite
 
 
+def _valid_prefix(candidates, prev_price, round_no):
+    """The announced prices up to the first bad one, and the error it raises
+    (None if every price is good)."""
+    for r, price in enumerate(candidates, round_no):
+        if prev_price is not None and price >= prev_price:
+            return candidates[:r - round_no], AuctionError(
+                f"announced prices must strictly decrease (round {r}: {price} >= {prev_price})")
+        if not price > 0:
+            return candidates[:r - round_no], AuctionError(
+                f"announced price must be positive (round {r}: {price})")
+        prev_price = price
+    return candidates, None
+
+
+def _check_ids(bidder_ids, n: int, error: type[Exception], where: str = "") -> None:
+    if len(bidder_ids) != n:
+        raise error(f"{where}{len(bidder_ids)} bidder ids for {n} strategies")
+    if len(bidder_ids) != len(set(bidder_ids)):
+        raise error(f"{where}bidder ids must be unique")
+
+
+@np.errstate(all="ignore")  # inf and nan arise as in Python floats, silently
 def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
                          bidder_ids: list[str] | None = None) -> AuctionOutcome:
     """Run one deterministic descending-clock auction.
@@ -346,16 +393,14 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
     their closed forms; any other strategy is called per round, in bidder
     order and only while active, and then (as with a ``price_schedule``)
     the clock advances one round at a time. A random bidder's generator may
-    end up to one block past its last used draw.
+    end up to one block past its last used draw. Strategies are called with
+    numpy's floating-point errors ignored.
     """
     if not strategies:
         raise AuctionError("at least one strategy required")
     if bidder_ids is None:
         bidder_ids = [f"B{i + 1}" for i in range(len(strategies))]
-    if len(bidder_ids) != len(strategies):
-        raise AuctionError(f"{len(bidder_ids)} bidder ids for {len(strategies)} strategies")
-    if len(bidder_ids) != len(set(bidder_ids)):
-        raise AuctionError("bidder ids must be unique")
+    _check_ids(bidder_ids, len(strategies), AuctionError)
     # an exact fixed tick is computed a block at a time, as Python would
     tick = (config.price_schedule is None and _exact(config.opening_price)
             and _exact(config.price_decrement))
@@ -364,38 +409,32 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
     target = config.target_quantity
     n = len(strategies)
     last = np.full(n, math.inf)
+    bounds = np.empty((step + 1, n))
     prices: list = []  # as price_for_round returns them: an int tick logs ints
     offer_log, clamp_log, aggregates = [], [], []
 
     while len(prices) < config.max_rounds:
         round_no = len(prices) + 1
-        k = int(min(step, config.max_rounds - len(prices)))
         if step == BLOCK:
-            rounds = np.arange(round_no - 1, round_no - 1 + k)
-            candidates = (config.opening_price - rounds * config.price_decrement).tolist()
+            k = int(min(step, config.max_rounds - len(prices)))
+            grid = config.opening_price - np.arange(round_no - 1, round_no - 1 + k) * (
+                config.price_decrement)
+            candidates = grid.tolist()
+            # prices that fall strictly and end above 0 are all good
+            valid = (grid[-1] > 0 and (grid[1:] < grid[:-1]).all()
+                     and (not prices or candidates[0] < prices[-1]))
         else:
-            candidates = [config.price_for_round(round_no)]
+            candidates, valid = [config.price_for_round(round_no)], False
         # a bad price ends the block, and raises unless the auction closes before it
-        price_error, block_prices = None, []
-        prev_price = prices[-1] if prices else None
-        for r, price in enumerate(candidates, round_no):
-            if prev_price is not None and price >= prev_price:
-                price_error = AuctionError(
-                    f"announced prices must strictly decrease (round {r}: {price} >= {prev_price})")
-                break
-            if not price > 0:
-                price_error = AuctionError(f"announced price must be positive (round {r}: {price})")
-                break
-            block_prices.append(price)
-            prev_price = price
+        block_prices, price_error = (candidates, None) if valid else _valid_prefix(
+            candidates, prices[-1] if prices else None, round_no)
         if not block_prices:
             raise price_error
         raw = np.zeros((len(block_prices), n))
-        with np.errstate(all="ignore"):  # inf and nan arise as in Python floats, silently
-            for cols, block_offers in blocks:
-                raw[:, cols] = block_offers(round_no == 1, block_prices, last[cols])
+        for block_offers in blocks:
+            block_offers(round_no == 1, block_prices, last, raw)
         if per_call:  # one round: called in bidder order, up to a bad block offer
-            bad = np.flatnonzero((last != 0.0) & ~np.isfinite(raw[0]))
+            bad = ((last != 0.0) & ~np.isfinite(raw[0])).nonzero()[0]
             stop = bad[0] if bad.size else n
             lasts = last.tolist()
             for i in per_call:
@@ -408,15 +447,14 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
                     raise AuctionError(
                         f"non-finite offer {q} from bidder {bidder_ids[i]} in round {round_no}")
                 raw[0, i] = q
-        offers, clamped, bad = _clamp(raw, last)
+        offers, clamped, bad = _clamp(raw, last, bounds)
         # a left-to-right sum like Python's sum over the offers; sum starts
         # from 0, so + 0.0 turns an all -0.0 round into 0.0
-        with np.errstate(over="ignore"):
-            block_aggregates = (np.cumsum(offers, axis=1)[:, -1] + 0.0).tolist()
+        block_aggregates = (np.cumsum(offers, axis=1)[:, -1] + 0.0).tolist()
         # offers never rise, so neither do the aggregates: bisect for the close
         t = bisect.bisect_left(block_aggregates, -target, key=operator.neg)
-        bad_rounds = np.flatnonzero(bad.any(axis=1))
-        if bad_rounds.size and bad_rounds[0] <= t:
+        bad_rounds = () if bad is None else bad.any(axis=1).nonzero()[0]
+        if len(bad_rounds) and bad_rounds[0] <= t:
             t = int(bad_rounds[0])
             j = int(np.argmax(bad[t]))
             raise AuctionError(f"non-finite offer {raw[t, j].item()} from bidder "
@@ -431,15 +469,14 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
         offer_log.append(offers[:end])
         clamp_log.append(clamped[:end])
         if done:
-            final = dict(zip(bidder_ids, offers[t].tolist()))
             log = RoundLog(bidder_ids, prices, np.concatenate(offer_log), aggregates,
                            np.concatenate(clamp_log))
             if block_aggregates[t] == target:
-                return AuctionOutcome(clearing_price=prices[-1],
-                                      awards={b: q for b, q in final.items() if q > 0},
+                awards = {b: q for b, q in zip(bidder_ids, offers[t].tolist()) if q > 0}
+                return AuctionOutcome(clearing_price=prices[-1], awards=awards,
                                       rounds_used=len(prices), round_log=log)
-            before = offers[t - 1] if t else last
-            awards = _resolve_undershoot(config, dict(zip(bidder_ids, before.tolist())), final)
+            awards = _resolve_undershoot(config, bidder_ids, offers[t - 1] if t else last,
+                                         offers[t])
             return AuctionOutcome(clearing_price=prices[-2], awards=awards,
                                   rounds_used=len(prices), round_log=log,
                                   undershoot_resolved=True)
@@ -450,6 +487,120 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
         f"max rounds ({config.max_rounds}) exhausted without closing; "
         f"final aggregate {aggregates[-1]} vs target {target}"
     )
+
+
+# --- scenarios ---------------------------------------------------------------
+
+
+@dataclass
+class _Scenario:
+    """The top level of a ``simulate --scenario`` file."""
+    config: dict
+    strategies: list
+    bidder_ids: list | None = None
+
+
+_STRATEGY_KINDS = {"constant": ConstantSupply, "threshold_exit": ThresholdExit,
+                  "stochastic_exit": StochasticExit, "stochastic_shrink": StochasticShrink}
+# A scenario's keys are the fields of these dataclasses whose type is one of
+# _JSON_TYPES. A JSON number passes as it is (an int stays an int);
+# true/false is no number.
+_NUMBER = (int, float)
+_JSON_TYPES = {"float": _NUMBER, "int": (int,), "str": (str,), "dict": (dict,),
+               "list": (list,), "list | None": (list, type(None))}
+
+
+def _schema(cls) -> tuple[dict, list, bool]:
+    """``cls``'s keys -> accepted types, its required keys in field order,
+    and whether it draws (has an ``rng`` field)."""
+    fields = cls.__dataclass_fields__
+    accepted = {name: _JSON_TYPES[f.type] for name, f in fields.items() if f.type in _JSON_TYPES}
+    return (accepted, [name for name in accepted if fields[name].default is MISSING],
+            "rng" in fields)
+
+
+_SCHEMAS = {cls: _schema(cls) for cls in (_Scenario, ClockAuctionConfig, *_STRATEGY_KINDS.values())}
+
+
+def _where(where) -> str:
+    return where if isinstance(where, str) else f"strategies[{where}]"
+
+
+def _from_json(cls, spec, where, seed=None):
+    """Build dataclass ``cls`` from the JSON object ``spec``, naming the first
+    bad key in ``spec``'s order, else the first missing field.
+
+    ``where`` is the spec's name, or a strategy's index. An ``rng`` field
+    gets a generator seeded from ``seed``.
+    """
+    if not isinstance(spec, dict):
+        raise MarketDataError(f"{_where(where)}: expected dict, got {spec!r}")
+    accepted, required, draws = _SCHEMAS[cls]
+    for key, value in spec.items():
+        types = accepted.get(key)
+        if types is None:
+            raise MarketDataError(f"{_where(where)}.{key}: unknown field")
+        if not isinstance(value, types) or type(value) is bool:
+            raise MarketDataError(f"{_where(where)}.{key}: expected "
+                                  f"{cls.__dataclass_fields__[key].type}, got {value!r}")
+        if types is _NUMBER and type(value) is not float:
+            try:
+                float(value)
+            except OverflowError:
+                raise MarketDataError(
+                    f"{_where(where)}.{key}: integer too large for a float") from None
+    if len(spec) < len(accepted):
+        for name in required:
+            if name not in spec:
+                raise MarketDataError(f"{_where(where)}.{name}: missing")
+    return cls(**spec, rng=np.random.default_rng(seed)) if draws else cls(**spec)
+
+
+def build_scenario(scenario: dict, seed: int | None):
+    """Instantiate (config, strategies, bidder_ids) from a scenario dict.
+
+    Each strategy's ``kind`` names its class; the random strategy at index
+    i gets a generator seeded by child i of ``SeedSequence(seed).spawn(n)``.
+    A malformed scenario raises ``MarketDataError`` naming the bad key.
+    """
+    top = _from_json(_Scenario, scenario, "scenario")
+    ids = top.bidder_ids
+    if ids is not None:
+        if not all(isinstance(b, str) for b in ids):
+            raise MarketDataError(f"scenario.bidder_ids: expected str ids, got {ids!r}")
+        _check_ids(ids, len(top.strategies), MarketDataError, "scenario.bidder_ids: ")
+    config = _from_json(ClockAuctionConfig, top.config, "config")
+    root = np.random.SeedSequence(seed)
+    strategies = []
+    for i, spec in enumerate(top.strategies):
+        if not isinstance(spec, dict):
+            raise MarketDataError(f"strategies[{i}]: expected dict, got {spec!r}")
+        kind = spec.get("kind")
+        cls = _STRATEGY_KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise MarketDataError(f"strategies[{i}].kind: unknown strategy kind {kind!r}")
+        fields = spec.copy()
+        del fields["kind"]
+        # child i of root.spawn(n), built only for the bidders that draw
+        strategies.append(_from_json(cls, fields, i, np.random.SeedSequence(
+            root.entropy, spawn_key=(i,), pool_size=root.pool_size)
+            if _SCHEMAS[cls][2] else None))
+    return config, strategies, ids
+
+
+def outcome_to_dict(outcome) -> dict:
+    return {
+        "clearing_price": outcome.clearing_price,
+        "awards": dict(sorted(outcome.awards.items())),
+        "rounds_used": outcome.rounds_used,
+        "undershoot_resolved": outcome.undershoot_resolved,
+        "round_log": [
+            {"round": e.round_no, "announced_price": e.announced_price,
+             "offers": dict(sorted(e.offers.items())), "aggregate": e.aggregate,
+             "clamped": sorted(e.clamped)}
+            for e in outcome.round_log
+        ],
+    }
 
 
 # --- settlement --------------------------------------------------------------

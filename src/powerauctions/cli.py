@@ -8,16 +8,18 @@ A plain-text config file of ``key=value`` lines can replace flags; flags
 win on conflict.
 
 Each subcommand imports the modules it runs when it runs, so a process pays
-only for its own: ``ingest`` needs nothing beyond ``market_data``.
+only for its own: ``ingest`` needs nothing beyond ``market_data``. The
+scenario schema (``build_scenario``, ``outcome_to_dict``) lives in
+``auction_engine``; those names resolve here too, loading it on first use.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,10 +73,6 @@ def _json_file(path: Path, payload: dict):
     return write
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _json_file(path, payload)()
-
-
 def _write_artifact(path: Path, args, table, *columns) -> None:
     """Write one CSV artifact: the metadata lines, then ``table`` with ``columns``."""
     meta = _metadata(args)
@@ -87,27 +85,25 @@ def _write_artifact(path: Path, args, table, *columns) -> None:
 
 
 def _cmd_ingest(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # the input is read and checked before --out is made
     if args.kind == "spot":
         series_by_zone = load_spot_csv_multi(args.input)
         count = sum(len(s) for s in series_by_zone.values())
-        for zone, series in series_by_zone.items():
-            write_spot_csv(out / f"spot_{zone.market}_{zone.zone}.csv", series)
-    elif args.kind == "futures":
-        series = load_futures_csv(args.input)
-        count = sum(len(s) for s in series)
-        write_futures_csv(out / "futures.csv", series)
-    elif args.kind == "auctions":
-        records = load_auctions_csv(args.input)
-        count = len(records)
-        write_auctions_csv(out / "auctions.csv", records)
+        writes = [(write_spot_csv, f"spot_{zone.market}_{zone.zone}.csv", series)
+                  for zone, series in series_by_zone.items()]
     else:
-        costs = load_costs_csv(args.input)
-        count = len(costs)
-        write_costs_csv(out / "costs.csv", costs)
-    _write_json(out / "ingest_summary.json",
-                {"metadata": _metadata(args), "kind": args.kind, "rows_accepted": count})
+        load, write = {"futures": (load_futures_csv, write_futures_csv),
+                       "auctions": (load_auctions_csv, write_auctions_csv),
+                       "costs": (load_costs_csv, write_costs_csv)}[args.kind]
+        data = load(args.input)
+        count = sum(map(len, data)) if args.kind == "futures" else len(data)
+        writes = [(write, f"{args.kind}.csv", data)]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for write, name, data in writes:
+        write(out / name, data)
+    _json_file(out / "ingest_summary.json",
+               {"metadata": _metadata(args), "kind": args.kind, "rows_accepted": count})()
     print(f"ingest ok kind={args.kind} rows={count}")
     return EXIT_OK
 
@@ -152,26 +148,33 @@ def _premium_rows(args) -> list:
     return rows
 
 
-def _aggregates(rows) -> dict:
-    from .premiums import yearly_aggregate
+def _cmd_report(args) -> int:
+    """``report``, and ``premium``: the same premiums.csv, with the aggregates alone."""
+    from .premiums import distribution_stats, equality_of_means, yearly_aggregate
 
-    return dataclasses.asdict(yearly_aggregate(rows))
-
-
-def _emit_premium_table(rows, args, out_dir: Path, json_name: str, payload: dict) -> None:
-    """Write premiums.csv, then ``payload`` as ``json_name``, once both can be written."""
-    write_json = _json_file(out_dir / json_name, payload)
+    rows = _premium_rows(args)
+    report = {"metadata": _metadata(args),
+              "aggregates": dataclasses.asdict(yearly_aggregate(rows))}
+    json_name = "premium_summary.json"
+    if args.command == "report":
+        json_name = "report.json"
+        premiums = [r.premium for r in rows]
+        if len(premiums) >= 4:
+            report["premium_distribution"] = dataclasses.asdict(distribution_stats(premiums))
+        by_group: dict[str, list[float]] = {}
+        for r in rows:
+            by_group.setdefault(r.group, []).append(r.premium)
+        if len(by_group) >= 2 and all(len(v) >= 2 for v in by_group.values()):
+            report["equality_of_means"] = [
+                {"a": c.label_a, "b": c.label_b, "t": c.t_stat, "dof": c.dof, "p": c.p_value}
+                for c in equality_of_means(by_group)
+            ]
+    write_json = _json_file(Path(args.out) / json_name, report)
     # the table's columns are named after PremiumRow's fields
-    _write_artifact(out_dir / "premiums.csv", args, _PREMIUMS,
+    _write_artifact(Path(args.out) / "premiums.csv", args, _PREMIUMS,
                     *([getattr(r, name) for r in rows] for name in _PREMIUMS.columns))
     write_json()
-
-
-def _cmd_premium(args) -> int:
-    rows = _premium_rows(args)
-    _emit_premium_table(rows, args, Path(args.out), "premium_summary.json",
-                        {"metadata": _metadata(args), "aggregates": _aggregates(rows)})
-    print(f"premium ok rows={len(rows)}")
+    print(f"{args.command} ok rows={len(rows)}")
     return EXIT_OK
 
 
@@ -183,7 +186,7 @@ def _cmd_fmpi(args) -> int:
     payload = {"metadata": _metadata(args), "strip_value": value,
                "annual_rate": args.rate, "n_prices": len(prices)}
     if args.out:
-        _write_json(Path(args.out), payload)
+        _json_file(Path(args.out), payload)()
     print(json.dumps({"strip_value": value}, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
@@ -262,112 +265,24 @@ def _cmd_regress(args) -> int:
     payload = dataclasses.asdict(result)
     payload["coefficients"] = {c.pop("name"): c for c in payload["coefficients"]}
     payload["metadata"] = _metadata(args)
-    _write_json(Path(args.out), payload)
+    _json_file(Path(args.out), payload)()
     print(f"regress ok n={result.n} k={result.k} r2={result.r_squared:.4f}")
     return EXIT_OK
 
 
-@functools.cache
-def _scenario_types() -> tuple[type, type, dict[str, type]]:
-    """The scenario's own type, ClockAuctionConfig and the class of each strategy ``kind``.
+def __getattr__(name: str):
+    """``build_scenario`` and ``outcome_to_dict``, which live next to the clock
+    engine: the first use loads it, so a run that does not simulate never does."""
+    if name not in ("build_scenario", "outcome_to_dict"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import auction_engine
 
-    Built and imported on the first call, so only a run that builds a
-    scenario loads the clock engine, and later calls pay no import statement.
-    """
-    from .auction_engine import (ClockAuctionConfig, ConstantSupply, StochasticExit,
-                                 StochasticShrink, ThresholdExit)
-
-    @dataclasses.dataclass
-    class Scenario:
-        config: dict
-        strategies: list
-        bidder_ids: list | None = None
-
-    return Scenario, ClockAuctionConfig, {
-        "constant": ConstantSupply, "threshold_exit": ThresholdExit,
-        "stochastic_exit": StochasticExit, "stochastic_shrink": StochasticShrink}
-
-
-# The scenario keys are the dataclass fields of these types. A JSON number
-# passes as it is (an int stays an int); true/false is no number.
-_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "dict": (dict,),
-               "list": (list,), "list | None": (list, type(None))}
-
-
-def _check_json(where: str, value, expected: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[expected]):
-        raise MarketDataError(f"{where}: expected {expected}, got {value!r}")
-    if expected == "float":
-        try:
-            float(value)
-        except OverflowError:
-            raise MarketDataError(f"{where}: integer too large for a float") from None
-
-
-def _from_json(cls, spec, where: str, seed=None):
-    """Build dataclass ``cls`` from the JSON object ``spec``, naming any bad key.
-
-    Keys are ``cls``'s fields of a ``_JSON_TYPES`` type, those without default
-    required; an ``rng`` field gets a generator seeded from ``seed``.
-    """
-    _check_json(where, spec, "dict")
-    fields = cls.__dataclass_fields__  # name -> Field; dataclasses.fields() costs a tuple
-    for key, value in spec.items():
-        if key not in fields or fields[key].type not in _JSON_TYPES:
-            raise MarketDataError(f"{where}.{key}: unknown field")
-        _check_json(f"{where}.{key}", value, fields[key].type)
-    for name, f in fields.items():
-        if f.type in _JSON_TYPES and f.default is dataclasses.MISSING and name not in spec:
-            raise MarketDataError(f"{where}.{name}: missing")
-    extra = {"rng": np.random.default_rng(seed)} if "rng" in fields else {}
-    return cls(**spec, **extra)
-
-
-def build_scenario(scenario: dict, seed: int | None):
-    """Instantiate (config, strategies, bidder_ids) from a scenario dict.
-
-    Each strategy's ``kind`` names its class; the random strategy at index i
-    gets a generator seeded by child i of ``SeedSequence(seed).spawn(n)``.
-    """
-    scenario_type, config_type, strategy_types = _scenario_types()
-    top = _from_json(scenario_type, scenario, "scenario")
-    if top.bidder_ids is not None and not all(isinstance(b, str) for b in top.bidder_ids):
-        raise MarketDataError(f"scenario.bidder_ids: expected str ids, got {top.bidder_ids!r}")
-    config = _from_json(config_type, top.config, "config")
-    root = np.random.SeedSequence(seed)
-    strategies = []
-    for i, spec in enumerate(top.strategies):
-        where = f"strategies[{i}]"
-        _check_json(where, spec, "dict")
-        kind = spec.get("kind")
-        if kind not in strategy_types:
-            raise MarketDataError(f"{where}.kind: unknown strategy kind {kind!r}")
-        cls = strategy_types[kind]
-        # child i of root.spawn(n), built only for the bidders that draw
-        ss = (np.random.SeedSequence(root.entropy, spawn_key=(i,), pool_size=root.pool_size)
-              if "rng" in cls.__dataclass_fields__ else None)
-        fields = {k: v for k, v in spec.items() if k != "kind"}
-        strategies.append(_from_json(cls, fields, where, ss))
-    return config, strategies, top.bidder_ids
-
-
-def outcome_to_dict(outcome) -> dict:
-    return {
-        "clearing_price": outcome.clearing_price,
-        "awards": dict(sorted(outcome.awards.items())),
-        "rounds_used": outcome.rounds_used,
-        "undershoot_resolved": outcome.undershoot_resolved,
-        "round_log": [
-            {"round": e.round_no, "announced_price": e.announced_price,
-             "offers": dict(sorted(e.offers.items())), "aggregate": e.aggregate,
-             "clamped": sorted(e.clamped)}
-            for e in outcome.round_log
-        ],
-    }
+    value = globals()[name] = getattr(auction_engine, name)
+    return value
 
 
 def _cmd_simulate(args) -> int:
-    from .auction_engine import run_descending_clock
+    from .auction_engine import build_scenario, outcome_to_dict, run_descending_clock
 
     if args.seed < 0:
         raise UsageError(f"argument --seed: expected a non-negative integer, got {args.seed}")
@@ -382,30 +297,8 @@ def _cmd_simulate(args) -> int:
     outcome = run_descending_clock(config, strategies, bidder_ids)
     payload = {"metadata": {**_metadata(args), "seed": args.seed},
                "outcome": outcome_to_dict(outcome)}
-    _write_json(Path(args.out), payload)
+    _json_file(Path(args.out), payload)()
     print(f"simulate ok price={outcome.clearing_price} rounds={outcome.rounds_used}")
-    return EXIT_OK
-
-
-def _cmd_report(args) -> int:
-    from .premiums import distribution_stats, equality_of_means
-
-    rows = _premium_rows(args)
-    premiums = [r.premium for r in rows]
-    report = {"metadata": _metadata(args), "aggregates": _aggregates(rows)}
-    if len(premiums) >= 4:
-        st = distribution_stats(premiums)
-        report["premium_distribution"] = dataclasses.asdict(st)
-    by_group: dict[str, list[float]] = {}
-    for r in rows:
-        by_group.setdefault(r.group, []).append(r.premium)
-    if len(by_group) >= 2 and all(len(v) >= 2 for v in by_group.values()):
-        report["equality_of_means"] = [
-            {"a": c.label_a, "b": c.label_b, "t": c.t_stat, "dof": c.dof, "p": c.p_value}
-            for c in equality_of_means(by_group)
-        ]
-    _emit_premium_table(rows, args, Path(args.out), "report.json", report)
-    print(f"report ok rows={len(rows)}")
     return EXIT_OK
 
 
@@ -436,7 +329,7 @@ def _build_parser() -> _CliParser:
 
     p = sub.add_parser("premium")
     _add_premium_inputs(p)
-    p.set_defaults(func=_cmd_premium)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("fmpi")
     p.add_argument("--prices", required=True)
@@ -545,6 +438,9 @@ def _numeric_errors() -> tuple[type[Exception], ...]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
+    # a warning is shown as one line, without the source line that raised it
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_, **__: f"warning: {message}\n"
     try:
         argv = _apply_config_file(argv, parser.commands)
         args = parser.parse_args(argv)
@@ -558,6 +454,8 @@ def main(argv: list[str] | None = None) -> int:
     except _numeric_errors() as exc:
         print(f"error code={EXIT_NUMERIC} reason={exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

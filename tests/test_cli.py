@@ -338,9 +338,23 @@ def test_bad_scenario_field_is_data_error(scenario, data):
     ({"config": {"target_quantity": 10, "opening_price": -10 ** 400},
       "strategies": [{"kind": "constant", "quantity": 12}]},
      "config.opening_price: integer too large for a float"),
+    # a kind that cannot be a dict key used to end in a TypeError traceback
+    ({"config": {"target_quantity": 10, "opening_price": 100},
+      "strategies": [{"kind": [1], "quantity": 12}]},
+     "strategies[0].kind: unknown strategy kind [1]"),
+    ({"config": {"target_quantity": 10, "opening_price": 100},
+      "strategies": [{"kind": {}, "quantity": 12}]},
+     "strategies[0].kind: unknown strategy kind {}"),
+    ({"config": {"target_quantity": 10, "opening_price": 100},
+      "strategies": [{"kind": "constant", "quantity": 12}], "bidder_ids": ["A", "B"]},
+     "scenario.bidder_ids: 2 bidder ids for 1 strategies"),
+    ({"config": {"target_quantity": 10, "opening_price": 100},
+      "strategies": [{"kind": "constant", "quantity": 12}] * 2, "bidder_ids": ["A", "A"]},
+     "scenario.bidder_ids: bidder ids must be unique"),
 ], ids=["string_target", "strategy_without_quantity", "float_max_rounds", "unknown_kind",
         "strategies_not_a_list", "no_config", "unknown_top_level_key", "int_bidder_id",
-        "not_an_object", "huge_quantity", "huge_opening_price"])
+        "not_an_object", "huge_quantity", "huge_opening_price", "list_kind", "dict_kind",
+        "bidder_id_count", "repeated_bidder_id"])
 def test_malformed_scenario_file_is_data_error(tmp_path, capsys, scenario, reason):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(scenario))
@@ -456,6 +470,17 @@ class TestEventStudyCommand:
         assert capsys.readouterr().err == f"error code=2 reason={futures}: no contracts\n"
         assert not out.exists()
 
+    def test_empty_input_warning_is_one_line(self, tmp_path):
+        futures = tmp_path / "empty.csv"
+        futures.write_text("contract_id,market,zone,date,settle,volume,open_interest\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(powerauctions.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-m", "powerauctions.cli", "activity", "--futures",
+                              str(futures), "--measure", "r1", "--out", str(tmp_path / "out")],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr.splitlines() == [f"warning: {futures}: no data rows",
+                                           f"error code=2 reason={futures}: no contracts"]
+
     def test_activity_command(self, tmp_path, futures_fixture):
         futures, _ = futures_fixture
         out = tmp_path / "out"
@@ -553,6 +578,14 @@ class TestErrorsAndConfig:
         assert rc == 0
         summary = json.loads((out / "ingest_summary.json").read_text())
         assert summary["rows_accepted"] == 2
+
+    def test_failed_ingest_creates_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("market,zone,day,price\nOMEL,ES,2007-07-01,50\n")
+        out = tmp_path / "norm"
+        assert main(["ingest", "--kind", "spot", "--input", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error code=2 reason=")
+        assert not out.exists()
 
     def test_config_flag_without_value_is_usage_error(self, capsys):
         rc = main(["premium", "--config"])
@@ -828,6 +861,20 @@ def test_cli_import_leaves_scipy_stats_out(module):
     env = dict(os.environ, PYTHONPATH=str(Path(powerauctions.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", "import powerauctions.cli, sys; "
                     f"assert {module!r} not in sys.modules"], env=env, check=True)
+
+
+def test_cli_import_leaves_the_engine_out():
+    # the scenario schema lives in auction_engine; cli loads it on first use
+    env = dict(os.environ, PYTHONPATH=str(Path(powerauctions.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", "import sys; import powerauctions.cli as cli; "
+                    "loaded = {'powerauctions.auction_engine', 'scipy'} & set(sys.modules); "
+                    "assert not loaded, loaded; "
+                    "build, to_dict = cli.build_scenario, cli.outcome_to_dict; "
+                    "from powerauctions import auction_engine; "
+                    "assert build is auction_engine.build_scenario; "
+                    "assert to_dict is auction_engine.outcome_to_dict"], env=env, check=True)
+    with pytest.raises(AttributeError, match="has no attribute 'nonsense'"):
+        importlib.import_module("powerauctions.cli").nonsense  # noqa: B018
 
 
 # the powerauctions modules a subcommand may load besides cli and market_data
