@@ -33,6 +33,9 @@ class AuctionError(RuntimeError):
     """Auction cannot proceed: bad configuration or no feasible close."""
 
 
+_UNDERSHOOT_POLICIES = ("previous_price_prorata", "previous_price_priority")
+
+
 @dataclass(frozen=True)
 class ClockAuctionConfig:
     target_quantity: float
@@ -53,7 +56,7 @@ class ClockAuctionConfig:
             raise AuctionError("price decrement must be positive")
         if not (isinstance(self.max_rounds, (int, np.integer)) and self.max_rounds >= 1):
             raise AuctionError(f"max rounds must be an integer >= 1, got {self.max_rounds!r}")
-        if self.undershoot_policy not in ("previous_price_prorata", "previous_price_priority"):
+        if self.undershoot_policy not in _UNDERSHOOT_POLICIES:
             raise AuctionError(f"unknown undershoot policy {self.undershoot_policy!r}")
 
     def price_for_round(self, round_no: int) -> float:
@@ -569,6 +572,9 @@ def build_scenario(scenario: dict, seed: int | None):
         if not all(isinstance(b, str) for b in ids):
             raise MarketDataError(f"scenario.bidder_ids: expected str ids, got {ids!r}")
         _check_ids(ids, len(top.strategies), MarketDataError, "scenario.bidder_ids: ")
+    policy = top.config.get("undershoot_policy")
+    if isinstance(policy, str) and policy not in _UNDERSHOOT_POLICIES:
+        raise MarketDataError(f"config.undershoot_policy: unknown undershoot policy {policy!r}")
     config = _from_json(ClockAuctionConfig, top.config, "config")
     root = np.random.SeedSequence(seed)
     strategies = []

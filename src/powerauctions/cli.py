@@ -253,12 +253,16 @@ def _cmd_event_study(args) -> int:
 def _cmd_regress(args) -> int:
     from .panel import PanelObservation, fit_pooled_ols
 
-    covariate_names = list(_PANEL.columns)[3:]
-    # rows without the optional pls column are one field shorter; zip stops there
+    table = _read_table(args.panel, _PANEL)
+    # the columns the file's header names: it may lack the optional pls
+    covariate_names = list(_PANEL.columns)[3:len(table.columns)]
+    covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
+    for name in covariates:
+        if name not in covariate_names:
+            raise MarketDataError(f"{args.panel}: {name!r} is not a covariate column")
     panel = [PanelObservation(unit=row[0], period=row[1], y=row[2],
                               covariates=dict(zip(covariate_names, row[3:])))
-             for _, row in _read_table(args.panel, _PANEL)]
-    covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
+             for _, row in table]
     result = fit_pooled_ols(panel, covariates,
                             period_fixed_effects=not args.no_period_effects,
                             unit_fixed_effects=args.unit_effects)

@@ -11,6 +11,7 @@ conventions are locked by golden tests against published auction results.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -229,11 +230,69 @@ def _two_sample_t(a: np.ndarray, nb: int, mean_b: float, vb: float,
         se2, dof = pooled * (1 / na + 1 / nb), na + nb - 2
     if se2 == 0:
         raise _ZeroVarianceError("both samples have zero variance")
-    # imported here: scipy.special is most of the package's import time, and
-    # only the subcommands that report a p value need it
-    from scipy import special
     t = float((a.mean() - mean_b) / math.sqrt(se2))
-    return t, float(dof), 2.0 * float(special.stdtr(dof, -abs(t)))
+    return t, float(dof), 2.0 * _t_cdf(dof, -abs(t))
+
+
+def _t_cdf(df: float, t: float) -> float:
+    """P(T <= t) for Student's t on ``df`` degrees of freedom, bit for bit
+    ``scipy.special.stdtr(df, t)``."""
+    return float(_t_cdf_function()(df, t))
+
+
+@functools.cache
+def _t_cdf_function():
+    """The function ``_t_cdf`` calls: Boost's ``t_cdf`` as scipy exports it,
+    else ``scipy.special.stdtr``.
+
+    Importing ``scipy.special`` is most of a p-value run's import time, and
+    most of that goes to array-API support that a p value never uses.
+    ``stdtr``'s float64 loop calls ``_ufuncs_cxx``'s exported
+    ``t_cdf_double`` and does nothing else that changes the result (an
+    error check that is silent by default), so that export, loaded from its
+    own file, gives the same bits for a fraction of the import. A scipy
+    without it (older releases, whose ``stdtr`` may not be Boost's) gets
+    ``stdtr`` itself.
+    """
+    try:
+        return _boost_t_cdf()
+    except (ImportError, OSError, KeyError, ValueError):
+        from scipy import special
+        return special.stdtr
+
+
+def _boost_t_cdf():
+    """``scipy.special._ufuncs_cxx``'s ``t_cdf_double`` as a ctypes function.
+
+    The module is loaded without importing ``scipy.special``, and is kept
+    on the function so that its library stays loaded.
+    """
+    import ctypes
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy not found")
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.special._ufuncs_cxx",
+        [os.path.join(scipy.submodule_search_locations[0], "special")])
+    if spec is None:
+        raise ImportError("scipy.special._ufuncs_cxx not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    capsule = getattr(module, "__pyx_capi__", {})["_export_t_cdf_double"]
+    # the capsule holds the address of the exported ``void *``, which holds
+    # the function's; a capsule of any other name raises ValueError
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = ctypes.c_void_p.from_address(get_pointer(capsule, b"void *")).value
+    if not address:
+        raise ImportError("scipy.special._ufuncs_cxx exports a null t_cdf_double")
+    t_cdf = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_double)(address)
+    t_cdf.module = module
+    return t_cdf
 
 
 def welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:

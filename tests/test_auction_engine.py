@@ -190,6 +190,11 @@ class TestClockAuction:
             config(max_rounds=max_rounds)
         assert config(max_rounds=np.int64(1)).max_rounds == 1
 
+    def test_unknown_undershoot_policy_rejected(self):
+        # a scenario file's policy is checked before this, as a data error
+        with pytest.raises(AuctionError, match="unknown undershoot policy 'prorata'"):
+            config(undershoot_policy="prorata")
+
     @pytest.mark.parametrize("make", [lambda: StochasticExit(4, 0.2),
                                       lambda: StochasticShrink(4, low=0.7)],
                              ids=["stochastic_exit", "stochastic_shrink"])

@@ -351,10 +351,14 @@ def test_bad_scenario_field_is_data_error(scenario, data):
     ({"config": {"target_quantity": 10, "opening_price": 100},
       "strategies": [{"kind": "constant", "quantity": 12}] * 2, "bidder_ids": ["A", "A"]},
      "scenario.bidder_ids: bidder ids must be unique"),
+    # used to exit 3, as if the auction had failed
+    ({"config": {"target_quantity": 10, "opening_price": 100, "undershoot_policy": "prorata"},
+      "strategies": [{"kind": "constant", "quantity": 12}]},
+     "config.undershoot_policy: unknown undershoot policy 'prorata'"),
 ], ids=["string_target", "strategy_without_quantity", "float_max_rounds", "unknown_kind",
         "strategies_not_a_list", "no_config", "unknown_top_level_key", "int_bidder_id",
         "not_an_object", "huge_quantity", "huge_opening_price", "list_kind", "dict_kind",
-        "bidder_id_count", "repeated_bidder_id"])
+        "bidder_id_count", "repeated_bidder_id", "unknown_undershoot_policy"])
 def test_malformed_scenario_file_is_data_error(tmp_path, capsys, scenario, reason):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(scenario))
@@ -545,6 +549,21 @@ class TestRegressCommand:
         for key in ("coefficients", "r_squared", "adj_r_squared", "rss", "rmse"):
             assert key in payload
         assert set(payload["coefficients"]) >= {"const", "vol3y", "startbidders", "wbidders"}
+
+    @pytest.mark.parametrize("covariates", ["vol3y,foo", "pls", "y"])
+    def test_covariate_without_column_is_data_error(self, tmp_path, capsys, covariates):
+        # used to exit 3 from the fit: observation (ACE, 2007) missing covariate 'foo'
+        panel = tmp_path / "panel.csv"
+        panel.write_text("unit,period,y,vol3y,startbidders,wbidders\n" + "".join(
+            f"{u},{t},{t % 3},{t % 5},20,{t % 7}\n"
+            for u in ("ACE", "JCPL") for t in range(2007, 2011)))
+        out = tmp_path / "result.json"
+        assert main(["regress", "--panel", str(panel), "--covariates", covariates,
+                     "--out", str(out)]) == 2
+        name = covariates.split(",")[-1]
+        assert capsys.readouterr().err == (
+            f"error code=2 reason={panel}: {name!r} is not a covariate column\n")
+        assert not out.exists()
 
 
 class TestErrorsAndConfig:
@@ -882,13 +901,18 @@ FOOTPRINT = {"ingest": set(), "premium": {"premiums"}, "report": {"premiums"},
              "fmpi": {"premiums"}, "activity": {"activity", "premiums"},
              "event-study": {"activity", "premiums"}, "regress": {"panel"},
              "simulate": {"auction_engine"}}
-P_VALUES = {"report", "event-study"}  # the subcommands that may import scipy.special
 
 
 def test_subcommands_without_p_values_leave_scipy_out(tmp_path, omel_fixture):
-    # each subcommand imports only the modules it runs, and only those that
-    # report a p value pay for importing scipy.special
+    # each subcommand imports only the modules it runs, and none imports
+    # scipy.special: report and event-study take their p values from the
+    # t cdf that scipy exports without it
     auctions, spot, fmpi = omel_fixture
+    # a second auction year gives report two groups of two to test
+    auctions.write_text(auctions.read_text() + "".join(
+        f"OMEL,{i},2006-0{i}-15,Q{i}-07,2007-{start},2007-{end},baseload,fixed_quantity,"
+        f"{price},1800,30,15,23\n" for i, start, end, price in (
+            (3, "07-01", "09-30", 45.10), (4, "10-01", "12-31", 39.20))))
     (tmp_path / "futures.csv").write_text(
         "contract_id,market,zone,date,settle,volume,open_interest\n" + "".join(
             f"A,OMEL,ES,2007-01-{d:02d},{50 + d % 3},{d % 4 + 1},{10 + d}\n" for d in range(1, 29)))
@@ -922,8 +946,8 @@ def test_subcommands_without_p_values_leave_scipy_out(tmp_path, omel_fixture):
         loaded = {m.removeprefix("powerauctions.") for m in modules
                   if m.startswith("powerauctions.")}
         assert loaded == {"cli", "market_data"} | FOOTPRINT[command], command
-        if command not in P_VALUES:
-            assert "scipy.special" not in modules, command
+        assert "scipy.special" not in modules, command
+    assert json.loads((tmp_path / "report" / "report.json").read_text())["equality_of_means"]
 
 
 EXPORTED = """

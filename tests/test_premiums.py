@@ -1,12 +1,25 @@
 
+import ctypes
+import datetime
+import importlib.machinery
+import importlib.util
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
+import powerauctions
 from powerauctions import (FmpiSpec, PremiumRow, cesur_premium,
                            distribution_stats, equality_of_means, fmpi_premium,
                            fmpi_strip, fmpi_weights, monetary_impact,
-                           pjm_premium, welch_t, yearly_aggregate)
+                           pjm_premium, premiums, welch_t, yearly_aggregate)
 from powerauctions.datasets import CESUR_AUCTIONS, PJM_AUCTIONS
 
 
@@ -221,6 +234,70 @@ class TestEqualityOfMeans:
         groups = {z: [1.0, 2.0, 3.0] for z in ("ACE", "JCPL", "PSEG", "RECO")}
         res = equality_of_means(groups)
         assert len(res) == 6
+
+
+# --- the t distribution's cdf -----------------------------------------------
+
+_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e300]
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+@settings(max_examples=500, deadline=None)
+@given(df=st.one_of(st.floats(0.1, 1e8), st.integers(1, 10 ** 6), st.sampled_from(_EDGES)),
+       t=st.one_of(st.floats(), st.sampled_from(_EDGES)))
+def test_t_cdf_is_stdtr_bit_for_bit(df, t):
+    assert isinstance(premiums._t_cdf_function(), ctypes._CFuncPtr)
+    assert _bits(premiums._t_cdf(df, t)) == _bits(special.stdtr(df, t))
+
+
+def test_t_cdf_takes_the_boost_export_without_scipy_special():
+    # a silent fallback to stdtr would cost every p-value run the import of
+    # scipy.special; importing it afterwards still gives the same function
+    env = dict(os.environ, PYTHONPATH=str(Path(powerauctions.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", "import ctypes, sys; "
+                    "from powerauctions.premiums import _t_cdf, _t_cdf_function; "
+                    "p = _t_cdf(3.0, -1.5); "
+                    "assert isinstance(_t_cdf_function(), ctypes._CFuncPtr); "
+                    "assert 'scipy.special' not in sys.modules; "
+                    "from scipy import special; assert p == special.stdtr(3.0, -1.5)"],
+                   env=env, check=True)
+
+
+def _no_file(monkeypatch, tmp_path):
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+
+
+def _no_key(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys.modules["scipy.special._ufuncs_cxx"], "__pyx_capi__", {})
+
+
+def _wrong_capsule_name(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys.modules["scipy.special._ufuncs_cxx"], "__pyx_capi__",
+                        {"_export_t_cdf_double": datetime.datetime_CAPI})
+
+
+@pytest.fixture
+def fresh_t_cdf():
+    premiums._t_cdf_function.cache_clear()
+    yield
+    premiums._t_cdf_function.cache_clear()
+
+
+@pytest.mark.parametrize("break_loader", [_no_file, _no_key, _wrong_capsule_name])
+def test_t_cdf_falls_back_to_stdtr(monkeypatch, tmp_path, rng, fresh_t_cdf, break_loader):
+    samples = [(rng.normal(0, 1, 9), rng.normal(0.5, 2, 14)) for _ in range(20)]
+    samples.append((np.array([1.0, 2.0]), np.array([1.5, 2.5])))
+    assert isinstance(premiums._t_cdf_function(), ctypes._CFuncPtr)
+    fast = [welch_t(a, b) for a, b in samples]
+    premiums._t_cdf_function.cache_clear()
+    break_loader(monkeypatch, tmp_path)
+    assert premiums._t_cdf_function() is special.stdtr
+    assert [welch_t(a, b) for a, b in samples] == fast
 
 
 class TestPublishedTables:
