@@ -436,20 +436,11 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
         raw = np.zeros((len(block_prices), n))
         for block_offers in blocks:
             block_offers(round_no == 1, block_prices, last, raw)
-        if per_call:  # one round: called in bidder order, up to a bad block offer
-            bad = ((last != 0.0) & ~np.isfinite(raw[0])).nonzero()[0]
-            stop = bad[0] if bad.size else n
+        if per_call:  # one round: called in bidder order while active
             lasts = last.tolist()
             for i in per_call:
-                if i > stop:
-                    break
-                if lasts[i] == 0.0:
-                    continue
-                q = float(strategies[i].offer(round_no, block_prices[0], lasts[i]))
-                if not math.isfinite(q):
-                    raise AuctionError(
-                        f"non-finite offer {q} from bidder {bidder_ids[i]} in round {round_no}")
-                raw[0, i] = q
+                if lasts[i] != 0.0:
+                    raw[0, i] = float(strategies[i].offer(round_no, block_prices[0], lasts[i]))
         offers, clamped, bad = _clamp(raw, last, bounds)
         # a left-to-right sum like Python's sum over the offers; sum starts
         # from 0, so + 0.0 turns an all -0.0 round into 0.0

@@ -253,10 +253,12 @@ def _cmd_event_study(args) -> int:
 def _cmd_regress(args) -> int:
     from .panel import PanelObservation, fit_pooled_ols
 
+    covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
+    if not covariates:
+        raise UsageError("argument --covariates: names no covariate")
     table = _read_table(args.panel, _PANEL)
     # the columns the file's header names: it may lack the optional pls
     covariate_names = list(_PANEL.columns)[3:len(table.columns)]
-    covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
     for name in covariates:
         if name not in covariate_names:
             raise MarketDataError(f"{args.panel}: {name!r} is not a covariate column")
@@ -320,7 +322,8 @@ def _add_premium_inputs(p):
 
 
 def _build_parser() -> _CliParser:
-    parser = _CliParser(prog="powerauctions")
+    # no --conf for --config: the config reader takes the full name only
+    parser = _CliParser(prog="powerauctions", allow_abbrev=False)
     parser.add_argument("--config", help="key=value defaults file; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # name -> its parser
@@ -381,39 +384,28 @@ def _build_parser() -> _CliParser:
 
 
 def _apply_config_file(argv: list[str], commands: dict) -> list[str]:
-    """Append each ``key=value`` of the --config file as a flag ``argv`` lacks.
+    """Put each ``key=value`` of the --config file as a flag right after the subcommand.
 
-    The file is named by ``--config FILE`` or ``--config=FILE``; a flag given
-    as ``--flag value``, ``--flag=value`` or abbreviated wins over its key.
-    ``commands`` maps each subcommand to its parser: the value of an on/off
-    flag is true or false (false adds nothing), that of a two-value option
-    two whitespace-separated values.
+    argparse keeps an option's last value, so a flag on the command line, in
+    any form argparse accepts, wins over its key. ``commands`` maps each
+    subcommand to its parser: the value of an on/off flag is true or false
+    (false adds nothing), that of a two-value option two whitespace-separated
+    values.
     """
-    at = next((i for i, a in enumerate(argv)
-               if a == "--config" or a.startswith("--config=")), None)
-    if at is None:
+    reader = _CliParser(add_help=False, allow_abbrev=False)  # --co stays --costs
+    reader.add_argument("--config")
+    known, rest = reader.parse_known_args(argv)
+    if known.config is None:
         return argv
-    if argv[at] == "--config":
-        if at + 1 == len(argv):
-            raise UsageError("argument --config: expected one argument")
-        path, rest = argv[at + 1], argv[:at] + argv[at + 2:]
-    else:
-        path, rest = argv[at].partition("=")[2], argv[:at] + argv[at + 1:]
-    command = next((commands[a] for a in rest if a in commands), None)
-    options = command._option_string_actions if command else {}
-    # the options given, each as written or as argparse's unique abbreviation
-    given = set()
-    for name in (a.partition("=")[0] for a in rest if a.startswith("--")):
-        given |= {name} if name in options else {o for o in options if o.startswith(name)}
+    command = next((a for a in rest if a in commands), None)
+    options = commands[command]._option_string_actions if command else {}
     extra = []
-    for line in _read_text(path).split("\n"):
+    for line in _read_text(known.config).split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = (part.strip() for part in line.partition("="))
         flag = f"--{key.replace('_', '-')}"
-        if flag in given:
-            continue
         action = options.get(flag)
         if action and action.nargs == 0:
             if value not in ("true", "false"):
@@ -426,7 +418,8 @@ def _apply_config_file(argv: list[str], commands: dict) -> list[str]:
             extra += [flag, *value.split()]
         else:
             extra += [flag, value]
-    return rest + extra
+    at = rest.index(command) + 1 if command else len(rest)
+    return rest[:at] + extra + rest[at:]
 
 
 def _numeric_errors() -> tuple[type[Exception], ...]:

@@ -24,6 +24,8 @@ OMEL_ZONES = frozenset({"ES"})
 PJM_ZONES = frozenset({"ACE", "JCPL", "PSEG", "RECO"})
 MARKET_ZONES = {"OMEL": OMEL_ZONES, "PJM": PJM_ZONES}
 MARKET_CURRENCY = {"OMEL": "EUR", "PJM": "USD"}
+# CESUR sells fixed-quantity contracts, PJM-BGS full-requirements ones
+MARKET_PRODUCT_KIND = {"OMEL": "fixed_quantity", "PJM": "full_requirements"}
 
 LOAD_SHAPES = ("baseload", "peak", "offpeak")
 PRODUCT_KINDS = ("fixed_quantity", "full_requirements")
@@ -183,6 +185,9 @@ class AuctionRecord:
             raise MarketDataError(f"unknown market {self.market!r}")
         if self.product_kind not in PRODUCT_KINDS:
             raise MarketDataError(f"unknown product kind {self.product_kind!r}")
+        if self.product_kind != MARKET_PRODUCT_KIND[self.market]:
+            raise MarketDataError(
+                f"market {self.market} expects product kind {MARKET_PRODUCT_KIND[self.market]}")
         if self.clearing_price <= 0:
             raise MarketDataError(f"clearing price must be positive, got {self.clearing_price}")
         if not (self.start_bidders >= self.winning_bidders >= 1):
@@ -713,20 +718,15 @@ def load_auctions_csv(path) -> list[AuctionRecord]:
             raise MarketDataError(
                 f"{path} line {lineno}: multi-product fields have unequal counts"
             )
-        if kind not in PRODUCT_KINDS:
-            raise MarketDataError(f"{path} line {lineno}: unknown product kind {kind!r}")
-        expected_kind = "fixed_quantity" if market == "OMEL" else "full_requirements"
-        if market in MARKET_ZONES and kind != expected_kind:
-            raise MarketDataError(
-                f"{path} line {lineno}: market {market} expects product kind {expected_kind}"
-            )
-        for pid, start, end, shape, price, qty in zip(*products):
-            records.append(AuctionRecord(
+        try:
+            records += [AuctionRecord(
                 market=market, auction_id=aid, auction_date=adate, product_id=pid,
                 delivery=DeliveryPeriod(start=start, end=end, load_shape=shape),
                 clearing_price=price, quantity=qty, product_kind=kind,
                 start_bidders=sbid, winning_bidders=wbid, rounds=rounds,
-            ))
+            ) for pid, start, end, shape, price, qty in zip(*products)]
+        except MarketDataError as exc:
+            raise MarketDataError(f"{path} line {lineno}: {exc}") from None
     return records
 
 
@@ -738,7 +738,10 @@ def load_costs_csv(path) -> list[CostComponents]:
         if key in seen:
             raise MarketDataError(f"{path} line {lineno}: duplicate cost row {key}")
         seen.add(key)
-        out.append(CostComponents(zone=MarketZone(market, z), year=year, unit_cost=cost))
+        try:
+            out.append(CostComponents(zone=MarketZone(market, z), year=year, unit_cost=cost))
+        except MarketDataError as exc:
+            raise MarketDataError(f"{path} line {lineno}: {exc}") from None
     return out
 
 

@@ -19,6 +19,14 @@ class TestRatios:
         assert m.values[1] == 0.0
         assert not m.undefined_dates
 
+    def test_r1_of_an_empty_series_rejected(self):
+        with pytest.raises(ValueError, match="empty futures series"):
+            r1_series(make_futures([], []))
+
+    def test_r2_of_a_one_day_series_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 observations"):
+            r2_series(make_futures([10], [100]))
+
     def test_r1_zero_open_interest_undefined(self):
         m = r1_series(make_futures([10, 5], [100, 0]))
         assert m.dates[1] in m.undefined_dates
@@ -142,6 +150,16 @@ class TestEventStudy:
         m, events = series_with_events(rng)
         with pytest.raises(ValueError, match="trading calendar"):
             event_study(m, [date(1999, 1, 1)])
+
+    def test_unknown_variance_rejected(self, rng):
+        m, events = series_with_events(rng)
+        with pytest.raises(ValueError, match="unknown variance treatment 'student'"):
+            event_study(m, events, variance="student")
+
+    def test_no_events_rejected(self, rng):
+        m, _ = series_with_events(rng)
+        with pytest.raises(ValueError, match="no event dates"):
+            event_study(m, [])
 
     def test_window_at_series_edge_drops_events(self, rng):
         dates = daily_dates(date(2007, 1, 1), 60)

@@ -216,6 +216,26 @@ class TestClockAuction:
             run_descending_clock(config(target=5), [ConstantSupply(5), Bad()],
                                  bidder_ids=["A", "B"])
 
+    @pytest.mark.parametrize("first", ["block", "per_call"])
+    def test_bidders_after_a_non_finite_offer_are_still_asked(self, first):
+        # the round's per-call bidders are all asked, and the error names the
+        # first bad bidder in bidder order
+        @dataclass
+        class Record:
+            quantity: float
+            calls: list = field(default_factory=list)
+
+            def offer(self, round_no, price, last_offer):
+                self.calls.append(round_no)
+                return self.quantity
+
+        bad = ConstantSupply(math.nan) if first == "block" else Record(math.nan)
+        later = Record(5.0)
+        with pytest.raises(AuctionError, match="non-finite offer nan from bidder A in round 1"):
+            run_descending_clock(config(target=5), [bad, Record(math.inf), later],
+                                 bidder_ids=["A", "B", "C"])
+        assert later.calls == [1]
+
     def test_price_schedule_must_decrease(self):
         cfg = ClockAuctionConfig(target_quantity=5, opening_price=100,
                                  price_schedule=lambda r: 100.0)
@@ -375,7 +395,9 @@ class Forward:
 
 
 _QUANTITY = st.one_of(st.floats(0.0, 20.0), st.integers(-3, 20), st.sampled_from(
-    [0.0, -0.0, -2.5, 1e6] * 3 + [math.inf, -math.inf, math.nan]))
+    [0.0, -0.0, -2.5, 1e6] * 3 + [math.inf, -math.inf, math.nan]
+    # inexact fields: the bidder goes per call
+    + [2 ** 60, 2 ** 53 + 1, np.float64(3.5), np.float64(math.nan)]))
 _BIDDER = st.one_of(
     st.tuples(st.just(ConstantSupply), st.fixed_dictionaries({"quantity": _QUANTITY})),
     st.tuples(st.just(ThresholdExit), st.fixed_dictionaries({

@@ -22,6 +22,8 @@ import powerauctions
 from powerauctions.auction_engine import (ClockAuctionConfig, ConstantSupply, StochasticExit,
                                           StochasticShrink, ThresholdExit)
 from powerauctions.cli import _build_parser, build_scenario, main
+from powerauctions.datasets import PJM_AUCTIONS
+from powerauctions.premiums import pjm_premium
 
 AUCTIONS_HEADER = ("market,auction_id,auction_date,product_id,delivery_start,"
                    "delivery_end,load_shape,product_kind,clearing_price,quantity,"
@@ -533,6 +535,86 @@ class TestNoFileFromAFailedRun:
         assert not out.exists()
 
 
+class TestPjmReport:
+    """``report`` on two PJM zones over two years, with costs and averages."""
+
+    AUCTIONS = [a for a in PJM_AUCTIONS if a.zone in ("ACE", "JCPL") and a.year in (2007, 2008)]
+
+    @pytest.fixture
+    def pjm_inputs(self, tmp_path):
+        # one month of delivery per auction, at the published spot average
+        auctions, spot, costs, averages = (tmp_path / f"{name}.csv" for name in (
+            "auctions", "spot", "costs", "averages"))
+        auctions.write_text(AUCTIONS_HEADER + "".join(
+            f"PJM,{i},{a.year}-02-05,{a.zone}-{a.year},{a.year}-06-01,{a.year}-06-30,"
+            f"baseload,full_requirements,{a.bgsfp_price},1000,30,15,23\n"
+            for i, a in enumerate(self.AUCTIONS, start=1)))
+        spot.write_text("market,zone,date,price\n" + "".join(
+            f"PJM,{a.zone},{a.year}-06-{d:02d},{a.spot_avg}\n"
+            for a in self.AUCTIONS for d in range(1, 31)))
+        costs.write_text("market,zone,year,unit_cost\n" + "".join(
+            f"PJM,{a.zone},{a.year},{a.costs}\n" for a in self.AUCTIONS))
+        averages.write_text("market,zone,year,avg_price\n" + "".join(
+            f"PJM,{a.zone},{a.year},{a.avg_price}\n" for a in self.AUCTIONS))
+        return auctions, spot, costs, averages
+
+    @pytest.mark.parametrize("config", [False, True])
+    def test_rows_and_equality_of_means(self, tmp_path, pjm_inputs, config):
+        auctions, spot, costs, averages = pjm_inputs
+        out = tmp_path / "out"
+        if config:  # abbreviated flags still name their options next to --config
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"auctions={auctions}\nspot={spot}\n")
+            argv = ["--config", str(cfg), "--co", str(costs), "--av", str(averages)]
+        else:
+            argv = ["--auctions", str(auctions), "--spot", str(spot), "--costs", str(costs),
+                    "--averages", str(averages)]
+        assert main(["report", *argv, "--out", str(out)]) == 0
+        rows = read_csv_skipping_comments(out / "premiums.csv")
+        data = [dict(zip(rows[0], r)) for r in rows[1:]]
+        assert [(r["auction_ref"], r["group"]) for r in data] == [
+            (f"{a.year}-{a.zone}", a.zone) for a in self.AUCTIONS]
+        for row, a in zip(data, self.AUCTIONS):
+            premium, pct = pjm_premium(a.avg_price, a.costs, a.spot_avg)
+            assert float(row["costs"]) == pytest.approx(a.costs, abs=5e-5)
+            assert float(row["premium"]) == pytest.approx(premium, abs=5e-5)
+            assert float(row["premium_pct"]) == pytest.approx(pct, abs=5e-7)
+        (comparison,) = json.loads((out / "report.json").read_text())["equality_of_means"]
+        assert (comparison["a"], comparison["b"]) == ("ACE", "JCPL")
+        assert 0.0 <= comparison["p"] <= 1.0
+
+
+class TestContractSelection:
+    @pytest.fixture
+    def futures(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("contract_id,market,zone,date,settle,volume,open_interest\n" + "".join(
+            f"{c},OMEL,ES,2007-01-{d:02d},50,{d + k},{100 + d * k}\n"
+            for k, c in enumerate(("A", "B"), start=1) for d in range(1, 11)))
+        return path
+
+    def test_contract_picks_the_named_series(self, tmp_path, futures):
+        out = tmp_path / "out"
+        assert main(["activity", "--futures", str(futures), "--measure", "volume",
+                     "--contract", "B", "--out", str(out)]) == 0
+        rows = read_csv_skipping_comments(out / "activity_volume.csv")[1:]
+        assert {r[0] for r in rows} == {"B"}
+        assert [float(r[3]) for r in rows] == [d + 2.0 for d in range(1, 11)]
+
+    def test_unknown_contract_is_data_error(self, tmp_path, futures, capsys):
+        assert main(["activity", "--futures", str(futures), "--measure", "volume",
+                     "--contract", "X", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error code=2 reason=contract 'X' not found in {futures}\n")
+
+    def test_several_contracts_need_contract(self, tmp_path, futures, capsys):
+        assert main(["activity", "--futures", str(futures), "--measure", "volume",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error code=1 reason=--contract required when "
+                                           "the futures file holds several contracts\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestRegressCommand:
     def test_regress_json_output(self, tmp_path, rng):
         lines = ["unit,period,y,vol3y,startbidders,wbidders"]
@@ -563,6 +645,16 @@ class TestRegressCommand:
         name = covariates.split(",")[-1]
         assert capsys.readouterr().err == (
             f"error code=2 reason={panel}: {name!r} is not a covariate column\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("covariates", [",", "", " , "])
+    def test_no_covariate_is_usage_error(self, tmp_path, capsys, covariates):
+        # checked before the panel is read: this one does not exist
+        out = tmp_path / "result.json"
+        assert main(["regress", "--panel", str(tmp_path / "none.csv"), "--covariates",
+                     covariates, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error code=1 reason=argument --covariates: names no covariate\n")
         assert not out.exists()
 
 
@@ -663,6 +755,28 @@ class TestErrorsAndConfig:
         command = "regress" if line.startswith("no_") else "event-study"
         assert main([command, "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error code=1 reason={reason}\n"
+
+    @pytest.mark.parametrize("line, flag, reason", [
+        ("seed=abc", ["--seed", "7"], "argument --seed: invalid int value: 'abc'"),
+        ("no_period_effects=yes", ["--no-period-effects"],
+         "config key no_period_effects: expected true or false, got 'yes'")])
+    def test_config_value_is_parsed_under_a_flag(self, tmp_path, capsys, line, flag, reason):
+        # the flag wins, but the key it overrides must still be a valid value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        command = "simulate" if line.startswith("seed") else "regress"
+        assert main([command, "--config", str(cfg), *flag]) == 1
+        assert capsys.readouterr().err == f"error code=1 reason={reason}\n"
+
+    def test_config_is_never_abbreviated(self, tmp_path, capsys):
+        # --conf used to be taken for --config, echoed, and the file left unread
+        cfg, out = tmp_path / "run.cfg", tmp_path / "o.json"
+        cfg.write_text("seed=5\n")
+        assert main(["--conf", str(cfg), "simulate", "--scenario", "s.json",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error code=1 reason=argument command: invalid choice: '{cfg}'")
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", [["--seed", "-1"], ["--seed=-1"]])
     def test_negative_seed_is_usage_error(self, tmp_path, capsys, seed):

@@ -189,6 +189,30 @@ class TestAuctionsLoader:
         with pytest.raises(MarketDataError, match="not before delivery"):
             load_auctions_csv(p)
 
+    def test_record_error_names_its_line(self, tmp_path):
+        # the record's own reason, once with no file or line
+        p = write(tmp_path / "a.csv", self.HEADER +
+                  "OMEL,1,2007-06-19,Q3-07,2007-07-01,2007-09-30,baseload,"
+                  "fixed_quantity,46.27,1000,30,15,23\n"
+                  "OMEL,2,2007-09-18,Q4-07,2007-10-01,2007-12-31,baseload,"
+                  "fixed_quantity,-1,1000,30,15,23\n")
+        with pytest.raises(MarketDataError) as exc:
+            load_auctions_csv(p)
+        assert str(exc.value) == f"{p} line 3: clearing price must be positive, got -1.0"
+
+    @pytest.mark.parametrize("market, kind, expected", [
+        ("PJM", "fixed_quantity", "full_requirements"),
+        ("OMEL", "full_requirements", "fixed_quantity")])
+    def test_record_owns_the_product_kind_rule(self, market, kind, expected):
+        from powerauctions import AuctionRecord
+        with pytest.raises(MarketDataError) as exc:
+            AuctionRecord(market=market, auction_id=1, auction_date=date(2007, 2, 5),
+                          product_id="ACE-2007",
+                          delivery=DeliveryPeriod(date(2007, 6, 1), date(2008, 5, 31)),
+                          clearing_price=99.59, quantity=1000.0, product_kind=kind,
+                          start_bidders=30, winning_bidders=15, rounds=23)
+        assert str(exc.value) == f"market {market} expects product kind {expected}"
+
 
 class TestCostsLoader:
     def test_costs_file(self, tmp_path):
@@ -202,6 +226,15 @@ class TestCostsLoader:
                   "market,zone,year,unit_cost\nPJM,ACE,2007,11.34\nPJM,ACE,2007,12\n")
         with pytest.raises(MarketDataError, match="duplicate"):
             load_costs_csv(p)
+
+    @pytest.mark.parametrize("row, reason", [
+        ("PJM,XYZ,2008,12", "zone 'XYZ' does not belong to market 'PJM'"),
+        ("PJM,JCPL,2008,-1", "unit cost must be non-negative, got -1.0")])
+    def test_bad_row_names_its_line(self, tmp_path, row, reason):
+        p = write(tmp_path / "c.csv", f"market,zone,year,unit_cost\nPJM,ACE,2007,11.34\n{row}\n")
+        with pytest.raises(MarketDataError) as exc:
+            load_costs_csv(p)
+        assert str(exc.value) == f"{p} line 3: {reason}"
 
 
 class TestRoundTrip:

@@ -240,6 +240,12 @@ class TestPooledOls:
         with pytest.raises(RegressionError, match="clusters"):
             fit_pooled_ols(panel, ["x"], period_fixed_effects=False)
 
+    def test_as_many_parameters_as_observations_rejected(self):
+        panel = [PanelObservation(unit=u, period=2007, y=y, covariates={"x": x})
+                 for u, y, x in (("A", 1.0, 1.0), ("B", 3.0, 2.0))]
+        with pytest.raises(RegressionError, match=r"not enough observations \(2\) for 2"):
+            fit_pooled_ols(panel, ["x"], period_fixed_effects=False)
+
     def test_duplicate_unit_period_rejected(self):
         obs = PanelObservation(unit="U", period=2007, y=1.0, covariates={"x": 1.0})
         with pytest.raises(RegressionError, match="duplicate"):

@@ -122,6 +122,11 @@ class TestFmpiPremium:
     def test_identity(self):
         assert fmpi_premium(50.0, 0.0, 50.0) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("gross", [0.0, -1.0])
+    def test_nonpositive_gross_price_rejected(self, gross):
+        with pytest.raises(ValueError, match="gross price must be positive"):
+            fmpi_premium(gross, 0.0, 50.0)
+
 
 class TestYearlyAggregate:
     @staticmethod
@@ -234,6 +239,14 @@ class TestEqualityOfMeans:
         groups = {z: [1.0, 2.0, 3.0] for z in ("ACE", "JCPL", "PSEG", "RECO")}
         res = equality_of_means(groups)
         assert len(res) == 6
+
+    def test_one_group_rejected(self):
+        with pytest.raises(ValueError, match="at least two groups"):
+            equality_of_means({"ACE": [1.0, 2.0, 3.0]})
+
+    def test_one_element_sample_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 observations"):
+            welch_t(np.array([1.0]), np.array([2.0, 3.0]))
 
 
 # --- the t distribution's cdf -----------------------------------------------
