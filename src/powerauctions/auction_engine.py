@@ -18,7 +18,6 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field
 from datetime import date
@@ -296,8 +295,8 @@ def _split_bidders(strategies, exact_prices: bool):
 
     Only the exact built-in types with exact numeric fields (a float, or an
     int that a float holds exactly, so that float64 arithmetic on it is
-    Python's) go into blocks. A bidder whose strategy object or generator is
-    also held by another bidder stays per call: drawing its block at once
+    Python's) go into blocks. When a strategy object or generator is held
+    by two bidders, every bidder is called per round: drawing a block at once
     would change the draws the other sees. A ThresholdExit needs exact
     prices to compare.
     """
@@ -324,15 +323,8 @@ def _split_bidders(strategies, exact_prices: bool):
                     continue
         held += map(id, getattr(s, "__dict__", {}).values())
         per_call.append(i)
-    if len(set(held)) < len(held):  # an object held twice: its bidders go per call
-        count = Counter(held)
-
-        def alone(s) -> bool:
-            return count[id(s)] == 1 and count[id(vars(s).get("rng", s))] == 1
-        for t, cols in by_type.items():
-            per_call += [i for i in cols if not alone(strategies[i])]
-            by_type[t] = [i for i in cols if alone(strategies[i])]
-        per_call.sort()
+    if len(set(held)) < len(held):  # an object held twice
+        return [], list(range(len(strategies)))
     blocks = [t._block_offers([strategies[i] for i in cols], np.array(cols))
               for t, cols in by_type.items() if cols]
     return blocks, per_call

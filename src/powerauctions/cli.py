@@ -5,7 +5,8 @@ failures. Every output artifact carries a metadata header (tool version and
 a config echo, seed included), JSON reports use stable key ordering, and
 re-running with identical inputs and seed reproduces outputs byte for byte.
 A plain-text config file of ``key=value`` lines can replace flags; flags
-win on conflict.
+win on conflict. A subcommand returns its outputs, as (path, write) pairs,
+and ``main`` writes them, so a run that fails writes no file.
 
 Each subcommand imports the modules it runs when it runs, so a process pays
 only for its own: ``ingest`` needs nothing beyond ``market_data``. The
@@ -55,57 +56,48 @@ def _metadata(args) -> dict:
     return {"tool": f"powerauctions {__version__}", "config": echo}
 
 
-def _json_file(path: Path, payload: dict):
-    """A function that writes ``payload`` to ``path`` as strict JSON.
+def _json_output(path, payload: dict):
+    """``path`` and a function that writes ``payload`` there as strict JSON.
 
-    The text is made first: a NaN or infinity fails the run here, so a run
-    that writes a CSV artifact too can fail before either file exists.
+    The text is made here: a NaN or infinity fails the run before any file
+    is written.
     """
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
         raise ValueError(f"{path}: non-finite number in JSON output") from None
-
-    def write() -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return write
+    return Path(path), lambda path: path.write_text(text + "\n", encoding="utf-8")
 
 
-def _write_artifact(path: Path, args, table, *columns) -> None:
-    """Write one CSV artifact: the metadata lines, then ``table`` with ``columns``."""
+def _csv_output(path, args, table, *columns):
+    """``path`` and a function that writes a CSV artifact there: the metadata
+    lines, then ``table`` with ``columns``."""
     meta = _metadata(args)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _write_table(path, table, columns, preamble=(
-        f"# {meta['tool']}\n# config={json.dumps(meta['config'], sort_keys=True)}\n"))
+    preamble = f"# {meta['tool']}\n# config={json.dumps(meta['config'], sort_keys=True)}\n"
+    return Path(path), lambda path: _write_table(path, table, columns, preamble=preamble)
 
 
 # --- subcommands -------------------------------------------------------------
 
 
-def _cmd_ingest(args) -> int:
-    # the input is read and checked before --out is made
+def _cmd_ingest(args):
+    out = Path(args.out)
     if args.kind == "spot":
         series_by_zone = load_spot_csv_multi(args.input)
         count = sum(len(s) for s in series_by_zone.values())
-        writes = [(write_spot_csv, f"spot_{zone.market}_{zone.zone}.csv", series)
-                  for zone, series in series_by_zone.items()]
+        outputs = [(out / f"spot_{zone.market}_{zone.zone}.csv",
+                    lambda path, series=series: write_spot_csv(path, series))
+                   for zone, series in series_by_zone.items()]
     else:
         load, write = {"futures": (load_futures_csv, write_futures_csv),
                        "auctions": (load_auctions_csv, write_auctions_csv),
                        "costs": (load_costs_csv, write_costs_csv)}[args.kind]
         data = load(args.input)
         count = sum(map(len, data)) if args.kind == "futures" else len(data)
-        writes = [(write, f"{args.kind}.csv", data)]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for write, name, data in writes:
-        write(out / name, data)
-    _json_file(out / "ingest_summary.json",
-               {"metadata": _metadata(args), "kind": args.kind, "rows_accepted": count})()
-    print(f"ingest ok kind={args.kind} rows={count}")
-    return EXIT_OK
+        outputs = [(out / f"{args.kind}.csv", lambda path: write(path, data))]
+    outputs.append(_json_output(out / "ingest_summary.json", {
+        "metadata": _metadata(args), "kind": args.kind, "rows_accepted": count}))
+    return outputs, f"ingest ok kind={args.kind} rows={count}"
 
 
 def _premium_rows(args) -> list:
@@ -148,7 +140,7 @@ def _premium_rows(args) -> list:
     return rows
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     """``report``, and ``premium``: the same premiums.csv, with the aggregates alone."""
     from .premiums import distribution_stats, equality_of_means, yearly_aggregate
 
@@ -169,26 +161,22 @@ def _cmd_report(args) -> int:
                 {"a": c.label_a, "b": c.label_b, "t": c.t_stat, "dof": c.dof, "p": c.p_value}
                 for c in equality_of_means(by_group)
             ]
-    write_json = _json_file(Path(args.out) / json_name, report)
     # the table's columns are named after PremiumRow's fields
-    _write_artifact(Path(args.out) / "premiums.csv", args, _PREMIUMS,
-                    *([getattr(r, name) for r in rows] for name in _PREMIUMS.columns))
-    write_json()
-    print(f"{args.command} ok rows={len(rows)}")
-    return EXIT_OK
+    return ([_csv_output(Path(args.out) / "premiums.csv", args, _PREMIUMS,
+                         *([getattr(r, name) for r in rows] for name in _PREMIUMS.columns)),
+             _json_output(Path(args.out) / json_name, report)],
+            f"{args.command} ok rows={len(rows)}")
 
 
-def _cmd_fmpi(args) -> int:
+def _cmd_fmpi(args):
     from .premiums import FmpiSpec, fmpi_strip
 
     prices = [price for _, (_, price) in _read_table(args.prices, _STRIP_PRICES)]
     value = fmpi_strip(FmpiSpec(monthly_prices=tuple(prices), annual_rate=args.rate))
     payload = {"metadata": _metadata(args), "strip_value": value,
                "annual_rate": args.rate, "n_prices": len(prices)}
-    if args.out:
-        _json_file(Path(args.out), payload)()
-    print(json.dumps({"strip_value": value}, sort_keys=True, allow_nan=False))
-    return EXIT_OK
+    outputs = [_json_output(args.out, payload)] if args.out else []
+    return outputs, json.dumps({"strip_value": value}, sort_keys=True, allow_nan=False)
 
 
 _MEASURES = ("open_interest", "r1", "r2", "volume")  # activity.<measure>_series
@@ -215,19 +203,18 @@ def _select_contract(path, contract):
     return series[0]
 
 
-def _cmd_activity(args) -> int:
+def _cmd_activity(args):
     measure = _measure(args)
     n, mask = len(measure.dates), measure.defined_mask().tolist()
-    _write_artifact(Path(args.out) / f"activity_{args.measure}.csv", args, _ACTIVITY,
-                    _repeated(measure.contract_id, n), _repeated(measure.measure_kind, n),
-                    measure.dates,
-                    [v if d else None for v, d in zip(measure.values.tolist(), mask)], mask)
-    print(f"activity ok measure={args.measure} n={n} "
-          f"undefined={len(measure.undefined_dates)}")
-    return EXIT_OK
+    return ([_csv_output(Path(args.out) / f"activity_{args.measure}.csv", args, _ACTIVITY,
+                         _repeated(measure.contract_id, n), _repeated(measure.measure_kind, n),
+                         measure.dates,
+                         [v if d else None for v, d in zip(measure.values.tolist(), mask)],
+                         mask)],
+            f"activity ok measure={args.measure} n={n} undefined={len(measure.undefined_dates)}")
 
 
-def _cmd_event_study(args) -> int:
+def _cmd_event_study(args):
     from .activity import event_study, significance_tally
 
     if args.window[0] > args.window[1]:
@@ -240,17 +227,15 @@ def _cmd_event_study(args) -> int:
     results = event_study(measure, events, window=(args.window[0], args.window[1]),
                           variance=args.variance)
     tally = significance_tally(results, alpha=args.alpha)
-    out_dir = Path(args.out)
-    write_json = _json_file(out_dir / "event_study_summary.json",
-                            {"metadata": _metadata(args), "tally": dataclasses.asdict(tally)})
-    _write_artifact(out_dir / "event_study.csv", args, _EVENT_STUDY,
-                    *([getattr(r, name) for r in results] for name in _EVENT_STUDY.columns))
-    write_json()
-    print(f"event-study ok offsets={len(results)} verdict={tally.verdict}")
-    return EXIT_OK
+    out = Path(args.out)
+    return ([_csv_output(out / "event_study.csv", args, _EVENT_STUDY,
+                         *([getattr(r, name) for r in results] for name in _EVENT_STUDY.columns)),
+             _json_output(out / "event_study_summary.json",
+                          {"metadata": _metadata(args), "tally": dataclasses.asdict(tally)})],
+            f"event-study ok offsets={len(results)} verdict={tally.verdict}")
 
 
-def _cmd_regress(args) -> int:
+def _cmd_regress(args):
     from .panel import PanelObservation, fit_pooled_ols
 
     covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
@@ -271,9 +256,8 @@ def _cmd_regress(args) -> int:
     payload = dataclasses.asdict(result)
     payload["coefficients"] = {c.pop("name"): c for c in payload["coefficients"]}
     payload["metadata"] = _metadata(args)
-    _json_file(Path(args.out), payload)()
-    print(f"regress ok n={result.n} k={result.k} r2={result.r_squared:.4f}")
-    return EXIT_OK
+    return ([_json_output(args.out, payload)],
+            f"regress ok n={result.n} k={result.k} r2={result.r_squared:.4f}")
 
 
 def __getattr__(name: str):
@@ -287,7 +271,7 @@ def __getattr__(name: str):
     return value
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     from .auction_engine import build_scenario, outcome_to_dict, run_descending_clock
 
     if args.seed < 0:
@@ -303,9 +287,8 @@ def _cmd_simulate(args) -> int:
     outcome = run_descending_clock(config, strategies, bidder_ids)
     payload = {"metadata": {**_metadata(args), "seed": args.seed},
                "outcome": outcome_to_dict(outcome)}
-    _json_file(Path(args.out), payload)()
-    print(f"simulate ok price={outcome.clearing_price} rounds={outcome.rounds_used}")
-    return EXIT_OK
+    return ([_json_output(args.out, payload)],
+            f"simulate ok price={outcome.clearing_price} rounds={outcome.rounds_used}")
 
 
 # --- argument wiring ---------------------------------------------------------
@@ -441,7 +424,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(argv, parser.commands)
         args = parser.parse_args(argv)
-        return args.func(args)
+        outputs, message = args.func(args)
+        for path, write in outputs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write(path)
+        print(message)
+        return EXIT_OK
     except UsageError as exc:
         print(f"error code={EXIT_USAGE} reason={exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -373,7 +373,7 @@ def _header_fits(header: list, table: _Table) -> bool:
 
 
 _CSV_FIELD_LIMIT = 131072  # the csv module's default field_size_limit()
-_KEY_BYTES = 32  # the longest non-float cell, in UTF-8 bytes, that _parse_columns codes
+_KEY_BYTES = 32  # the longest non-float cell, in UTF-8 bytes, given a byte key
 # masks of a little-endian word: its low n bytes, and bytes 4 and 7
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 _BYTE_4, _BYTE_7 = np.uint64(0xFF << 32), np.uint64(0xFF << 56)
@@ -387,12 +387,11 @@ def _parse_columns(text: str, table: _Table) -> _Rows | None:
     (None) every file that loop treats specially: one with a quote, a lone
     carriage return, a blank row, a line the csv module would refuse as too
     long, a header that does not match, a row of the wrong width or a cell
-    its column's kind rejects. It also declines a non-float cell longer than
-    _KEY_BYTES. Cells are found among the commas and line breaks of the
-    UTF-8 bytes, where no multi-byte sequence holds either. Float columns
-    are parsed by one np.loadtxt, which accepts a subset of what float()
-    does and gives the same value, so a non-finite value is the one further
-    check; every other column is coded by _code_cells.
+    its column's kind rejects. Cells are found among the commas and line
+    breaks of the UTF-8 bytes, where no multi-byte sequence holds either.
+    Float columns are parsed by one np.loadtxt, which accepts a subset of
+    what float() does and gives the same value, so a non-finite value is the
+    one further check; every other column is coded by _code_cells.
     """
     if '"' in text:
         return None
@@ -454,17 +453,18 @@ def _parse_columns(text: str, table: _Table) -> _Rows | None:
 def _code_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
                 parse) -> tuple[_Coded, np.ndarray] | None:
     """The cells ``data[starts[i]:ends[i]]`` coded as _coder(parse) codes them, and
-    which of them strip to empty; None if a cell is longer than _KEY_BYTES or
-    ``parse`` rejects one.
+    which of them strip to empty; None if ``parse`` rejects one.
 
     Each cell gets an integer key (_cell_keys), and the first cell of each
     distinct key is decoded, stripped and coded once, in the order first
-    seen, so the codes and values are those the per-cell loop gives.
+    seen, so the codes and values are those the per-cell loop gives. In a
+    column with a cell longer than _KEY_BYTES, every cell is its own key.
     """
     sizes = ends - starts
     if len(sizes) and sizes.max() > _KEY_BYTES:
-        return None
-    first, distinct = _first_seen(_cell_keys(data, starts, sizes))
+        first = distinct = np.arange(len(sizes))
+    else:
+        first, distinct = _first_seen(_cell_keys(data, starts, sizes))
     cells = [data[i:j].tobytes().decode().strip()
              for i, j in zip(starts[first].tolist(), ends[first].tolist())]
     code, values = _coder(parse)
@@ -586,45 +586,38 @@ def _write_table(path, table: _Table, *blocks, preamble: str = "") -> None:
     Each column is formatted by its kind, a _Coded one of its values at a
     time, and a column object that the next block holds again (the dates
     contracts on one calendar share) is not formatted again. A block's rows
-    are joined as they are unless a cell may need quoting; such a block goes
-    through the csv module, which decides it.
+    are joined as they are, in the csv module's format.
     """
     kinds = list(table.columns.values())
     alone = len(kinds) == 1
-    last = [(None, None, None)] * len(kinds)  # per column: (object, its cells, may need quoting)
+    last = [(None, None)] * len(kinds)  # per column: (object, its cells)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(preamble)
-        w = csv.writer(fh)
-        w.writerow(list(table.columns))
+        fh.write(preamble + ",".join(table.columns) + "\r\n")
         for block in blocks:
-            cells, plain = [], True
             for j, (kind, column) in enumerate(zip(kinds, block)):
                 if last[j][0] is not column:
-                    last[j] = column, *_format_column(kind, column, alone)
-                cells.append(last[j][1])
-                plain = plain and not last[j][2]
-            if not plain:
-                w.writerows(zip(*cells))
-            elif rows := "\r\n".join(map(",".join, zip(*cells))):
+                    last[j] = column, _format_column(kind, column, alone)
+            if rows := "\r\n".join(map(",".join, zip(*(cells for _, cells in last)))):
                 fh.write(rows + "\r\n")
 
 
-def _format_column(kind, column, alone: bool) -> tuple[list, bool]:
-    """``column``'s cells as ``kind`` writes them, and whether one may need quoting.
-
-    A float's repr never does; a cell with a comma, a quote or a line break
-    may, and so may an empty cell in a table of one column (``alone``).
-    """
+def _format_column(kind, column, alone: bool) -> list:
+    """``column``'s cells as ``kind`` writes them, quoted as the csv module quotes:
+    a cell with a comma, a quote or a line break, and an empty cell in a table
+    of one column (``alone``), go in quotes, with each quote doubled."""
     if isinstance(column, _Coded):
-        cells, quote = _format_column(kind, column.values, alone)
-        return list(map(cells.__getitem__, column.codes.tolist())), quote
+        cells = _format_column(kind, column.values, alone)
+        return list(map(cells.__getitem__, column.codes.tolist()))
     if isinstance(column, np.ndarray):
         if kind is _FLOAT and column.dtype == np.float64:
             # .tolist() gives Python floats, whose repr the kind writes
-            return list(map(repr, column.tolist())), False
+            return list(map(repr, column.tolist()))
         column = column.tolist()
     cells = list(map(kind[1], column))
-    return cells, bool(_QUOTED.search("".join(cells))) or (alone and "" in cells)
+    if _QUOTED.search("".join(cells)) or alone and "" in cells:
+        cells = ['"' + cell.replace('"', '""') + '"' if _QUOTED.search(cell) or alone and not cell
+                 else cell for cell in cells]
+    return cells
 
 
 # --- loaders and writers -----------------------------------------------------

@@ -219,3 +219,18 @@ class TestSignificanceTally:
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
             significance_tally([result(0, 5.0, 0.0001)], alpha=alpha)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MeasureSeries("A", "R3", daily_dates(date(2007, 1, 1), 1), np.ones(1)),
+     "unknown measure kind 'R3'"),
+    (lambda: MeasureSeries("A", "R1", daily_dates(date(2007, 1, 1), 2), np.ones(1)),
+     "dates and values length mismatch"),
+    (lambda: event_study(volume_series(make_futures([1] * 20, [10] * 20)), [date(2007, 1, 10)],
+                         window=(2, -2)),
+     "window lower bound exceeds upper bound"),
+], ids=["unknown_kind", "length_mismatch", "reversed_window"])
+def test_measure_and_event_study_checks(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

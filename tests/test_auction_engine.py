@@ -525,3 +525,13 @@ class TestFullRequirements:
         with pytest.raises(ValueError, match="negative load"):
             full_requirements_payout(100.0, [(date(2007, 7, 1), -1.0)],
                                      SeasonalPayoutFactors())
+
+
+def test_clock_without_strategies_rejected():
+    with pytest.raises(AuctionError, match="at least one strategy required"):
+        run_descending_clock(config(), [])
+
+
+def test_non_positive_payout_factor_rejected():
+    with pytest.raises(ValueError, match="payout factors must be positive"):
+        SeasonalPayoutFactors(summer_factor=0)

@@ -23,7 +23,8 @@ from powerauctions.auction_engine import (ClockAuctionConfig, ConstantSupply, St
                                           StochasticShrink, ThresholdExit)
 from powerauctions.cli import _build_parser, build_scenario, main
 from powerauctions.datasets import PJM_AUCTIONS
-from powerauctions.premiums import pjm_premium
+from powerauctions.market_data import MarketZone, SpotPriceSeries, write_spot_csv
+from powerauctions.premiums import FmpiSpec, fmpi_strip, pjm_premium
 
 AUCTIONS_HEADER = ("market,auction_id,auction_date,product_id,delivery_start,"
                    "delivery_end,load_shape,product_kind,clearing_price,quantity,"
@@ -690,6 +691,37 @@ class TestErrorsAndConfig:
         summary = json.loads((out / "ingest_summary.json").read_text())
         assert summary["rows_accepted"] == 2
 
+    def test_ingest_spot_writes_each_zone_alone(self, tmp_path):
+        spot = tmp_path / "spot.csv"
+        spot.write_text("market,zone,date,price\n" + "".join(
+            f"PJM,{zone},2007-01-{day:02d},{day + len(zone)}\n"
+            for day in range(1, 6) for zone in ("ACE", "RECO")))
+        out = tmp_path / "norm"
+        assert main(["ingest", "--kind", "spot", "--input", str(spot), "--out", str(out)]) == 0
+        days = tuple(date(2007, 1, day) for day in range(1, 6))
+        for zone in ("ACE", "RECO"):
+            write_spot_csv(tmp_path / "alone.csv", SpotPriceSeries(
+                MarketZone("PJM", zone), days, np.array([d.day + len(zone) for d in days])))
+            assert (out / f"spot_PJM_{zone}.csv").read_bytes() == (
+                tmp_path / "alone.csv").read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "ingest_summary.json", "spot_PJM_ACE.csv", "spot_PJM_RECO.csv"]
+
+    def test_fmpi_with_and_without_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("prices.csv").write_text("month,price\n" + "".join(
+            f"{m},{40 + m}\n" for m in range(1, 37)))
+        value = fmpi_strip(FmpiSpec(tuple(40.0 + m for m in range(1, 37))))
+        stdout = json.dumps({"strip_value": value}) + "\n"
+        assert main(["fmpi", "--prices", "prices.csv"]) == 0
+        assert capsys.readouterr().out == stdout
+        assert sorted(os.listdir()) == ["prices.csv"]
+        assert main(["fmpi", "--prices", "prices.csv", "--out", "fmpi/strip.json"]) == 0
+        assert capsys.readouterr().out == stdout
+        payload = json.loads(Path("fmpi/strip.json").read_text())
+        assert (payload["strip_value"], payload["n_prices"], payload["annual_rate"]) == (
+            value, 36, 0.0)
+
     def test_failed_ingest_creates_nothing(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("market,zone,day,price\nOMEL,ES,2007-07-01,50\n")
@@ -965,7 +997,8 @@ class TestArtifactBytes:
 
 
 def test_one_table_reader_and_writer():
-    # only market_data imports csv, and only its codec calls csv.reader/csv.writer
+    # only market_data imports csv, and only its codec's reader calls it: the
+    # writer quotes its own cells
     package = Path(powerauctions.__file__).parent
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -984,9 +1017,9 @@ def test_one_table_reader_and_writer():
 
     tree = ast.parse((package / "market_data.py").read_text(encoding="utf-8"))
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    assert csv_calls(tree) == ["reader", "writer"]
+    assert csv_calls(tree) == ["reader"]
     assert csv_calls(functions["_read_table"]) == ["reader"]
-    assert csv_calls(functions["_write_table"]) == ["writer"]
+    assert csv_calls(functions["_write_table"]) == []
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg", "scipy.special"])
@@ -1017,10 +1050,10 @@ FOOTPRINT = {"ingest": set(), "premium": {"premiums"}, "report": {"premiums"},
              "simulate": {"auction_engine"}}
 
 
-def test_subcommands_without_p_values_leave_scipy_out(tmp_path, omel_fixture):
-    # each subcommand imports only the modules it runs, and none imports
-    # scipy.special: report and event-study take their p values from the
-    # t cdf that scipy exports without it
+@pytest.fixture
+def subcommand_runs(tmp_path, omel_fixture):
+    """Valid inputs in ``tmp_path`` and one argv per subcommand, its paths
+    relative to ``tmp_path``."""
     auctions, spot, fmpi = omel_fixture
     # a second auction year gives report two groups of two to test
     auctions.write_text(auctions.read_text() + "".join(
@@ -1047,7 +1080,16 @@ def test_subcommands_without_p_values_leave_scipy_out(tmp_path, omel_fixture):
                             "events.csv", "--window", "-2", "2", "--out", "event_study"],
             "regress": ["--panel", "panel.csv", "--out", "regress.json"],
             "simulate": ["--scenario", "scenario.json", "--out", "simulate.json"]}
-    assert set(runs) == set(FOOTPRINT) == set(_build_parser().commands)
+    assert set(runs) == set(_build_parser().commands)
+    return runs
+
+
+def test_subcommands_without_p_values_leave_scipy_out(tmp_path, subcommand_runs):
+    # each subcommand imports only the modules it runs, and none imports
+    # scipy.special: report and event-study take their p values from the
+    # t cdf that scipy exports without it
+    runs = subcommand_runs
+    assert set(runs) == set(FOOTPRINT)
     env = dict(os.environ, PYTHONPATH=str(Path(powerauctions.__file__).parents[1]))
     for command, argv in runs.items():
         out = subprocess.run(
@@ -1062,6 +1104,25 @@ def test_subcommands_without_p_values_leave_scipy_out(tmp_path, omel_fixture):
         assert loaded == {"cli", "market_data"} | FOOTPRINT[command], command
         assert "scipy.special" not in modules, command
     assert json.loads((tmp_path / "report" / "report.json").read_text())["equality_of_means"]
+
+
+@pytest.mark.parametrize("command", sorted(FOOTPRINT))
+def test_subcommand_builds_its_outputs_and_main_writes_them(tmp_path, monkeypatch, capsys,
+                                                            subcommand_runs, command):
+    # a subcommand touches no file; main writes exactly the outputs it returns
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *subcommand_runs[command]]
+    if command == "fmpi":
+        argv += ["--out", "fmpi/fmpi.json"]
+
+    before = set(tmp_path.rglob("*"))
+    args = _build_parser().parse_args(argv)
+    outputs, message = args.func(args)
+    assert outputs and set(tmp_path.rglob("*")) == before
+    assert main(argv) == 0
+    assert capsys.readouterr().out == message + "\n"
+    written = set(tmp_path.rglob("*")) - before
+    assert {tmp_path / path for path, _ in outputs} == {p for p in written if p.is_file()}
 
 
 EXPORTED = """

@@ -1,4 +1,5 @@
 import csv
+import io
 import tempfile
 import warnings
 from datetime import date
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerauctions import (DeliveryPeriod, FuturesContractSeries, MarketDataError,
-                           MarketZone, average_price, load_auctions_csv, load_costs_csv,
-                           load_futures_csv, load_spot_csv)
+                           MarketZone, SpotPriceSeries, average_price, load_auctions_csv,
+                           load_costs_csv, load_futures_csv, load_spot_csv)
 from powerauctions import market_data
 from powerauctions.market_data import (write_auctions_csv, write_costs_csv,
                                        write_futures_csv, write_spot_csv)
@@ -305,6 +306,71 @@ class TestAveragePrice:
         assert average_price(series, period, mode="available") == 20.0
 
 
+_DAY = date(2007, 1, 1)
+
+
+def _auction(**fields):
+    """An OMEL AuctionRecord that passes every check, with ``fields`` changed."""
+    from powerauctions import AuctionRecord
+    return AuctionRecord(**{**dict(
+        market="OMEL", auction_id=1, auction_date=date(2006, 12, 1), product_id="Q1-07",
+        delivery=DeliveryPeriod(_DAY, date(2007, 3, 31)), clearing_price=40.0, quantity=1.0,
+        product_kind="fixed_quantity", start_bidders=3, winning_bidders=2, rounds=5), **fields})
+
+
+def _futures(settle, n_dates=1):
+    return FuturesContractSeries("A", ES, tuple(date(2007, 1, d) for d in range(1, n_dates + 1)),
+                                 np.array(settle), np.ones(n_dates), np.ones(n_dates))
+
+
+OBJECT_CHECKS = {
+    "delivery_start_after_end": (lambda: DeliveryPeriod(date(2007, 2, 1), _DAY),
+                                 "delivery start 2007-02-01 after end 2007-01-01"),
+    "unknown_load_shape": (lambda: DeliveryPeriod(_DAY, _DAY, "midpeak"),
+                           "unknown load shape 'midpeak'"),
+    "spot_length_mismatch": (lambda: SpotPriceSeries(ES, (_DAY,), np.array([1.0, 2.0])),
+                             "dates and prices length mismatch"),
+    "spot_non_finite": (lambda: SpotPriceSeries(ES, (_DAY,), np.array([np.nan])),
+                        "non-finite spot price"),
+    "futures_length_mismatch": (lambda: _futures([50.0, 51.0]), "settle length mismatch in A"),
+    "futures_non_finite": (lambda: _futures([np.inf]), "non-finite settle in A"),
+    "auction_product_kind": (lambda: _auction(product_kind="forward"),
+                             "unknown product kind 'forward'"),
+    "auction_bidder_counts": (lambda: _auction(start_bidders=2, winning_bidders=3),
+                              "bidder counts inconsistent: start 2, winning 3"),
+}
+
+
+@pytest.mark.parametrize("case", OBJECT_CHECKS)
+def test_domain_object_checks(case):
+    build, message = OBJECT_CHECKS[case]
+    with pytest.raises(MarketDataError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_spot_row_of_another_zone_rejected(tmp_path):
+    p = write(tmp_path / "s.csv",
+              "market,zone,date,price\nOMEL,ES,2007-01-01,30\nPJM,ACE,2007-01-02,31\n")
+    with pytest.raises(MarketDataError) as exc:
+        load_spot_csv(p, ES)
+    assert str(exc.value) == f"{p} line 3: row for PJM/ACE, expected OMEL/ES"
+
+
+def test_multi_product_fields_of_unequal_counts_rejected(tmp_path):
+    p = write(tmp_path / "a.csv", TestAuctionsLoader.HEADER +
+              "OMEL,4,2008-03-13,Q2-08;Q2Q3-08,2008-04-01;2008-04-01,"
+              "2008-06-30;2008-09-30,baseload,fixed_quantity,63.36;63.73,1800;1200,29,14,22\n")
+    with pytest.raises(MarketDataError) as exc:
+        load_auctions_csv(p)
+    assert str(exc.value) == f"{p} line 2: multi-product fields have unequal counts"
+
+
+def test_average_price_unknown_mode_rejected():
+    with pytest.raises(ValueError, match="unknown mode 'mean'"):
+        average_price(make_spot([10, 20]), DeliveryPeriod(_DAY, _DAY), mode="mean")
+
+
 # every table the package reads: (table, header, one valid data row, a column
 # whose cell the bad-cell case replaces)
 TABLES = {
@@ -501,12 +567,13 @@ COLUMN_PARSE_CASES = {
     "short_row": (market_data._FMPI, "OMEL,Q3-07\n", False),
     "long_row": (market_data._FMPI, "OMEL,Q3-07,1,2\n", False),
     "bad_date": (market_data._EVENTS, "2007-01\n", False),
-    # non-float cells are coded by byte keys of at most _KEY_BYTES bytes
+    # non-float cells are coded by byte keys of at most _KEY_BYTES bytes; a
+    # column with a longer cell is coded a cell at a time
     "crlf_text_last": (market_data._EVENTS, "2007-01-01\r\n2007-01-02\r\n", True),
     "cell_at_key_bound": (market_data._FMPI, f"OMEL,{'x' * _KEY_BYTES},1\nOMEL,x,2\n", True),
-    "cell_past_key_bound": (market_data._FMPI, f"OMEL,{'x' * (_KEY_BYTES + 1)},1\n", False),
+    "cell_past_key_bound": (market_data._FMPI, f"OMEL,{'x' * (_KEY_BYTES + 1)},1\n", True),
     "multi_byte_past_key_bound": (market_data._FMPI, f"OMEL,{'é' * (_KEY_BYTES // 2 + 1)},1\n",
-                                  False),
+                                  True),
     "non_ascii_keys": (market_data._FMPI, "OMEL,Ü7,1\nOMEL,日本,2\nOMEL,Ü7,3\n", True),
     "nul_ended_key": (market_data._FMPI, "OMEL,a,1\nOMEL,a\0,2\n", True),
     "date_shape_in_text": (market_data._FMPI, "OMEL,2007-01-20,1\nOMEL,2007/01-20,2\n", True),
@@ -717,22 +784,17 @@ def _write_blocks(draw, table):
     return blocks
 
 
+def _csv_quotes(cell: str, width: int) -> bool:
+    """Whether csv.writer quotes ``cell`` in a row of ``width`` cells."""
+    row = [cell] + ["x"] * (width - 1)
+    text = io.StringIO()
+    csv.writer(text).writerow(row)
+    return text.getvalue() != ",".join(row) + "\r\n"
+
+
 def test_write_matches_csv_writer_loop():
-    # _write_table's bytes must equal those of every row through csv.writer,
-    # whether a block's rows were joined or went through csv.writer
-    rows_by_path = {"joined": 0, "csv.writer": 0}
-
-    class Recording:
-        """csv.writer, counting the rows each writerows call takes."""
-
-        def __init__(self, fh):
-            self.writer = csv.writer(fh)
-            self.writerow = self.writer.writerow
-
-        def writerows(self, rows):
-            rows = list(rows)
-            rows_by_path["csv.writer"] += len(rows)
-            self.writer.writerows(rows)
+    # _write_table's bytes must equal those of every row through csv.writer
+    cells_csv = {"quotes": 0, "leaves": 0}
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), name=st.sampled_from(sorted(WRITE_TABLES)),
@@ -743,14 +805,15 @@ def test_write_matches_csv_writer_loop():
         with tempfile.TemporaryDirectory() as tmp:
             expected, written = Path(tmp) / "expected.csv", Path(tmp) / "written.csv"
             _write_rows_one_at_a_time(expected, table, *blocks, preamble=preamble)
-            before = rows_by_path["csv.writer"]
-            with mock.patch.object(market_data, "csv",
-                                   mock.Mock(writer=Recording, reader=csv.reader)):
-                market_data._write_table(written, table, *blocks, preamble=preamble)
+            market_data._write_table(written, table, *blocks, preamble=preamble)
             assert written.read_bytes() == expected.read_bytes()
-        rows = sum(min(map(_rows_of, block), default=0) for block in blocks)
-        rows_by_path["joined"] += rows - (rows_by_path["csv.writer"] - before)
+        width = len(table.columns)
+        for (_, fmt), block in zip(table.columns.values(), zip(*blocks)):
+            for column in block:
+                for value in column.tolist() if hasattr(column, "tolist") else column:
+                    cells_csv["quotes" if _csv_quotes(fmt(value), width) else "leaves"] += 1
 
     check()
-    # both paths must have written rows for the comparison to mean anything
-    assert rows_by_path["joined"] and rows_by_path["csv.writer"]
+    # the blocks must have held cells csv quotes and cells it leaves as they
+    # are for the comparison to mean anything
+    assert cells_csv["quotes"] and cells_csv["leaves"]

@@ -256,3 +256,18 @@ class TestPooledOls:
                  PanelObservation(unit="B", period=2008, y=2.0, covariates={})]
         with pytest.raises(RegressionError, match="missing covariate 'x'"):
             fit_pooled_ols(panel, ["x"])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: standardize_by_group([1.0, 2.0], ["A"]), ValueError,
+     "values and labels length mismatch"),
+    (lambda: fit_pooled_ols([], ["x"]), RegressionError, "empty panel"),
+    (lambda: fit_pooled_ols([PanelObservation(unit="A" if i % 2 else "B", period=i, y=i * i,
+                                              covariates={"x": float(i)}) for i in range(8)],
+                            ["x"], period_fixed_effects=False).coefficient("missing"),
+     KeyError, "'missing'"),
+], ids=["standardize_length_mismatch", "empty_panel", "unknown_coefficient"])
+def test_panel_checks(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

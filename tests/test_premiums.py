@@ -331,3 +331,15 @@ class TestPublishedTables:
             f_prem, f_pct = fmpi_premium(a.bgsfp_price, a.costs, a.fmpi)
             assert f_prem == pytest.approx(a.fmpi_premium, abs=0.01), (a.year, a.zone)
             assert f_pct * 100 == pytest.approx(a.fmpi_premium_pct, abs=0.05), (a.year, a.zone)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FmpiSpec(monthly_prices=(40.0,) * 35 + (math.nan,)), "non-finite price in strip"),
+    (lambda: FmpiSpec(monthly_prices=(40.0,) * 36, annual_rate=-1),
+     "annual rate must exceed -1"),
+    (lambda: monetary_impact(1.0, -5.0), "capacity must be non-negative"),
+], ids=["fmpi_non_finite_price", "fmpi_rate_minus_one", "negative_capacity"])
+def test_fmpi_and_impact_checks(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
