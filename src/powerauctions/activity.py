@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .market_data import FuturesContractSeries, _date_index
-from .premiums import _ZeroVarianceError, _two_sample_t
+from .premiums import _ZeroVarianceError, _moments, _two_sample_t
 
 MEASURE_KINDS = ("volume", "open_interest", "R1", "R2")
 
@@ -175,13 +175,14 @@ def event_study(series: MeasureSeries, event_dates: Sequence[date],
         raise ValueError(f"event date {missing} not in the series trading calendar")
     defined = series.defined_mask()
 
-    excluded = np.zeros(n, dtype=bool)
-    for p in positions:
-        excluded[max(0, p + lo):min(n, p + hi + 1)] = True
-    baseline = series.values[defined & ~excluded]
+    # +1 at each window's start and -1 past its end, both clipped into the series
+    edges = (np.bincount(np.clip(positions + lo, 0, n), minlength=n + 1)
+             - np.bincount(np.clip(positions + hi + 1, 0, n), minlength=n + 1))
+    baseline = series.values[defined & (np.cumsum(edges[:n]) == 0)]
     if baseline.size < 2:
         raise ValueError("baseline sample too small after exclusions")
-    baseline_mean, baseline_var = float(baseline.mean()), baseline.var(ddof=1)
+    base = _moments(baseline)
+    baseline_mean = float(base[1])
 
     results = []
     for k in range(lo, hi + 1):
@@ -194,13 +195,13 @@ def event_study(series: MeasureSeries, event_dates: Sequence[date],
                                             t_stat=math.nan, p_value=math.nan,
                                             sig01=False, sig05=False))
             continue
+        moments = _moments(sample)
         try:
-            t, _, p = _two_sample_t(sample, baseline.size, baseline_mean, baseline_var,
-                                    variance)
+            t, _, p = _two_sample_t(moments, base, variance)
         except _ZeroVarianceError:
             # zero standard error (both samples constant): reported as no shift
             t, p = 0.0, 1.0
-        results.append(EventStudyResult(offset=k, event_mean=float(sample.mean()),
+        results.append(EventStudyResult(offset=k, event_mean=float(moments[1]),
                                         baseline_mean=baseline_mean,
                                         n_events=int(sample.size), t_stat=t,
                                         p_value=p, sig01=p < 0.01, sig05=p < 0.05))

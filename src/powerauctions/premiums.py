@@ -78,8 +78,8 @@ class FmpiSpec:
 def fmpi_strip(spec: FmpiSpec) -> float:
     """Discounted-weight average of the 36 monthly futures prices.
 
-    Month j gets weight proportional to (1+r)^(-j/12); weights are
-    normalized to sum to one, so r=0 reduces to the plain mean.
+    Month j gets weight (1+r)^(-j/12), normalized to sum to one: at r=0 the
+    plain mean but for the rounding of 1/36 (41..76 give 58.50000000000001).
     """
     return float(fmpi_weights(spec.annual_rate) @ np.asarray(spec.monthly_prices, dtype=float))
 
@@ -207,30 +207,39 @@ class _ZeroVarianceError(ValueError):
     """The t statistic is undefined: its standard error is zero."""
 
 
-def _two_sample_t(a: np.ndarray, nb: int, mean_b: float, vb: float,
-                  variance: str = "welch") -> tuple[float, float, float]:
+def _moments(a: np.ndarray) -> tuple[int, np.float64, np.float64]:
+    """Size, mean and ddof=1 variance (NaN for one element) of a 1-D float sample:
+    the sums and divisions of ``a.mean()`` and ``a.var(ddof=1)``, so the same
+    bits, without numpy's Python-level wrappers."""
+    n = a.size
+    mean = np.add.reduce(a) / n
+    d = a - mean
+    return n, mean, np.add.reduce(d * d) / (n - 1) if n > 1 else np.float64(math.nan)
+
+
+def _two_sample_t(a: tuple, b: tuple, variance: str = "welch") -> tuple[float, float, float]:
     """Two-sample t statistic, degrees of freedom and two-sided p value.
 
-    The second sample comes as its size, mean and ddof=1 variance, so a
-    caller testing many samples against one baseline summarises it once.
+    Each sample comes as its ``_moments`` (size, mean, ddof=1 variance), so
+    a caller testing many samples against one baseline summarises it once.
     ``variance`` is "welch" (Welch-Satterthwaite dof) or "pooled" (one
     common variance, na + nb - 2 dof). A one-element ``a`` has no variance
     of its own and takes b's: se^2 = vb (1 + 1/nb) on nb - 1 dof. Raises
     _ZeroVarianceError when the standard error is zero.
     """
-    na = a.size
+    (na, mean_a, va), (nb, mean_b, vb) = a, b
     if na == 1:
         se2, dof = vb * (1 + 1 / nb), nb - 1
     elif variance == "welch":
-        sa, sb = a.var(ddof=1) / na, vb / nb
+        sa, sb = va / na, vb / nb
         se2 = sa + sb
         dof = se2 ** 2 / (sa ** 2 / (na - 1) + sb ** 2 / (nb - 1)) if se2 else math.nan
     else:
-        pooled = ((na - 1) * a.var(ddof=1) + (nb - 1) * vb) / (na + nb - 2)
+        pooled = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
         se2, dof = pooled * (1 / na + 1 / nb), na + nb - 2
     if se2 == 0:
         raise _ZeroVarianceError("both samples have zero variance")
-    t = float((a.mean() - mean_b) / math.sqrt(se2))
+    t = float((mean_a - mean_b) / math.sqrt(se2))
     return t, float(dof), 2.0 * _t_cdf(dof, -abs(t))
 
 
@@ -301,7 +310,7 @@ def welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     b = np.asarray(b, dtype=float)
     if a.size < 2 or b.size < 2:
         raise ValueError("each sample needs at least 2 observations")
-    return _two_sample_t(a, b.size, b.mean(), b.var(ddof=1))
+    return _two_sample_t(_moments(a), _moments(b))
 
 
 def equality_of_means(groups: dict[str, Sequence[float]]) -> list[MeanComparison]:

@@ -425,6 +425,25 @@ class TestEventStudyCommand:
         assert len(rows) == 12
         assert [r[0] for r in rows[1:]] == [str(k) for k in range(-5, 6)]
 
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_window_before_the_event_day_off_the_series_start(self, tmp_path, first):
+        # --window -5 -3 around days 0 and 1 lies wholly before the series, so
+        # those events add nothing: not to the offsets, nor to the exclusions
+        lines = ["contract_id,market,zone,date,settle,volume,open_interest"]
+        days = [date(2007, 1, 1) + timedelta(days=i) for i in range(60)]
+        lines += [f"Q1,OMEL,ES,{d},50.0,{50 + i * 7 % 31},600" for i, d in enumerate(days)]
+        (tmp_path / "f.csv").write_text("\n".join(lines) + "\n")
+        rows = {}
+        for name, events in (("edge", [days[first], days[30]]), ("alone", [days[30]])):
+            (tmp_path / f"{name}.csv").write_text("date\n" + "".join(f"{d}\n" for d in events))
+            out = tmp_path / name
+            assert main(["event-study", "--futures", str(tmp_path / "f.csv"), "--measure",
+                         "volume", "--events", str(tmp_path / f"{name}.csv"), "--window",
+                         "-5", "-3", "--out", str(out)]) == 0
+            rows[name] = read_csv_skipping_comments(out / "event_study.csv")
+        assert rows["edge"] == rows["alone"]
+        assert [r[0] for r in rows["edge"][1:]] == ["-5", "-4", "-3"]
+
     @pytest.mark.parametrize("alpha", ["nan", "0", "1", "1.5"])
     def test_alpha_outside_unit_interval_writes_no_file(self, tmp_path, futures_fixture,
                                                         capsys, alpha):

@@ -8,8 +8,12 @@ and their messages included.
 from dataclasses import astuple
 from datetime import date, timedelta
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerauctions import (DeliveryPeriod, FuturesContractSeries, MarketDataError,
                            MarketZone, MeasureSeries, RegressionError,
@@ -191,8 +195,10 @@ def ref_event_study(m, events, window=(-5, 5), variance="welch"):
             rows.append((k, np.nan, float(baseline.mean()), 0, np.nan, np.nan, False, False))
             continue
         try:
-            t, _, p = _two_sample_t(sample, baseline.size, baseline.mean(),
-                                    baseline.var(ddof=1), variance)
+            va = sample.var(ddof=1) if sample.size > 1 else np.nan
+            t, _, p = _two_sample_t((sample.size, sample.mean(), va),
+                                    (baseline.size, baseline.mean(), baseline.var(ddof=1)),
+                                    variance)
         except _ZeroVarianceError:
             t, p = 0.0, 1.0
         rows.append((k, float(sample.mean()), float(baseline.mean()), sample.size, t, p,
@@ -250,6 +256,13 @@ class TestEventStudyEdges:
         assert_same_study(m, events)
         assert {r.offset: r.n_events for r in event_study(m, events)}[1] == 0
 
+    @pytest.mark.parametrize("window", [(-5, -3), (3, 5), (-8, -6)])
+    @pytest.mark.parametrize("edge", [(0, 1, 60), (60, 118, 119)], ids=["start", "end"])
+    def test_window_off_the_event_day_at_the_series_edges(self, measure, window, edge):
+        # a window wholly before or after its event day may lie wholly
+        # outside the series: it then excludes nothing from the baseline
+        assert_same_study(measure, [measure.dates[p] for p in edge], window=window)
+
     @pytest.mark.parametrize("missing", [
         [date(2007, 2, 1), date(1999, 1, 1), date(2030, 1, 1)],
         [date(2030, 1, 1), date(1999, 1, 1)],
@@ -276,6 +289,36 @@ class TestEventStudyEdges:
         # defined days: 2, 3, 4 -> values 7/3, 9/7, 4/20; exclude day 3
         got = baseline_mean_excluding(m, [m.dates[3], m.dates[0]])
         assert got == pytest.approx((7 / 3 + 4 / 20) / 2, abs=1e-12)
+
+
+@st.composite
+def _study_case(draw):
+    n = draw(st.integers(2, 60))
+    position = st.one_of(st.integers(0, n - 1), st.sampled_from([0, n - 1]))
+    positions = draw(st.lists(position, min_size=1, max_size=8))
+    lo = draw(st.integers(-n - 5, n + 5))
+    hi = draw(st.integers(lo, n + 6))
+    undefined = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+    return n, positions, (lo, hi), undefined, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_study_case())
+def test_event_study_baseline_is_the_excluded_baseline(case):
+    n, positions, (lo, hi), undefined, seed = case
+    dates = daily_dates(date(2007, 1, 1), n)
+    m = MeasureSeries("C", "R1", dates, np.random.default_rng(seed).uniform(1.0, 100.0, n),
+                      undefined_dates=frozenset(dates[i] for i in undefined))
+    events = [dates[p] for p in positions]
+    in_window = {dates[i] for p in positions for i in range(p + lo, p + hi + 1) if 0 <= i < n}
+    try:
+        want = baseline_mean_excluding(m, in_window)
+    except ValueError:
+        with pytest.raises(ValueError, match="^baseline sample too small after exclusions$"):
+            event_study(m, events, window=(lo, hi))
+        return
+    got = event_study(m, events, window=(lo, hi))[0].baseline_mean
+    assert math.isclose(got, want, rel_tol=1e-12)
 
 
 # --- series validation -------------------------------------------------------

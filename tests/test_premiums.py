@@ -249,6 +249,46 @@ class TestEqualityOfMeans:
             welch_t(np.array([1.0]), np.array([2.0, 3.0]))
 
 
+def _t_with_numpy_moments(a, b, variance):
+    """The t test written out with ``a.mean()`` and ``a.var(ddof=1)``."""
+    na, nb, mean_b, vb = a.size, b.size, b.mean(), b.var(ddof=1)
+    if na == 1:
+        se2, dof = vb * (1 + 1 / nb), nb - 1
+    elif variance == "welch":
+        sa, sb = a.var(ddof=1) / na, vb / nb
+        se2 = sa + sb
+        dof = se2 ** 2 / (sa ** 2 / (na - 1) + sb ** 2 / (nb - 1)) if se2 else math.nan
+    else:
+        pooled = ((na - 1) * a.var(ddof=1) + (nb - 1) * vb) / (na + nb - 2)
+        se2, dof = pooled * (1 / na + 1 / nb), na + nb - 2
+    if se2 == 0:
+        return None
+    t = float((a.mean() - mean_b) / math.sqrt(se2))
+    return t, float(dof), 2.0 * premiums._t_cdf(dof, -abs(t))
+
+
+def _sample(min_size):
+    values = st.floats(-1e6, 1e6) | st.integers(-50, 50).map(float)
+    return (st.lists(values, min_size=min_size, max_size=200)
+            | st.tuples(values, st.integers(min_size, 200)).map(lambda c: [c[0]] * c[1])
+            ).map(np.array)
+
+
+# variances below about 1e-154 square to 0, and both give the Welch dof as 0/0
+@pytest.mark.filterwarnings("ignore:invalid value encountered in scalar divide")
+@settings(max_examples=500, deadline=None)
+@given(a=_sample(1), b=_sample(2), variance=st.sampled_from(["welch", "pooled"]))
+def test_two_sample_t_keeps_numpys_mean_and_var(a, b, variance):
+    want = _t_with_numpy_moments(a, b, variance)
+    try:
+        got = premiums._two_sample_t(premiums._moments(a), premiums._moments(b), variance)
+    except premiums._ZeroVarianceError:
+        got = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(got, want))
+
+
 # --- the t distribution's cdf -----------------------------------------------
 
 _EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e300]
