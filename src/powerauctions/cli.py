@@ -253,6 +253,11 @@ def _cmd_regress(args):
     result = fit_pooled_ols(panel, covariates,
                             period_fixed_effects=not args.no_period_effects,
                             unit_fixed_effects=args.unit_effects)
+    if all(c.std_error == 0 for c in result.coefficients):  # the fit's mark of an exact fit
+        ys = {obs.y for obs in panel}
+        cause = (f"y is {ys.pop()} in every observation" if len(ys) == 1
+                 else "y is a linear combination of the design's columns")
+        raise ValueError(f"exact fit: {cause}, so no standard error or t statistic is defined")
     payload = dataclasses.asdict(result)
     payload["coefficients"] = {c.pop("name"): c for c in payload["coefficients"]}
     payload["metadata"] = _metadata(args)
@@ -418,29 +423,31 @@ def _numeric_errors() -> tuple[type[Exception], ...]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    # a warning is shown as one line, without the source line that raised it
-    format_warning = warnings.formatwarning
-    warnings.formatwarning = lambda message, *_, **__: f"warning: {message}\n"
-    try:
-        argv = _apply_config_file(argv, parser.commands)
-        args = parser.parse_args(argv)
-        outputs, message = args.func(args)
-        for path, write in outputs:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write(path)
-        print(message)
-        return EXIT_OK
-    except UsageError as exc:
-        print(f"error code={EXIT_USAGE} reason={exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MarketDataError, OSError) as exc:
-        print(f"error code={EXIT_DATA} reason={exc}", file=sys.stderr)
-        return EXIT_DATA
-    except _numeric_errors() as exc:
-        print(f"error code={EXIT_NUMERIC} reason={exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    finally:
-        warnings.formatwarning = format_warning
+    # a fresh once-per-location registry, so each call shows its own warnings,
+    # each as one line, without the source line that raised it
+    with warnings.catch_warnings():
+        format_warning = warnings.formatwarning
+        warnings.formatwarning = lambda message, *_, **__: f"warning: {message}\n"
+        try:
+            argv = _apply_config_file(argv, parser.commands)
+            args = parser.parse_args(argv)
+            outputs, message = args.func(args)
+            for path, write in outputs:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write(path)
+            print(message)
+            return EXIT_OK
+        except UsageError as exc:
+            print(f"error code={EXIT_USAGE} reason={exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (MarketDataError, OSError) as exc:
+            print(f"error code={EXIT_DATA} reason={exc}", file=sys.stderr)
+            return EXIT_DATA
+        except _numeric_errors() as exc:
+            print(f"error code={EXIT_NUMERIC} reason={exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        finally:
+            warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -3,9 +3,12 @@
 Covariates follow the standardized-premium regression design: within-market
 z-scored dependent variable, three-year spot volatility, bidder counts and
 an optional load-share column. Groups (units, periods, markets) are coded once,
-in sorted order. The R factor of one QR of the design names the first collinear
-column and is the bread of the unit-clustered covariance, which carries the
-usual G/(G-1) * (n-1)/(n-K) finite-sample factor.
+in sorted order. One QR of [X | y] does all the fitting: its leading k x k
+block R names the first collinear column and is the bread of the
+unit-clustered covariance, which carries the usual G/(G-1) * (n-1)/(n-K)
+finite-sample factor; its column k holds Q'y, so R beta = Q'y gives the
+coefficients, and its last diagonal entry is the residual norm, which decides
+an exact fit.
 """
 
 from __future__ import annotations
@@ -102,8 +105,9 @@ class RegressionResult:
         raise KeyError(name)
 
 
-def _build_design(panel, covariate_names, groups):
-    """Design matrix, column names and R factor; ``groups`` hold (prefix, coding)."""
+def _build_design(panel, covariate_names, groups, y):
+    """Design matrix X, column names and the R factor of [X | y]; ``groups``
+    hold (prefix, coding). X is a view of the first k columns of [X | y]."""
     n = len(panel)
     names = ["const"]
     cols = [np.ones(n)]
@@ -114,19 +118,25 @@ def _build_design(panel, covariate_names, groups):
                 f"observation ({missing.unit}, {missing.period}) missing covariate {name!r}")
         names.append(name)
         cols.append(np.array([obs.covariates[name] for obs in panel], dtype=float))
+    values = np.column_stack(cols[1:] + [y])  # the constant and the dummies are finite
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:  # a QR would spread it over every result as NaN
+        i, j = bad[0]
+        raise RegressionError(f"observation ({panel[i].unit}, {panel[i].period}) "
+                              f"has non-finite {(names[1:] + ['y'])[j]} {values[i, j]}")
     for prefix, (levels, codes) in groups:  # first level dropped for identification
         names += [f"{prefix}_{v}" for v in levels[1:]]
         cols.append(codes[:, None] == np.arange(1, len(levels)))
-    X = np.column_stack(cols)
+    a = np.column_stack(cols + [y])
     # |R_jj| is column j's distance from the span of the columns before it;
     # the tolerance is numpy's SVD rank default with max |R_ii| for the top singular value
-    r = np.linalg.qr(X, mode="r")
-    diag = np.abs(np.diagonal(r))
-    small = np.flatnonzero(diag <= diag.max() * max(X.shape) * np.finfo(float).eps)
+    r = np.linalg.qr(a, mode="r")
+    diag = np.abs(np.diagonal(r[:, :-1]))
+    small = np.flatnonzero(diag <= diag.max() * max(n, len(names)) * np.finfo(float).eps)
     if small.size or n < len(names):  # then column n is the first that adds no rank
         j = small[0] if small.size else n
         raise RegressionError(f"design matrix rank deficient at column {names[j]!r}")
-    return X, names, r
+    return a[:, :-1], names, r
 
 
 def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
@@ -134,8 +144,11 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
                    unit_fixed_effects: bool = False) -> RegressionResult:
     """Pooled least squares with unit-clustered robust standard errors.
 
-    The coefficients come from numpy lstsq. The sandwich's bread is R^-1 R^-T
-    from the design's R factor (X'X = R'R), so X'X is neither formed nor inverted.
+    With R and Q'y from one QR of [X | y], the coefficients are R^-1 Q'y and
+    the sandwich's bread is R^-1 R^-T (X'X = R'R), so X'X is neither formed
+    nor inverted. The fit is exact when y's distance from the span of X is
+    within the rank rule's tolerance for y's own norm; every standard error
+    is then 0.0 (and every t statistic inf).
     """
     if not panel:
         raise RegressionError("empty panel")
@@ -152,7 +165,7 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
         groups.append(("period", _group_codes([obs.period for obs in panel])))
     if unit_fixed_effects:
         groups.append(("unit", units))
-    X, names, r = _build_design(panel, covariates, groups)
+    X, names, r = _build_design(panel, covariates, groups, y)
     n, k = X.shape
     if n <= k:
         raise RegressionError(f"not enough observations ({n}) for {k} parameters")
@@ -161,7 +174,8 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
     if g < 2:
         raise RegressionError("need at least 2 clusters")
 
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    r_inv = np.linalg.inv(r[:k, :k])
+    beta = r_inv @ r[:k, k]
     resid = y - X @ beta
     rss = float(resid @ resid)
     tss = float(((y - y.mean()) ** 2).sum())
@@ -169,12 +183,14 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - k)
     rmse = float(np.sqrt(rss / (n - k)))
 
-    # diag of c A S'S A, A = R^-1 R^-T, S = per-unit score sums: a sum of squares
-    scores = np.zeros((g, k))
-    np.add.at(scores, clusters, X * resid[:, None])
-    r_inv = np.linalg.inv(r)
-    c_factor = (g / (g - 1)) * ((n - 1) / (n - k))
-    se = np.sqrt(c_factor * ((scores @ r_inv @ r_inv.T) ** 2).sum(axis=0))
+    if abs(r[k, k]) <= np.linalg.norm(y) * max(n, k + 1) * np.finfo(float).eps:
+        se = np.zeros(k)  # exact fit: the residuals are round-off
+    else:
+        # diag of c A S'S A, A = R^-1 R^-T, S = per-unit score sums: a sum of squares
+        scores = np.zeros((g, k))
+        np.add.at(scores, clusters, X * resid[:, None])
+        c_factor = (g / (g - 1)) * ((n - 1) / (n - k))
+        se = np.sqrt(c_factor * ((scores @ r_inv @ r_inv.T) ** 2).sum(axis=0))
 
     coefs = []
     fixed = {}

@@ -233,7 +233,13 @@ def _two_sample_t(a: tuple, b: tuple, variance: str = "welch") -> tuple[float, f
     elif variance == "welch":
         sa, sb = va / na, vb / nb
         se2 = sa + sb
-        dof = se2 ** 2 / (sa ** 2 / (na - 1) + sb ** 2 / (nb - 1)) if se2 else math.nan
+        den = sa ** 2 / (na - 1) + sb ** 2 / (nb - 1)
+        if den:
+            dof = se2 ** 2 / den
+        elif se2:  # the squares underflowed: scale both shares by se2 first
+            dof = 1 / ((sa / se2) ** 2 / (na - 1) + (sb / se2) ** 2 / (nb - 1))
+        else:
+            dof = math.nan
     else:
         pooled = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
         se2, dof = pooled * (1 / na + 1 / nb), na + nb - 2

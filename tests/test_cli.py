@@ -507,6 +507,20 @@ class TestEventStudyCommand:
         assert run.stderr.splitlines() == [f"warning: {futures}: no data rows",
                                            f"error code=2 reason={futures}: no contracts"]
 
+    def test_each_main_call_shows_its_warnings(self, tmp_path):
+        # Python shows a warning once per code location: the second call in
+        # one process used to print no warning line
+        prices = tmp_path / "empty.csv"
+        prices.write_text("month,price\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(powerauctions.__file__).parents[1]))
+        script = ("import sys\nfrom powerauctions.cli import main\n"
+                  "for _ in range(2):\n    main(['fmpi', '--prices', sys.argv[1]])\n")
+        run = subprocess.run([sys.executable, "-c", script, str(prices)],
+                             env=env, capture_output=True, text=True)
+        assert run.stderr.splitlines() == [
+            f"warning: {prices}: no data rows",
+            "error code=3 reason=strip needs 36 monthly prices, got 0"] * 2
+
     def test_activity_command(self, tmp_path, futures_fixture):
         futures, _ = futures_fixture
         out = tmp_path / "out"
@@ -651,6 +665,29 @@ class TestRegressCommand:
         for key in ("coefficients", "r_squared", "adj_r_squared", "rss", "rmse"):
             assert key in payload
         assert set(payload["coefficients"]) >= {"const", "vol3y", "startbidders", "wbidders"}
+
+    @pytest.mark.parametrize("y, cause", [
+        ("0", "y is 0.0 in every observation"),
+        ("1.5", "y is 1.5 in every observation"),
+        ("{vol3y}", "y is a linear combination of the design's columns"),
+    ], ids=["zero", "constant", "covariate"])
+    def test_exact_fit_is_numeric_error(self, tmp_path, capsys, y, cause):
+        # y = 1.5 used to exit 0 with a const t statistic of 6e14 and noise
+        # t statistics for the other columns
+        lines = ["unit,period,y,vol3y,startbidders,wbidders"]
+        for i, u in enumerate(("ACE", "JCPL", "PSEG", "RECO")):
+            for t in range(2007, 2012):
+                vol3y = 10 + i + 0.7 * (t % 5)
+                lines.append(f"{u},{t},{y.format(vol3y=vol3y)},{vol3y},{20 + t % 3},{8 + i}")
+        panel = tmp_path / "panel.csv"
+        panel.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "result.json"
+        rc = main(["regress", "--panel", str(panel), "--no-period-effects", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error code=3 reason=exact fit: {cause}, "
+            "so no standard error or t statistic is defined\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("covariates", ["vol3y,foo", "pls", "y"])
     def test_covariate_without_column_is_data_error(self, tmp_path, capsys, covariates):

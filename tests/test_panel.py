@@ -1,3 +1,5 @@
+import math
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -159,6 +161,44 @@ class TestPooledOls:
         assert res.coefficient("x").estimate == pytest.approx(2.0, abs=1e-9)
         assert res.r_squared == pytest.approx(1.0, abs=1e-12)
         assert res.rss == pytest.approx(0.0, abs=1e-18)
+
+    @pytest.mark.parametrize("y", [lambda i: 0.0, lambda i: 1.5, lambda i: 1.0 + 2.0 * i],
+                             ids=["zero", "constant", "line"])
+    def test_exact_fit_has_zero_standard_errors(self, y):
+        panel = [PanelObservation(unit="A" if i % 2 else "B", period=i, y=y(i),
+                                  covariates={"x": float(i), "w": float(i % 3)})
+                 for i in range(8)]
+        res = fit_pooled_ols(panel, ["x", "w"], period_fixed_effects=False)
+        assert [c.std_error for c in res.coefficients] == [0.0] * 3
+        assert [c.t_stat for c in res.coefficients] == [math.inf] * 3
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["y", "x"])
+    def test_non_finite_input_named(self, capfd, field, value):
+        # used to give NaN estimates (y) or LinAlgError after LAPACK's stderr lines (x)
+        panel = [PanelObservation(unit="A" if i % 2 else "B", period=i, y=float(i * i),
+                                  covariates={"x": float(i)}) for i in range(8)]
+        bad = {"y": value} if field == "y" else {"covariates": {"x": value}}
+        panel[5] = replace(panel[5], **bad)
+        with pytest.raises(RegressionError) as exc:
+            fit_pooled_ols(panel, ["x"], period_fixed_effects=False)
+        assert str(exc.value) == f"observation (A, 5) has non-finite {field} {value}"
+        assert capfd.readouterr().err == ""
+
+    def test_one_factorization_per_fit(self, rng, monkeypatch):
+        qr, calls = np.linalg.qr, []
+
+        def counting_qr(*args, **kwargs):
+            calls.append(args)
+            return qr(*args, **kwargs)
+
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        fit_pooled_ols(make_panel(rng), ["x1", "x2"])
+        assert len(calls) == 1
 
     def test_matches_matrix_oracle(self, rng):
         panel = make_panel(rng)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,14 @@ class TestEqualityOfMeans:
         assert t == pytest.approx(ref.statistic, abs=1e-12)
         assert p == pytest.approx(ref.pvalue, abs=1e-12)
 
+    def test_tiny_variances_keep_the_dof(self):
+        # the squared variance shares underflow to 0 at this scale
+        a, b = np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, 1.0, 5.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t, dof, p = welch_t(a * 1e-100, b * 1e-100)
+        assert dof == pytest.approx(welch_t(a, b)[1], abs=1e-12)
+
     def test_zero_variance_both_rejected(self):
         with pytest.raises(ValueError, match="zero variance"):
             welch_t(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
@@ -257,7 +266,13 @@ def _t_with_numpy_moments(a, b, variance):
     elif variance == "welch":
         sa, sb = a.var(ddof=1) / na, vb / nb
         se2 = sa + sb
-        dof = se2 ** 2 / (sa ** 2 / (na - 1) + sb ** 2 / (nb - 1)) if se2 else math.nan
+        den = sa ** 2 / (na - 1) + sb ** 2 / (nb - 1)
+        if den:
+            dof = se2 ** 2 / den
+        elif se2:  # variances below about 1e-154 square to 0
+            dof = 1 / ((sa / se2) ** 2 / (na - 1) + (sb / se2) ** 2 / (nb - 1))
+        else:
+            dof = math.nan
     else:
         pooled = ((na - 1) * a.var(ddof=1) + (nb - 1) * vb) / (na + nb - 2)
         se2, dof = pooled * (1 / na + 1 / nb), na + nb - 2
@@ -274,8 +289,6 @@ def _sample(min_size):
             ).map(np.array)
 
 
-# variances below about 1e-154 square to 0, and both give the Welch dof as 0/0
-@pytest.mark.filterwarnings("ignore:invalid value encountered in scalar divide")
 @settings(max_examples=500, deadline=None)
 @given(a=_sample(1), b=_sample(2), variance=st.sampled_from(["welch", "pooled"]))
 def test_two_sample_t_keeps_numpys_mean_and_var(a, b, variance):
