@@ -14,11 +14,11 @@ _EXPORTS = {
     "activity": ("EventStudyResult", "MeasureSeries", "SignificanceTally",
                  "baseline_mean_excluding", "event_study", "open_interest_series",
                  "r1_series", "r2_series", "significance_tally", "volume_series"),
-    "auction_engine": ("AuctionError", "AuctionOutcome", "ClockAuctionConfig",
-                       "ConstantSupply", "SeasonalPayoutFactors", "StochasticExit",
-                       "StochasticShrink", "ThresholdExit", "full_requirements_payout",
-                       "run_descending_clock", "settle_cfd"),
-    "market_data": ("AuctionRecord", "CostComponents", "DeliveryPeriod",
+    "auction_engine": ("AuctionOutcome", "ClockAuctionConfig", "ConstantSupply",
+                       "SeasonalPayoutFactors", "StochasticExit", "StochasticShrink",
+                       "ThresholdExit", "full_requirements_payout", "run_descending_clock",
+                       "settle_cfd"),
+    "market_data": ("AuctionError", "AuctionRecord", "CostComponents", "DeliveryPeriod",
                     "FuturesContractSeries", "MarketDataError", "MarketZone",
                     "SpotPriceSeries", "average_price", "load_auctions_csv", "load_costs_csv",
                     "load_futures_csv", "load_spot_csv", "load_spot_csv_multi"),

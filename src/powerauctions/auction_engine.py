@@ -25,11 +25,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .market_data import MarketDataError
-
-
-class AuctionError(RuntimeError):
-    """Auction cannot proceed: bad configuration or no feasible close."""
+from .market_data import AuctionError, MarketDataError
 
 
 _UNDERSHOOT_POLICIES = ("previous_price_prorata", "previous_price_priority")

@@ -1,7 +1,14 @@
 """Command-line entry point wiring ingestion, simulation and analytics.
 
-Exit codes: 0 success, 1 invalid arguments, 2 data errors, 3 numerical
-failures. Every output artifact carries a metadata header (tool version and
+Exit codes: 0 success, and otherwise the class of the exception decides:
+
+- 1, a ``UsageError``: argparse, or a flag check in this module;
+- 2, a ``MarketDataError`` or ``OSError``: a file that cannot be read or
+  parsed, or content that a domain object or the scenario schema rejects;
+- 3, any other ``ValueError`` (``RegressionError`` included) or an
+  ``AuctionError``: a parsed value that a model or statistic rejects.
+
+Every output artifact carries a metadata header (tool version and
 a config echo, seed included), JSON reports use stable key ordering, and
 re-running with identical inputs and seed reproduces outputs byte for byte.
 A plain-text config file of ``key=value`` lines can replace flags; flags
@@ -23,11 +30,9 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .market_data import (_ACTIVITY, _AVERAGES, _EVENT_STUDY, _EVENTS, _FMPI, _PANEL,
-                          _PREMIUMS, _STRIP_PRICES, MarketDataError, MarketZone,
+                          _PREMIUMS, _STRIP_PRICES, AuctionError, MarketDataError, MarketZone,
                           _read_table, _read_text, _repeated, _write_table, average_price,
                           load_auctions_csv, load_costs_csv, load_futures_csv,
                           load_spot_csv_multi, write_auctions_csv, write_costs_csv,
@@ -253,11 +258,18 @@ def _cmd_regress(args):
     result = fit_pooled_ols(panel, covariates,
                             period_fixed_effects=not args.no_period_effects,
                             unit_fixed_effects=args.unit_effects)
-    if all(c.std_error == 0 for c in result.coefficients):  # the fit's mark of an exact fit
+    # the fit's mark of no standard error: all of them for an exact fit
+    undefined = [repr(c.name) for c in result.coefficients if c.std_error == 0]
+    if len(undefined) == len(result.coefficients):
         ys = {obs.y for obs in panel}
         cause = (f"y is {ys.pop()} in every observation" if len(ys) == 1
                  else "y is a linear combination of the design's columns")
         raise ValueError(f"exact fit: {cause}, so no standard error or t statistic is defined")
+    if undefined:
+        g = result.n_clusters
+        raise ValueError(f"{', '.join(undefined)}: cluster-robust variance 0 up to round-off "
+                         f"({g} clusters leave the score covariance rank at most {g - 1}), "
+                         "so no standard error or t statistic is defined")
     payload = dataclasses.asdict(result)
     payload["coefficients"] = {c.pop("name"): c for c in payload["coefficients"]}
     payload["metadata"] = _metadata(args)
@@ -410,14 +422,14 @@ def _apply_config_file(argv: list[str], commands: dict) -> list[str]:
     return rest[:at] + extra + rest[at:]
 
 
-def _numeric_errors() -> tuple[type[Exception], ...]:
-    """The exceptions that exit 3 (a RegressionError is a ValueError).
+# the characters at which str.splitlines breaks a line: a reason or a warning
+# that quotes its input writes them as escapes, so that it stays one line
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
-    Only a loaded clock engine raises AuctionError, so it is taken from the
-    engine once loaded instead of importing the engine for every run.
-    """
-    engine = sys.modules.get(f"{__package__}.auction_engine")
-    return (ValueError, np.linalg.LinAlgError) + ((engine.AuctionError,) if engine else ())
+
+def _fail(code: int, exc: Exception) -> int:
+    print(f"error code={code} reason={str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -427,7 +439,8 @@ def main(argv: list[str] | None = None) -> int:
     # each as one line, without the source line that raised it
     with warnings.catch_warnings():
         format_warning = warnings.formatwarning
-        warnings.formatwarning = lambda message, *_, **__: f"warning: {message}\n"
+        warnings.formatwarning = lambda message, *_, **__: (
+            f"warning: {str(message).translate(_LINE_BREAKS)}\n")
         try:
             argv = _apply_config_file(argv, parser.commands)
             args = parser.parse_args(argv)
@@ -438,14 +451,11 @@ def main(argv: list[str] | None = None) -> int:
             print(message)
             return EXIT_OK
         except UsageError as exc:
-            print(f"error code={EXIT_USAGE} reason={exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _fail(EXIT_USAGE, exc)
         except (MarketDataError, OSError) as exc:
-            print(f"error code={EXIT_DATA} reason={exc}", file=sys.stderr)
-            return EXIT_DATA
-        except _numeric_errors() as exc:
-            print(f"error code={EXIT_NUMERIC} reason={exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+            return _fail(EXIT_DATA, exc)
+        except (ValueError, AuctionError) as exc:
+            return _fail(EXIT_NUMERIC, exc)
         finally:
             warnings.formatwarning = format_warning
 

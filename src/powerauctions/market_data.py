@@ -34,6 +34,10 @@ class MarketDataError(ValueError):
     """Invalid market data: malformed file, broken invariant or bad value."""
 
 
+class AuctionError(RuntimeError):
+    """Auction cannot proceed: bad configuration or no feasible close."""
+
+
 @dataclass(frozen=True)
 class MarketZone:
     market: str

@@ -148,7 +148,11 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
     the sandwich's bread is R^-1 R^-T (X'X = R'R), so X'X is neither formed
     nor inverted. The fit is exact when y's distance from the span of X is
     within the rank rule's tolerance for y's own norm; every standard error
-    is then 0.0 (and every t statistic inf).
+    is then 0.0 (and every t statistic inf). With G clusters the scores'
+    covariance has rank at most G - 1, so one coefficient's sandwich variance
+    can be 0 up to round-off: its standard error is reported as 0.0 too when
+    it is within (n + k) eps of the same sum over the absolute values of the
+    scores and of R^-1 R^-T, a test that no column's units change.
     """
     if not panel:
         raise RegressionError("empty panel")
@@ -191,6 +195,9 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
         np.add.at(scores, clusters, X * resid[:, None])
         c_factor = (g / (g - 1)) * ((n - 1) / (n - k))
         se = np.sqrt(c_factor * ((scores @ r_inv @ r_inv.T) ** 2).sum(axis=0))
+        # the round-off bound: the same sum over |S| and |A|, in the column's units
+        bound = np.sqrt(c_factor * ((np.abs(scores) @ np.abs(r_inv @ r_inv.T)) ** 2).sum(axis=0))
+        se[se <= bound * (n + k) * np.finfo(float).eps] = 0.0
 
     coefs = []
     fixed = {}

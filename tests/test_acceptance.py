@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from powerauctions import (ClockAuctionConfig, ConstantSupply, FmpiSpec,
-                           MeasureSeries, PanelObservation, PremiumRow,
+                           MeasureSeries, PremiumRow,
                            StochasticShrink, ThresholdExit,
                            baseline_mean_excluding, cesur_premium,
                            distribution_stats, equality_of_means, event_study,
@@ -22,7 +22,7 @@ from powerauctions.datasets import (CESUR_AUCTIONS, CESUR_GRAND_AVERAGE,
 
 import conftest
 from conftest import daily_dates
-from test_panel import ols_oracle
+from test_panel import ols_oracle, oracle_panels
 
 
 @contextmanager
@@ -166,29 +166,7 @@ def test_criterion_6_event_study_power_and_false_positive_rate():
 
 def test_criterion_7_ols_oracle_equivalence():
     with criterion(7, "pooled OLS vs normal-equations sandwich oracle, 100 panels"):
-        rng = np.random.default_rng(11)
-        for trial in range(100):
-            g = int(rng.integers(2, 9))
-            n_periods = int(rng.integers(3, 6))
-            n_covs = int(rng.integers(1, 4))
-            use_fe = bool(rng.integers(2))
-            # keep the design estimable: k must stay below n = g * n_periods
-            k = 1 + n_covs + (n_periods - 1 if use_fe else 0)
-            while k > g * n_periods - 2:
-                if use_fe:
-                    use_fe = False
-                else:
-                    n_covs -= 1
-                k = 1 + n_covs + (n_periods - 1 if use_fe else 0)
-            covs = [f"x{i}" for i in range(n_covs)]
-            panel = []
-            for u in range(g):
-                for t in range(n_periods):
-                    x = {c: float(rng.uniform(-3, 3)) for c in covs}
-                    y = 0.5 + sum(v for v in x.values()) + float(rng.standard_normal())
-                    panel.append(PanelObservation(unit=f"U{u}", period=2000 + t,
-                                                  y=y, covariates=x))
-            assert len(panel) <= 40 or g * n_periods <= 40
+        for trial, panel, covs, use_fe in oracle_panels():
             res = fit_pooled_ols(panel, covs, period_fixed_effects=use_fe)
             beta, se, rss = ols_oracle(panel, covs, use_fe)
             got_beta = np.array([c.estimate for c in res.coefficients])

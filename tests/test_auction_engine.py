@@ -320,6 +320,8 @@ class TestClockAuction:
         assert log[-1] == entries[-1] and log[1:3] == entries[1:3]
         assert type(log[1:]) is tuple and log[::-1] == entries[::-1]
         assert log == entries and entries == log and log == list(entries)
+        assert repr(log) == repr(entries)
+        assert (log == 3) is False and (log != 3) is True  # not a sequence: NotImplemented
         assert log != entries[:-1] and log != (*entries[:-1], dataclasses.replace(
             entries[-1], aggregate=entries[-1].aggregate + 1))
         with pytest.raises(IndexError):

@@ -7,15 +7,17 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import powerauctions
@@ -25,6 +27,8 @@ from powerauctions.cli import _build_parser, build_scenario, main
 from powerauctions.datasets import PJM_AUCTIONS
 from powerauctions.market_data import MarketZone, SpotPriceSeries, write_spot_csv
 from powerauctions.premiums import FmpiSpec, fmpi_strip, pjm_premium
+
+from test_panel import oracle_panels
 
 AUCTIONS_HEADER = ("market,auction_id,auction_date,product_id,delivery_start,"
                    "delivery_end,load_shape,product_kind,clearing_price,quantity,"
@@ -348,6 +352,8 @@ def test_bad_scenario_field_is_data_error(scenario, data):
     ({"config": {"target_quantity": 10, "opening_price": 100},
       "strategies": [{"kind": {}, "quantity": 12}]},
      "strategies[0].kind: unknown strategy kind {}"),
+    ({"config": {"target_quantity": 10, "opening_price": 100}, "strategies": [3]},
+     "strategies[0]: expected dict, got 3"),
     ({"config": {"target_quantity": 10, "opening_price": 100},
       "strategies": [{"kind": "constant", "quantity": 12}], "bidder_ids": ["A", "B"]},
      "scenario.bidder_ids: 2 bidder ids for 1 strategies"),
@@ -361,7 +367,8 @@ def test_bad_scenario_field_is_data_error(scenario, data):
 ], ids=["string_target", "strategy_without_quantity", "float_max_rounds", "unknown_kind",
         "strategies_not_a_list", "no_config", "unknown_top_level_key", "int_bidder_id",
         "not_an_object", "huge_quantity", "huge_opening_price", "list_kind", "dict_kind",
-        "bidder_id_count", "repeated_bidder_id", "unknown_undershoot_policy"])
+        "strategy_not_a_dict", "bidder_id_count", "repeated_bidder_id",
+        "unknown_undershoot_policy"])
 def test_malformed_scenario_file_is_data_error(tmp_path, capsys, scenario, reason):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(scenario))
@@ -494,6 +501,17 @@ class TestEventStudyCommand:
             rc = main(argv + ["--events", str(events)] * (command == "event-study"))
         assert rc == 2
         assert capsys.readouterr().err == f"error code=2 reason={futures}: no contracts\n"
+        assert not out.exists()
+
+    def test_events_file_without_dates_is_data_error(self, tmp_path, futures_fixture):
+        futures, _ = futures_fixture
+        events = tmp_path / "no_events.csv"
+        events.write_text("date\n")
+        out = tmp_path / "out"
+        assert run_main(["event-study", "--futures", str(futures), "--measure", "volume",
+                         "--events", str(events), "--out", str(out)]) == (
+            2, "", f"warning: {events}: no data rows\n"
+                   f"error code=2 reason={events}: no event dates\n")
         assert not out.exists()
 
     def test_empty_input_warning_is_one_line(self, tmp_path):
@@ -689,6 +707,23 @@ class TestRegressCommand:
             "so no standard error or t statistic is defined\n")
         assert not out.exists()
 
+    def test_round_off_standard_error_is_numeric_error(self, tmp_path, capsys):
+        # acceptance 7's trial-69 panel (2 units, 3 periods), its covariate
+        # named vol3y: regress used to write a std_error of 1.68e-16 and a
+        # t_stat of 2.5e15 for it
+        _, rows, _, _ = next(trial for trial in oracle_panels() if trial[0] == 69)
+        panel = tmp_path / "panel.csv"
+        panel.write_text("unit,period,y,vol3y,startbidders,wbidders\n" + "".join(
+            f"{o.unit},{o.period},{o.y!r},{o.covariates['x0']!r},20,5\n" for o in rows))
+        out = tmp_path / "result.json"
+        assert main(["regress", "--panel", str(panel), "--covariates", "vol3y",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error code=3 reason='vol3y': cluster-robust variance 0 up to round-off "
+            "(2 clusters leave the score covariance rank at most 1), "
+            "so no standard error or t statistic is defined\n")
+        assert list(tmp_path.iterdir()) == [panel]
+
     @pytest.mark.parametrize("covariates", ["vol3y,foo", "pls", "y"])
     def test_covariate_without_column_is_data_error(self, tmp_path, capsys, covariates):
         # used to exit 3 from the fit: observation (ACE, 2007) missing covariate 'foo'
@@ -726,6 +761,18 @@ class TestErrorsAndConfig:
         rc = main(["premium", "--nonsense"])
         assert rc == 1
         assert "error code=1" in capsys.readouterr().err
+
+    def test_reason_and_warning_stay_one_line(self, tmp_path, monkeypatch):
+        # a config key or a file name that holds a line break went into the
+        # reason or the warning as it was, and split its line in two
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("s\veed=abc\n")
+        (tmp_path / "no\nrows.csv").write_text("month,price\n")
+        assert run_main(["--config", "run.cfg", "fmpi", "--prices", "p.csv"]) == (
+            1, "", "error code=1 reason=unrecognized arguments: --s\\x0beed abc\n")
+        assert run_main(["fmpi", "--prices", "no\nrows.csv"]) == (
+            3, "", "warning: no\\nrows.csv: no data rows\n"
+                   "error code=3 reason=strip needs 36 monthly prices, got 0\n")
 
     def test_config_file_defaults_and_flag_priority(self, tmp_path, omel_fixture):
         auctions, spot, fmpi = omel_fixture
@@ -1126,7 +1173,7 @@ def subcommand_runs(tmp_path, omel_fixture):
         f"{u},{t},{(i * 7 + t) % 5 - 2},{8 + (i * 3 + t) % 7},{20 + (t * i) % 4},{5 + i}\n"
         for i, u in enumerate(("ACE", "JCPL", "PSEG", "RECO")) for t in range(2007, 2013)))
     (tmp_path / "scenario.json").write_text(json.dumps(TestSimulateCommand.SCENARIO))
-    premium_inputs = ["--auctions", str(auctions), "--spot", str(spot), "--fmpi", str(fmpi)]
+    premium_inputs = ["--auctions", auctions.name, "--spot", spot.name, "--fmpi", fmpi.name]
     runs = {"ingest": ["--kind", "futures", "--input", "futures.csv", "--out", "ingest"],
             "premium": [*premium_inputs, "--out", "premium"],
             "report": [*premium_inputs, "--out", "report"],
@@ -1179,6 +1226,165 @@ def test_subcommand_builds_its_outputs_and_main_writes_them(tmp_path, monkeypatc
     assert capsys.readouterr().out == message + "\n"
     written = set(tmp_path.rglob("*")) - before
     assert {tmp_path / path for path, _ in outputs} == {p for p in written if p.is_file()}
+
+
+def run_main(argv):
+    """``main(argv)`` in this process: its exit code, stdout and stderr.
+
+    Each warning is printed to stderr as ``main`` formats it: pytest would
+    record it instead, and the suite's error filter would raise it in ``main``.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, category, filename, lineno, file=None, line=None: (
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line)))
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_CELLS = ["", " ", "nan", "inf", "-1", "0", "-0", "1e400", "abc", "2007-02-30", "2007-13-01",
+          "9999-12-31", '"a,b"', '"', "x" * 40, "OMEL", "PJM", "ACE", "Q3-07;Q4-07", "peak",
+          "full_requirements", "\r"]
+_JSON_VALUES = [None, True, 0, -1, 0.5, 1e308, 10 ** 400, math.nan, math.inf, "x", "constant",
+                [], {}, [1], {"kind": "constant"}]
+_TOKENS = ["", "nan", "inf", "-1", "0", "2", "1e400", "99999999999999999999", "abc", "--", "-",
+           "spot.csv", "none.csv", "out", "r1"]
+_CONFIG_LINES = ["seed=abc", "alpha=2", "window=1", "window=3 -3", "no_period_effects=maybe",
+                 "unit_effects=true", "bogus=1", "measure=r9", "rate=nan", "covariates=,",
+                 "# comment", "", "=", "config=run.cfg"]
+# flags whose value alone decides the exit code
+_BAD_FLAGS = {"event-study": [(["--alpha", "2"], 3), (["--window", "2", "-2"], 1)],
+              "fmpi": [(["--rate", "nan"], 3)], "regress": [(["--covariates", ","], 1)],
+              "simulate": [(["--seed", "-1"], 1)]}
+
+
+def _mutate_json(draw, text):
+    root = [json.loads(text)]
+    holder, key = root, 0  # the value to change is holder[key]
+    for _ in range(draw(st.integers(0, 3))):
+        node = holder[key]
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        holder, key = node, draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+    op = draw(st.sampled_from(["replace", "delete", "nest"]))
+    if op == "delete" and isinstance(holder, dict):
+        del holder[key]
+    elif op == "nest":
+        depth = draw(st.sampled_from([1, 2, 50, 5000]))
+        holder[key] = "nest here"
+        return json.dumps(root[0]).replace('"nest here"', "[" * depth + "1" + "]" * depth)
+    else:
+        holder[key] = draw(st.sampled_from(_JSON_VALUES))
+    return json.dumps(root[0])
+
+
+@st.composite
+def _mutated_run(draw, runs, inputs):
+    """One valid run with one mutation: the input files (name -> bytes), the
+    argv, and the exit code the mutation decides, or None."""
+    command = draw(st.sampled_from(sorted(runs)))
+    argv = [command, *runs[command]]
+    files = dict(inputs)
+    name = draw(st.sampled_from([a for a in argv if a in inputs]))
+    data = files[name]
+    lines = data.decode().split("\n")
+    row = draw(st.integers(0, len(lines) - 1))
+    cells = lines[row].split(",")
+    col = draw(st.integers(0, len(cells) - 1))
+    kinds = ["bytes", "lines", "encoding", "flag", "config", "unknown flag"]
+    kinds += ["bad flag"] * (command in _BAD_FLAGS)
+    kinds += ["json"] if name.endswith(".json") else ["cell", "width", "header"]
+    kind = draw(st.sampled_from(kinds))
+    code = None
+    if kind == "bytes":
+        at, byte = draw(st.integers(0, len(data))), bytes([draw(st.integers(0, 255))])
+        op = draw(st.sampled_from(["insert", "replace", "delete", "truncate"]))
+        files[name] = {"insert": data[:at] + byte + data[at:],
+                       "replace": data[:at] + byte + data[at + 1:],
+                       "delete": data[:at] + data[at + 1:], "truncate": data[:at]}[op]
+        if op in ("insert", "replace") and byte[0] >= 0x80:
+            code = 2  # every input is ASCII, so the file is no longer UTF-8
+    elif kind in ("cell", "width", "header"):
+        if kind == "cell":
+            cells[col] = draw(st.sampled_from(_CELLS) | st.text(max_size=6)
+                              | st.floats().map(repr) | st.integers().map(str))
+        elif kind == "width":
+            cells = cells[:-1] if draw(st.booleans()) else [*cells, "1"]
+        else:
+            cells = lines[0].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] += "_x"
+            row, code = 0, 2
+        lines[row] = ",".join(cells)
+        files[name] = "\n".join(lines).encode()
+    elif kind == "lines":
+        op = draw(st.sampled_from(["repeat", "drop", "blank", "swap", "crlf", "cr",
+                                   "unterminated"]))
+        if op in ("repeat", "drop", "blank", "swap"):
+            lines[row:row + 2] = {"repeat": [lines[row]] * 2 + lines[row + 1:row + 2],
+                                  "drop": lines[row + 1:row + 2],
+                                  "blank": [lines[row], ""] + lines[row + 1:row + 2],
+                                  "swap": lines[row:row + 2][::-1]}[op]
+        text = "\n".join(lines)
+        text = {"crlf": text.replace("\n", "\r\n"), "cr": text.replace("\n", "\r"),
+                "unterminated": text.rstrip("\n")}.get(op, text)
+        files[name] = text.encode()
+    elif kind == "encoding":
+        encoding = draw(st.sampled_from(["utf-16", "utf-32", "utf-8-sig"]))
+        files[name] = data.decode().encode(encoding)
+        code = 2  # not UTF-8, or a byte-order mark ahead of the header or the JSON
+    elif kind == "json":
+        files[name] = _mutate_json(draw, data.decode()).encode()
+    elif kind == "flag":
+        at = draw(st.integers(0, len(argv) - 1))
+        op = draw(st.sampled_from(["replace", "drop", "repeat", "insert"]))
+        token = draw(st.sampled_from(_TOKENS))
+        argv[at:at + 1] = {"replace": [token], "drop": [], "repeat": [argv[at]] * 2,
+                           "insert": [token, argv[at]]}[op]
+    elif kind == "config":
+        config = draw(st.lists(st.sampled_from(_CONFIG_LINES), min_size=1, max_size=3))
+        files["run.cfg"] = "\n".join(config).encode()
+        argv = ["--config", "run.cfg", *argv]
+    elif kind == "unknown flag":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-q"])))
+        code = 1
+    else:
+        flags, code = draw(st.sampled_from(_BAD_FLAGS[command]))
+        argv += flags
+    return files, argv, code
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_main_on_mutated_inputs(tmp_path, monkeypatch, subcommand_runs, data):
+    # the fixtures' files are only read: each example runs in a fresh "work"
+    # directory that holds its own inputs
+    inputs = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    files, argv, decided = data.draw(_mutated_run(subcommand_runs, inputs))
+    work = tmp_path / "work"
+    monkeypatch.chdir(tmp_path)
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    for name, content in files.items():
+        (work / name).write_bytes(content)
+    monkeypatch.chdir(work)
+    before = set(work.rglob("*"))
+
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2, 3)
+    lines = err.splitlines()
+    if code == 0:
+        assert out.count("\n") == 1 and out.endswith("\n")
+    else:
+        assert out == "" and lines[-1].startswith(f"error code={code} reason=")
+        lines.pop()
+        assert set(work.rglob("*")) == before
+    assert all(line.startswith("warning: ") for line in lines), err
+    if decided is not None:
+        assert code == decided, err
 
 
 EXPORTED = """

@@ -366,6 +366,20 @@ def test_multi_product_fields_of_unequal_counts_rejected(tmp_path):
     assert str(exc.value) == f"{p} line 2: multi-product fields have unequal counts"
 
 
+def test_auction_of_unknown_market_rejected(tmp_path):
+    p = write(tmp_path / "a.csv", TestAuctionsLoader.HEADER +
+              "XX,1,2007-06-19,Q3-07,2007-07-01,2007-09-30,baseload,fixed_quantity,"
+              "46.27,1000,30,15,23\n")
+    with pytest.raises(MarketDataError) as exc:
+        load_auctions_csv(p)
+    assert str(exc.value) == f"{p} line 2: unknown market 'XX'"
+
+
+def test_delivery_period_days_span_the_year_end():
+    assert DeliveryPeriod(date(2007, 12, 30), date(2008, 1, 2)).days() == [
+        date(2007, 12, 30), date(2007, 12, 31), date(2008, 1, 1), date(2008, 1, 2)]
+
+
 def test_average_price_unknown_mode_rejected():
     with pytest.raises(ValueError, match="unknown mode 'mean'"):
         average_price(make_spot([10, 20]), DeliveryPeriod(_DAY, _DAY), mode="mean")

@@ -119,6 +119,39 @@ def ols_oracle(panel, covariates, period_fixed_effects):
     return beta, np.sqrt(np.clip(np.diag(cov), 0.0, None)), rss
 
 
+def oracle_panels():
+    """Acceptance 7's 100 panels, drawn from seed 11: (trial, panel, covariates,
+    period effects), with 2-8 units, 3-5 periods and 1-3 covariates."""
+    rng = np.random.default_rng(11)
+    for trial in range(100):
+        g = int(rng.integers(2, 9))
+        n_periods = int(rng.integers(3, 6))
+        n_covs = int(rng.integers(1, 4))
+        use_fe = bool(rng.integers(2))
+        # keep the design estimable: k must stay below n = g * n_periods
+        k = 1 + n_covs + (n_periods - 1 if use_fe else 0)
+        while k > g * n_periods - 2:
+            if use_fe:
+                use_fe = False
+            else:
+                n_covs -= 1
+            k = 1 + n_covs + (n_periods - 1 if use_fe else 0)
+        covs = [f"x{i}" for i in range(n_covs)]
+        panel = []
+        for u in range(g):
+            for t in range(n_periods):
+                x = {c: float(rng.uniform(-3, 3)) for c in covs}
+                y = 0.5 + sum(v for v in x.values()) + float(rng.standard_normal())
+                panel.append(PanelObservation(unit=f"U{u}", period=2000 + t,
+                                              y=y, covariates=x))
+        yield trial, panel, covs, use_fe
+
+
+# acceptance 7's coefficients whose sandwich variance is 0 up to round-off:
+# with two units and period effects, a covariate's cluster scores cancel
+ROUND_OFF_ZEROS = {(17, "x0"), (27, "x0"), (27, "x1"), (27, "x2"), (69, "x0")}
+
+
 def grid_panel(rng, n_units, n_periods, make_covariates):
     """Units U0.. by periods 2000.., covariates from make_covariates(rng, t)."""
     return [PanelObservation(unit=f"U{u}", period=2000 + t, y=float(rng.standard_normal()),
@@ -184,6 +217,25 @@ class TestPooledOls:
             fit_pooled_ols(panel, ["x"], period_fixed_effects=False)
         assert str(exc.value) == f"observation (A, 5) has non-finite {field} {value}"
         assert capfd.readouterr().err == ""
+
+    def test_round_off_standard_errors_are_zero(self):
+        # they were 2e-16 to 4e-15, with t statistics of 2e14 to 2.5e15
+        zeros = set()
+        for trial, panel, covs, use_fe in oracle_panels():
+            res = fit_pooled_ols(panel, covs, period_fixed_effects=use_fe)
+            zeros |= {(trial, c.name) for c in res.coefficients if c.std_error == 0}
+            assert all(c.t_stat == math.inf for c in res.coefficients if c.std_error == 0)
+        assert zeros == ROUND_OFF_ZEROS
+
+    @pytest.mark.parametrize("scale", [1e6, 1e-6])
+    def test_round_off_rule_ignores_a_covariates_units(self, scale):
+        for trial, panel, covs, use_fe in oracle_panels():
+            for name in covs:
+                scaled = [replace(o, covariates={**o.covariates, name: o.covariates[name] * scale})
+                          for o in panel]
+                res = fit_pooled_ols(scaled, covs, period_fixed_effects=use_fe)
+                assert ({c.name for c in res.coefficients if c.std_error == 0}
+                        == {c for t, c in ROUND_OFF_ZEROS if t == trial}), (trial, name)
 
     def test_one_factorization_per_fit(self, rng, monkeypatch):
         qr, calls = np.linalg.qr, []

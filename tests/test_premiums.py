@@ -338,6 +338,10 @@ def _no_file(monkeypatch, tmp_path):
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
 
 
+def _no_scipy(monkeypatch, tmp_path):
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+
+
 def _no_key(monkeypatch, tmp_path):
     monkeypatch.setattr(sys.modules["scipy.special._ufuncs_cxx"], "__pyx_capi__", {})
 
@@ -347,6 +351,17 @@ def _wrong_capsule_name(monkeypatch, tmp_path):
                         {"_export_t_cdf_double": datetime.datetime_CAPI})
 
 
+_NULL = ctypes.c_void_p(None)  # the capsule below points here for the whole run
+
+
+def _null_export(monkeypatch, tmp_path):
+    new_capsule = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p,
+                                    ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
+    monkeypatch.setattr(sys.modules["scipy.special._ufuncs_cxx"], "__pyx_capi__",
+                        {"_export_t_cdf_double": new_capsule(ctypes.addressof(_NULL),
+                                                             b"void *", None)})
+
+
 @pytest.fixture
 def fresh_t_cdf():
     premiums._t_cdf_function.cache_clear()
@@ -354,7 +369,8 @@ def fresh_t_cdf():
     premiums._t_cdf_function.cache_clear()
 
 
-@pytest.mark.parametrize("break_loader", [_no_file, _no_key, _wrong_capsule_name])
+@pytest.mark.parametrize("break_loader", [_no_scipy, _no_file, _no_key, _wrong_capsule_name,
+                                          _null_export])
 def test_t_cdf_falls_back_to_stdtr(monkeypatch, tmp_path, rng, fresh_t_cdf, break_loader):
     samples = [(rng.normal(0, 1, 9), rng.normal(0.5, 2, 14)) for _ in range(20)]
     samples.append((np.array([1.0, 2.0]), np.array([1.5, 2.5])))
