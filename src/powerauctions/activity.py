@@ -189,22 +189,18 @@ def event_study(series: MeasureSeries, event_dates: Sequence[date],
         idx = positions + k
         idx = idx[(idx >= 0) & (idx < n)]
         sample = series.values[idx[defined[idx]]]
-        if sample.size == 0:
-            results.append(EventStudyResult(offset=k, event_mean=math.nan,
-                                            baseline_mean=baseline_mean, n_events=0,
-                                            t_stat=math.nan, p_value=math.nan,
-                                            sig01=False, sig05=False))
-            continue
-        moments = _moments(sample)
-        try:
-            t, _, p = _two_sample_t(moments, base, variance)
-        except _ZeroVarianceError:
-            # zero standard error (both samples constant): reported as no shift
-            t, p = 0.0, 1.0
-        results.append(EventStudyResult(offset=k, event_mean=float(moments[1]),
-                                        baseline_mean=baseline_mean,
-                                        n_events=int(sample.size), t_stat=t,
-                                        p_value=p, sig01=p < 0.01, sig05=p < 0.05))
+        mean = t = p = math.nan  # no event at this offset
+        if sample.size:
+            moments = _moments(sample)
+            mean = float(moments[1])
+            try:
+                t, _, p = _two_sample_t(moments, base, variance)
+            except _ZeroVarianceError:
+                # zero standard error (both samples constant): reported as no shift
+                t, p = 0.0, 1.0
+        results.append(EventStudyResult(offset=k, event_mean=mean, baseline_mean=baseline_mean,
+                                        n_events=int(sample.size), t_stat=t, p_value=p,
+                                        sig01=p < 0.01, sig05=p < 0.05))
     return results
 
 

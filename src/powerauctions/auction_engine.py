@@ -285,45 +285,35 @@ def _resolve_undershoot(config, bidder_ids, prev, final):
     return {b: q for b, q in zip(bidder_ids, awards) if q > 0}
 
 
-def _split_bidders(strategies, exact_prices: bool):
-    """The block rules of the bidders priced a block of rounds at a time, one
-    per type, and the columns of the bidders called per round.
-
-    Only the exact built-in types with exact numeric fields (a float, or an
-    int that a float holds exactly, so that float64 arithmetic on it is
-    Python's) go into blocks. When a strategy object or generator is held
-    by two bidders, every bidder is called per round: drawing a block at once
-    would change the draws the other sees. A ThresholdExit needs exact
-    prices to compare.
-    """
+def _block_rules(strategies):
+    """The block rules of all the bidders, one per type, or None unless each
+    is of an exact built-in type with exact numeric fields (a float, or an
+    int that a float holds exactly: float64 arithmetic on it is Python's),
+    shares neither itself nor its ``Generator``, if it draws, with another
+    bidder (a block drawn at once would change the other holder's draws) and,
+    if a StochasticShrink, has ``low`` <= 1 (numpy raises at uniform(low > 1, 1.0))."""
     held = list(map(id, strategies))  # the ids of the objects each bidder holds
-    by_type = {t: [] for t in _BLOCK_TYPES if exact_prices or t is not ThresholdExit}
-    shrink = by_type[StochasticShrink]
-    per_call = []
+    by_type = {t: [] for t in _BLOCK_TYPES}
     for i, s in enumerate(strategies):
         cols = by_type.get(type(s))
-        if cols is not None:
-            fields = s.__dict__
-            rng = fields.get("rng", s)  # s: no generator
-            for v in fields.values():
-                if not (type(v) is float or v is rng
-                        or type(v) is int and -_EXACT_INT <= v <= _EXACT_INT):
-                    break
-            else:
-                # numpy raises at a draw from uniform(low > 1, 1.0)
-                if (rng is s or type(rng) is np.random.Generator) and (
-                        cols is not shrink or s.low <= 1):
-                    cols.append(i)
-                    if rng is not s:
-                        held.append(id(rng))
-                    continue
-        held += map(id, getattr(s, "__dict__", {}).values())
-        per_call.append(i)
+        if cols is None:
+            return None
+        fields = s.__dict__
+        rng = fields.get("rng", s)  # s: no generator
+        for v in fields.values():
+            if not (type(v) is float or v is rng
+                    or type(v) is int and -_EXACT_INT <= v <= _EXACT_INT):
+                return None
+        if rng is not s and type(rng) is not np.random.Generator or (
+                type(s) is StochasticShrink and not s.low <= 1):
+            return None
+        cols.append(i)
+        if rng is not s:
+            held.append(id(rng))
     if len(set(held)) < len(held):  # an object held twice
-        return [], list(range(len(strategies)))
-    blocks = [t._block_offers([strategies[i] for i in cols], np.array(cols))
-              for t, cols in by_type.items() if cols]
-    return blocks, per_call
+        return None
+    return [t._block_offers([strategies[i] for i in cols], np.array(cols))
+            for t, cols in by_type.items() if cols]
 
 
 def _clamp(raw, last, bounds):
@@ -380,12 +370,13 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
     announced price is not positive stops the auction, so it can only clear
     at a positive price.
 
-    Bidders of the built-in types are priced ``BLOCK`` rounds at a time from
-    their closed forms; any other strategy is called per round, in bidder
-    order and only while active, and then (as with a ``price_schedule``)
-    the clock advances one round at a time. A random bidder's generator may
-    end up to one block past its last used draw. Strategies are called with
-    numpy's floating-point errors ignored.
+    An auction runs in one of two modes. With a fixed tick whose opening
+    price and decrement are ``_exact`` and every bidder eligible for
+    ``_block_rules``, all bidders are priced ``BLOCK`` rounds at a time from
+    their closed forms, and a random bidder's generator may end up to one
+    block past its last used draw. Otherwise every bidder is called per
+    round, in bidder order and only while active. Strategies are called
+    with numpy's floating-point errors ignored.
     """
     if not strategies:
         raise AuctionError("at least one strategy required")
@@ -395,8 +386,8 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
     # an exact fixed tick is computed a block at a time, as Python would
     tick = (config.price_schedule is None and _exact(config.opening_price)
             and _exact(config.price_decrement))
-    blocks, per_call = _split_bidders(strategies, tick or config.price_schedule is not None)
-    step = BLOCK if tick and not per_call else 1
+    blocks = _block_rules(strategies) if tick else None
+    step = 1 if blocks is None else BLOCK
     target = config.target_quantity
     n = len(strategies)
     last = np.full(n, math.inf)
@@ -406,29 +397,28 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
 
     while len(prices) < config.max_rounds:
         round_no = len(prices) + 1
-        if step == BLOCK:
+        if blocks is None:
+            candidates, valid = [config.price_for_round(round_no)], False
+        else:
             k = int(min(step, config.max_rounds - len(prices)))
-            grid = config.opening_price - np.arange(round_no - 1, round_no - 1 + k) * (
-                config.price_decrement)
+            grid = config.price_for_round(np.arange(round_no, round_no + k))
             candidates = grid.tolist()
             # prices that fall strictly and end above 0 are all good
             valid = (grid[-1] > 0 and (grid[1:] < grid[:-1]).all()
                      and (not prices or candidates[0] < prices[-1]))
-        else:
-            candidates, valid = [config.price_for_round(round_no)], False
         # a bad price ends the block, and raises unless the auction closes before it
         block_prices, price_error = (candidates, None) if valid else _valid_prefix(
             candidates, prices[-1] if prices else None, round_no)
         if not block_prices:
             raise price_error
         raw = np.zeros((len(block_prices), n))
-        for block_offers in blocks:
-            block_offers(round_no == 1, block_prices, last, raw)
-        if per_call:  # one round: called in bidder order while active
-            lasts = last.tolist()
-            for i in per_call:
-                if lasts[i] != 0.0:
-                    raw[0, i] = float(strategies[i].offer(round_no, block_prices[0], lasts[i]))
+        if blocks is None:  # one round: called in bidder order while active
+            for i, (s, q) in enumerate(zip(strategies, last.tolist())):
+                if q != 0.0:
+                    raw[0, i] = float(s.offer(round_no, block_prices[0], q))
+        else:
+            for block_offers in blocks:
+                block_offers(round_no == 1, block_prices, last, raw)
         offers, clamped, bad = _clamp(raw, last, bounds)
         # a left-to-right sum like Python's sum over the offers; sum starts
         # from 0, so + 0.0 turns an all -0.0 round into 0.0
@@ -453,15 +443,13 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
         if done:
             log = RoundLog(bidder_ids, prices, np.concatenate(offer_log), aggregates,
                            np.concatenate(clamp_log))
-            if block_aggregates[t] == target:
-                awards = {b: q for b, q in zip(bidder_ids, offers[t].tolist()) if q > 0}
-                return AuctionOutcome(clearing_price=prices[-1], awards=awards,
-                                      rounds_used=len(prices), round_log=log)
-            awards = _resolve_undershoot(config, bidder_ids, offers[t - 1] if t else last,
-                                         offers[t])
-            return AuctionOutcome(clearing_price=prices[-2], awards=awards,
+            exact = block_aggregates[t] == target
+            awards = ({b: q for b, q in zip(bidder_ids, offers[t].tolist()) if q > 0} if exact
+                      else _resolve_undershoot(config, bidder_ids, offers[t - 1] if t else last,
+                                               offers[t]))
+            return AuctionOutcome(clearing_price=prices[-1 if exact else -2], awards=awards,
                                   rounds_used=len(prices), round_log=log,
-                                  undershoot_resolved=True)
+                                  undershoot_resolved=not exact)
         if price_error is not None:
             raise price_error
         last = offers[-1]

@@ -48,8 +48,15 @@ class _CliParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def exit(self, status=0, message=None):  # only --help gets here, once it has printed
+        raise _HelpShown
+
 
 class UsageError(Exception):
+    pass
+
+
+class _HelpShown(Exception):
     pass
 
 
@@ -449,6 +456,8 @@ def main(argv: list[str] | None = None) -> int:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 write(path)
             print(message)
+            return EXIT_OK
+        except _HelpShown:
             return EXIT_OK
         except UsageError as exc:
             return _fail(EXIT_USAGE, exc)

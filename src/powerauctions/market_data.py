@@ -357,9 +357,6 @@ class _Rows:
     def __iter__(self):
         return zip(self.linenos, zip(*(c.tolist() for c in self.columns)))
 
-    def __getitem__(self, i: int):
-        return self.linenos[i], tuple(c.item(i) for c in self.columns)
-
 
 def _read_text(path, newline=None) -> str:
     """The whole of a UTF-8 file; a file that is not UTF-8 is a data error naming it."""

@@ -118,16 +118,15 @@ def _build_design(panel, covariate_names, groups, y):
                 f"observation ({missing.unit}, {missing.period}) missing covariate {name!r}")
         names.append(name)
         cols.append(np.array([obs.covariates[name] for obs in panel], dtype=float))
-    values = np.column_stack(cols[1:] + [y])  # the constant and the dummies are finite
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:  # a QR would spread it over every result as NaN
-        i, j = bad[0]
-        raise RegressionError(f"observation ({panel[i].unit}, {panel[i].period}) "
-                              f"has non-finite {(names[1:] + ['y'])[j]} {values[i, j]}")
     for prefix, (levels, codes) in groups:  # first level dropped for identification
         names += [f"{prefix}_{v}" for v in levels[1:]]
         cols.append(codes[:, None] == np.arange(1, len(levels)))
     a = np.column_stack(cols + [y])
+    finite = np.isfinite(a)  # the constant and the dummies are
+    if not finite.all():  # a QR would spread it over every result as NaN
+        i, j = np.unravel_index(np.argmin(finite), a.shape)  # the first in row order
+        raise RegressionError(f"observation ({panel[i].unit}, {panel[i].period}) "
+                              f"has non-finite {(names + ['y'])[j]} {a[i, j]}")
     # |R_jj| is column j's distance from the span of the columns before it;
     # the tolerance is numpy's SVD rank default with max |R_ii| for the top singular value
     r = np.linalg.qr(a, mode="r")

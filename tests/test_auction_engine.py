@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import math
 import re
 from dataclasses import dataclass, field
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -385,6 +387,39 @@ class TestClockAuction:
                                          ConstantSupply(2)])
         assert out.rounds_used == 3 and out.clearing_price == 2 ** 60 - 1
 
+    @pytest.mark.parametrize("foreign", [False, True])
+    def test_an_auction_runs_in_one_mode(self, foreign):
+        # one bidder of another type sends every bidder, the built-ins too, to
+        # be called per round; without it no bidder is called
+        @dataclass
+        class Fixed:
+            quantity: float
+
+            def offer(self, round_no, price, last_offer):
+                return self.quantity
+
+        builtins = [ConstantSupply(2.0), ThresholdExit(3.0, 95.0, 1.0),
+                    StochasticExit(2.0, 0.3, rng=np.random.default_rng(1)),
+                    StochasticShrink(2.0, 0.9, rng=np.random.default_rng(2))]
+        types = [type(s) for s in builtins]
+        with contextlib.ExitStack() as stack:
+            # autospec passes each call's self on to the wrapped offer
+            offers = [stack.enter_context(mock.patch.object(t, "offer", autospec=True,
+                                                            side_effect=t.offer)) for t in types]
+            rules = [stack.enter_context(mock.patch.object(t, "_block_offers",
+                                                           wraps=t._block_offers)) for t in types]
+            out = run_descending_clock(config(target=4 + foreign, tick=1),
+                                       builtins + [Fixed(1.0)] * foreign,
+                                       bidder_ids=list("ABCDE")[:4 + foreign])
+        log = out.round_log
+        assert out.rounds_used > 7 and 0.0 in log[-2].offers.values()  # a bidder retired
+        for s, b, offer in zip(builtins, "ABCD", offers):
+            # asked in round 1, then in each round after a non-zero offer
+            asked = [r for r in range(1, len(log) + 1) if r == 1 or log[r - 2].offers[b]]
+            assert [c.args[:2] for c in offer.call_args_list] == (
+                [(s, r) for r in asked] if foreign else [])
+        assert [rule.call_count for rule in rules] == [1 - foreign] * 4
+
 class Forward:
     """Forwards offer() to a built-in strategy: the engine can only call it
     per round, which makes it the reference for the block path."""
@@ -398,7 +433,7 @@ class Forward:
 
 _QUANTITY = st.one_of(st.floats(0.0, 20.0), st.integers(-3, 20), st.sampled_from(
     [0.0, -0.0, -2.5, 1e6] * 3 + [math.inf, -math.inf, math.nan]
-    # inexact fields: the bidder goes per call
+    # inexact fields: every bidder of the auction is called per round
     + [2 ** 60, 2 ** 53 + 1, np.float64(3.5), np.float64(math.nan)]))
 _BIDDER = st.one_of(
     st.tuples(st.just(ConstantSupply), st.fixed_dictionaries({"quantity": _QUANTITY})),

@@ -774,6 +774,19 @@ class TestErrorsAndConfig:
             3, "", "warning: no\\nrows.csv: no data rows\n"
                    "error code=3 reason=strip needs 36 monthly prices, got 0\n")
 
+    @pytest.mark.parametrize("argv, command", [
+        (["--help"], None), (["-h", "fmpi"], None), (["fmpi", "--help"], "fmpi"),
+        (["simulate", "--seed", "-1", "-h"], "simulate"),
+        (["--config", "run.cfg", "regress"], "regress"), (["--config", "run.cfg"], None)])
+    def test_help_prints_and_returns(self, tmp_path, monkeypatch, argv, command):
+        # argparse ends its help action with parser.exit, which raised SystemExit(0)
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text("help=true\n")
+        parser = _build_parser()
+        text = (parser.commands[command] if command else parser).format_help()
+        assert run_main(argv) == (0, text, "")
+        assert os.listdir() == ["run.cfg"]
+
     def test_config_file_defaults_and_flag_priority(self, tmp_path, omel_fixture):
         auctions, spot, fmpi = omel_fixture
         cfg = tmp_path / "run.cfg"

@@ -433,9 +433,9 @@ class TestTableCodec:
         table, header, row, _ = self.case(name)
         blank = ",".join([" "] * len(header))
         p = write(tmp_path / "t.csv", "\n".join([",".join(header), "", row, blank, row]) + "\n")
-        rows = market_data._read_table(p, table)
-        assert [lineno for lineno, _ in rows] == [3, 5]
-        assert rows[0][1] == rows[1][1] and len(rows[0][1]) == len(header)
+        (first, a), (second, b) = market_data._read_table(p, table)
+        assert (first, second) == (3, 5)
+        assert a == b and len(a) == len(header)
 
     def test_wrong_field_count_rejected(self, tmp_path, name):
         table, header, row, _ = self.case(name)
