@@ -16,6 +16,7 @@ times a seasonal factor on realized load.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -24,6 +25,7 @@ from datetime import date
 from typing import Callable, Protocol
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .market_data import AuctionError, MarketDataError
 
@@ -164,6 +166,8 @@ class StochasticShrink:
     def __post_init__(self):
         if not -math.inf < self.low < math.inf:
             raise AuctionError(f"StochasticShrink.low must be finite, got {self.low!r}")
+        if self.low > 1:  # numpy would raise at uniform(low, 1.0) in round 2
+            raise AuctionError(f"StochasticShrink.low must be at most 1, got {self.low!r}")
 
     def offer(self, round_no, announced_price, last_offer):
         if round_no == 1:
@@ -291,7 +295,8 @@ def _block_rules(strategies):
     int that a float holds exactly: float64 arithmetic on it is Python's),
     shares neither itself nor its ``Generator``, if it draws, with another
     bidder (a block drawn at once would change the other holder's draws) and,
-    if a StochasticShrink, has ``low`` <= 1 (numpy raises at uniform(low > 1, 1.0))."""
+    if a StochasticShrink, has ``low`` <= 1 (numpy raises at uniform(low > 1, 1.0);
+    ``__post_init__`` refuses such a low, but the field can be set later)."""
     held = list(map(id, strategies))  # the ids of the objects each bidder holds
     by_type = {t: [] for t in _BLOCK_TYPES}
     for i, s in enumerate(strategies):
@@ -526,11 +531,106 @@ def _from_json(cls, spec, where, seed=None):
     return cls(**spec, rng=np.random.default_rng(seed)) if draws else cls(**spec)
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the pool
+# is mixed with INIT_A/MULT_A, the output hashed with INIT_B/MULT_B
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_U32 = 0xFFFFFFFF
+
+
+def _hash_steps(const: int, mult: int, n: int) -> np.ndarray:
+    """The hash constant of n steps, before and after each multiply by
+    ``mult``, as a (2, n) uint32 array: step k hashes a word w as
+    ``(w ^ before[k]) * after[k]``, mod 2**32, then xors in its top 16 bits."""
+    steps = []
+    for _ in range(n):
+        after = const * mult & _U32
+        steps.append((const & _U32, after))
+        const = after
+    return np.array(steps, np.uint32).T
+
+
+_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 8)  # generate_state(4, np.uint64)
+
+
+def _entropy_words(entropy) -> int:
+    """The number of uint32 words numpy makes of a SeedSequence's entropy."""
+    if isinstance(entropy, (int, np.integer)):
+        return max(1, (int(entropy).bit_length() + 31) // 32)
+    return sum(map(_entropy_words, entropy))
+
+
+def _child_words(root, n: int) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of child i of ``root.spawn(n)``, for
+    each i < n < 2**32, as row i of an (n, 4) uint64 array, hashed from
+    ``root.pool`` alone (``root`` has no spawn key of its own).
+
+    numpy mixes a child's entropy (the root's, padded with zeros to the pool
+    size p, then the spawn key i) into the pool word by word. All but the
+    last word are the root's, so the child's pool is the root's pool with i
+    mixed into each word, and the hash constant at that point is
+    INIT_A * MULT_A**(p * max(p, L)), L being the entropy's uint32 words:
+    p hashes fill the pool, p * (p - 1) cross-mix it and p more mix in each
+    later word. The 8 uint32 state words then hash the pool cyclically.
+    """
+    p = root.pool_size
+    const = _INIT_A * pow(_MULT_A, p * max(p, _entropy_words(root.entropy)), 1 << 32)
+    cols = np.arange(8) % p  # the pool word each state word hashes
+    before, after = _hash_steps(const, _MULT_A, p)[:, cols]
+    h = (np.arange(n, dtype=np.uint32)[:, None] ^ before) * after
+    h ^= h >> 16
+    h = (_MIX_MULT_L * root.pool)[cols] - _MIX_MULT_R * h
+    h ^= h >> 16
+    h ^= _STATE_STEPS[0]
+    h *= _STATE_STEPS[1]
+    h ^= h >> 16
+    # pairs of uint32 words read as little-endian uint64, as numpy does
+    return h.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+class _ChildSeed(ISpawnableSeedSequence):
+    """Child ``key`` of ``root.spawn(n)``. ``generate_state(4, np.uint64)``,
+    which is how PCG64 seeds itself, returns a copy of the precomputed
+    ``words``; every other use goes to the real child ``SeedSequence``, built
+    on first use, and a copy or a pickle of this object is that child."""
+
+    def __init__(self, root, key: int, words: np.ndarray):
+        self._root, self._key, self._words = root, key, words
+
+    @functools.cached_property
+    def _seq(self):
+        return np.random.SeedSequence(self._root.entropy, spawn_key=(self._key,),
+                                      pool_size=self._root.pool_size)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:
+            return self._words.copy()
+        return self._seq.generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._seq.spawn(n_children)
+
+    entropy, spawn_key, pool_size, n_children_spawned, pool, state = (
+        property(operator.attrgetter(f"_seq.{name}")) for name in
+        ("entropy", "spawn_key", "pool_size", "n_children_spawned", "pool", "state"))
+
+    def __reduce__(self):
+        return self._seq.__reduce__()
+
+    def __repr__(self):
+        return repr(self._seq)
+
+
 def build_scenario(scenario: dict, seed: int | None):
     """Instantiate (config, strategies, bidder_ids) from a scenario dict.
 
     Each strategy's ``kind`` names its class; the random strategy at index
-    i gets a generator seeded by child i of ``SeedSequence(seed).spawn(n)``.
+    i of n gets the generator ``default_rng(SeedSequence(seed).spawn(n)[i])``,
+    bit for bit, and the others get none. The children are not spawned:
+    ``_child_words`` hashes the PCG64 seed words of all n of them at once
+    from the root's pool, with numpy's SeedSequence constants (INIT_A,
+    MULT_A, MIX_MULT_L, MIX_MULT_R for the pool, INIT_B, MULT_B for the
+    state), and ``_ChildSeed`` hands bidder i's words to PCG64.
     A malformed scenario raises ``MarketDataError`` naming the bad key.
     """
     top = _from_json(_Scenario, scenario, "scenario")
@@ -544,6 +644,7 @@ def build_scenario(scenario: dict, seed: int | None):
         raise MarketDataError(f"config.undershoot_policy: unknown undershoot policy {policy!r}")
     config = _from_json(ClockAuctionConfig, top.config, "config")
     root = np.random.SeedSequence(seed)
+    words = _child_words(root, len(top.strategies))
     strategies = []
     for i, spec in enumerate(top.strategies):
         if not isinstance(spec, dict):
@@ -554,10 +655,8 @@ def build_scenario(scenario: dict, seed: int | None):
             raise MarketDataError(f"strategies[{i}].kind: unknown strategy kind {kind!r}")
         fields = spec.copy()
         del fields["kind"]
-        # child i of root.spawn(n), built only for the bidders that draw
-        strategies.append(_from_json(cls, fields, i, np.random.SeedSequence(
-            root.entropy, spawn_key=(i,), pool_size=root.pool_size)
-            if _SCHEMAS[cls][2] else None))
+        strategies.append(_from_json(cls, fields, i, _ChildSeed(root, i, words[i])
+                                     if _SCHEMAS[cls][2] else None))
     return config, strategies, ids
 
 

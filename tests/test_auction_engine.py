@@ -461,7 +461,10 @@ def _run(clock, bidders, seed, forward):
     strategies = []
     for i, ((cls, fields), wrap) in enumerate(zip(bidders, forward)):
         extra = {"rng": np.random.default_rng([seed, i])} if "rng" in cls.__dataclass_fields__ else {}
-        s = cls(**fields, **extra)
+        # a low above 1 is refused when a StochasticShrink is built, but its
+        # fields stay mutable: one set afterwards must give the same outcome too
+        s = cls(**{k: min(v, 1) if k == "low" else v for k, v in fields.items()}, **extra)
+        vars(s).update(fields)
         strategies.append(Forward(s) if wrap else s)
     try:
         return run_descending_clock(ClockAuctionConfig(**clock), strategies)

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import copy
 import csv
 import dataclasses
 import importlib
@@ -7,6 +8,7 @@ import io
 import json
 import math
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -17,10 +19,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import powerauctions
+from powerauctions import auction_engine
 from powerauctions.auction_engine import (ClockAuctionConfig, ConstantSupply, StochasticExit,
                                           StochasticShrink, ThresholdExit)
 from powerauctions.cli import _build_parser, build_scenario, main
@@ -169,8 +172,12 @@ class TestSimulateCommand:
         ({"target_quantity": 5, "opening_price": 100},
          {"kind": "stochastic_exit", "quantity": 10, "exit_probability": math.nan},
          "StochasticExit.exit_probability must be finite, got nan"),
+        # this auction used to close in round 1, before the bidder's first draw
+        ({"target_quantity": 5, "opening_price": 100},
+         {"kind": "stochastic_shrink", "quantity": 5, "low": 1.5},
+         "StochasticShrink.low must be at most 1, got 1.5"),
     ], ids=["nan_target", "nan_opening_price", "nan_offer", "nan_low", "inf_low",
-            "nan_exit_probability"])
+            "nan_exit_probability", "low_above_one"])
     def test_nan_in_scenario_is_numeric_failure(self, tmp_path, capsys, config, strategy,
                                                 reason):
         # json.dumps writes the NaN token, which json.load accepts
@@ -222,7 +229,9 @@ _STRATEGY_FIELDS = {
     "threshold_exit": ({"quantity": _ANY_NUMBER, "threshold": _ANY_NUMBER},
                        {"below_quantity": _ANY_NUMBER}),
     "stochastic_exit": ({"quantity": _ANY_NUMBER, "exit_probability": _ANY_NUMBER}, {}),
-    "stochastic_shrink": ({"quantity": _ANY_NUMBER}, {"low": _ANY_NUMBER}),
+    # a low above 1 is refused when built (test_nan_in_scenario_is_numeric_failure)
+    "stochastic_shrink": ({"quantity": _ANY_NUMBER},
+                          {"low": st.one_of(st.integers(-50, 1), st.floats(-50.0, 1.0))}),
 }
 _STRATEGY = st.sampled_from(sorted(_STRATEGY_FIELDS)).flatmap(
     lambda kind: _fields(*_STRATEGY_FIELDS[kind]).map(lambda spec: {"kind": kind, **spec}))
@@ -255,19 +264,65 @@ def test_scenario_builds_its_dataclasses(scenario, seed):
         assert all(type(getattr(built, k)) is type(v) for k, v in spec.items() if k != "kind")
 
 
-def test_only_random_bidders_are_seeded_as_spawned_children():
-    kinds = ["constant", "stochastic_exit", "threshold_exit", "stochastic_shrink",
-             "stochastic_shrink", "constant", "stochastic_exit"]
-    params = {"constant": {}, "threshold_exit": {"threshold": 50},
-              "stochastic_exit": {"exit_probability": 0.1}, "stochastic_shrink": {}}
+# an int seed in [0, 2**160), drawn as up to five uint32 words
+_SEEDS = st.one_of(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5).map(
+                       lambda words: sum(w << 32 * k for k, w in enumerate(words))),
+                   st.integers(0, 2**63 - 1).map(np.int64),
+                   st.lists(st.integers(0, 2**64), max_size=6), st.none())
+_KIND_SPECS = {"constant": {}, "threshold_exit": {"threshold": 50},
+               "stochastic_exit": {"exit_probability": 0.1}, "stochastic_shrink": {}}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(seed=2**128 - 1, n=1000, pattern=sorted(_KIND_SPECS))  # 4 words: the pool's size
+@example(seed=2**128, n=1000, pattern=["stochastic_shrink", "constant"])  # 5 words
+@example(seed=2**160 - 1, n=7, pattern=["stochastic_exit"])
+@example(seed=2022, n=7, pattern=["constant", "stochastic_exit", "threshold_exit",
+                                  "stochastic_shrink", "stochastic_shrink", "constant",
+                                  "stochastic_exit"])
+@given(seed=_SEEDS, n=st.integers(1, 1000),
+       pattern=st.lists(st.sampled_from(sorted(_KIND_SPECS)), min_size=1, max_size=6))
+def test_random_bidders_get_the_spawned_generators_bit_for_bit(seed, n, pattern):
+    # seeds past 2**128 have more uint32 words than the pool holds, which
+    # changes where numpy's mixing of a child's spawn key starts
+    kinds = [pattern[i % len(pattern)] for i in range(n)]
     scenario = {"config": {"target_quantity": 5, "opening_price": 100},
-                "strategies": [{"kind": k, "quantity": 3, **params[k]} for k in kinds]}
-    _, strategies, _ = build_scenario(scenario, 2022)
-    children = np.random.SeedSequence(2022).spawn(len(kinds))
-    for built, child in zip(strategies, children):
-        if hasattr(built, "rng"):
-            assert built.rng.bit_generator.state == np.random.default_rng(
-                child).bit_generator.state
+                "strategies": [{"kind": k, "quantity": 3, **_KIND_SPECS[k]} for k in kinds]}
+    _, strategies, _ = build_scenario(scenario, seed)
+    drawn = [(i, s.rng) for i, s in enumerate(strategies) if hasattr(s, "rng")]
+    assert [i for i, _ in drawn] == [i for i, k in enumerate(kinds) if k.startswith("stochastic")]
+    if seed is None and drawn:  # entropy from the OS: rebuild the root from it
+        seed = drawn[0][1].bit_generator.seed_seq.entropy
+    children = np.random.SeedSequence(seed).spawn(n)
+    for i, rng in drawn:
+        assert rng.bit_generator.state == np.random.default_rng(children[i]).bit_generator.state
+
+
+def test_a_built_generator_acts_as_a_spawned_one():
+    kinds = ["stochastic_shrink", "constant", "stochastic_exit", "stochastic_shrink"]
+    scenario = {"config": {"target_quantity": 5, "opening_price": 100},
+                "strategies": [{"kind": k, "quantity": 3, **_KIND_SPECS[k]} for k in kinds]}
+    _, strategies, _ = build_scenario(scenario, 2**130 + 17)
+    children = np.random.SeedSequence(2**130 + 17).spawn(len(kinds))
+    # no two bidders share a generator, so the auction runs in block mode
+    rngs = [s.rng for s in strategies if hasattr(s, "rng")]
+    assert len({id(r) for r in rngs}) == len({id(r.bit_generator) for r in rngs}) == 3
+    assert auction_engine._block_rules(strategies) is not None
+    for i in (0, 2, 3):
+        rng, expected = strategies[i].rng, np.random.default_rng(children[i])
+        seq, child = rng.bit_generator.seed_seq, children[i]
+        assert (seq.entropy, seq.spawn_key, seq.pool_size) == (2**130 + 17, (i,), 4)
+        assert (seq.pool == child.pool).all()
+        assert (seq.generate_state(8) == child.generate_state(8)).all()
+        for copied in (copy.deepcopy(rng), pickle.loads(pickle.dumps(rng))):
+            assert copied.bit_generator.state == expected.bit_generator.state
+            assert copied.bit_generator.seed_seq.state == child.state
+        assert [g.bit_generator.state for g in rng.spawn(2)] == [
+            g.bit_generator.state for g in expected.spawn(2)]
+        assert seq.state == child.state == {"entropy": 2**130 + 17, "spawn_key": (i,),
+                                            "pool_size": 4, "n_children_spawned": 2}
+        assert repr(seq) == repr(child)
+        assert rng.random(5).tolist() == expected.random(5).tolist()
 
 
 _WRONG_VALUES = {"float": ["10", True, None, [1.0]], "int": [2.5, "3", False, None],
