@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .market_data import FuturesContractSeries, _date_index
+from .market_data import FuturesContractSeries, _Calendar
 from .premiums import _ZeroVarianceError, _moments, _two_sample_t
 
 MEASURE_KINDS = ("volume", "open_interest", "R1", "R2")
@@ -27,22 +27,21 @@ MEASURE_KINDS = ("volume", "open_interest", "R1", "R2")
 class MeasureSeries:
     """A daily activity measure; ``undefined_dates`` are days without a value.
 
-    Dates must strictly increase. The series keeps the sorted ordinal index
-    of its dates and its defined-day mask as read-only arrays; a measure
-    built from a futures series takes both over from it instead
-    (``_ordinals``, ``_defined``) and derives ``undefined_dates`` from the mask.
+    Dates must strictly increase and are stored as a tuple that carries their
+    ordinal index, so a measure on a futures series' dates shares its index.
+    The defined-day mask is kept read-only; a measure built from a futures
+    series passes it (``_defined``) and derives ``undefined_dates`` from it.
     """
     contract_id: str
     measure_kind: str
     dates: tuple[date, ...]
     values: np.ndarray
     undefined_dates: frozenset[date] = frozenset()
-    _ordinals: InitVar[np.ndarray | None] = None
     _defined: InitVar[np.ndarray | None] = None
-    ordinals: np.ndarray = field(init=False, repr=False)
     _mask: np.ndarray = field(init=False, repr=False)
+    ordinals = property(lambda self: self.dates.ordinals)  # the index the dates carry
 
-    def __post_init__(self, _ordinals, _defined):
+    def __post_init__(self, _defined):
         if self.measure_kind not in MEASURE_KINDS:
             raise ValueError(f"unknown measure kind {self.measure_kind!r}")
         vals = np.asarray(self.values, dtype=float)
@@ -50,17 +49,15 @@ class MeasureSeries:
             raise ValueError("dates and values length mismatch")
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
-        if _ordinals is None:
-            _ordinals = _date_index(self.dates, f"measure {self.contract_id}")
+        object.__setattr__(self, "dates", _Calendar(self.dates, f"measure {self.contract_id}"))
         if _defined is None:
             undefined = np.fromiter((d.toordinal() for d in self.undefined_dates),
                                     dtype=np.int64, count=len(self.undefined_dates))
-            _defined = ~np.isin(_ordinals, undefined)
+            _defined = ~np.isin(self.ordinals, undefined)
         else:
             object.__setattr__(self, "undefined_dates",
                                frozenset(compress(self.dates, (~_defined).tolist())))
         _defined.setflags(write=False)
-        object.__setattr__(self, "ordinals", _ordinals)
         object.__setattr__(self, "_mask", _defined)
 
     def defined_mask(self) -> np.ndarray:
@@ -69,11 +66,10 @@ class MeasureSeries:
 
 def _measure(futures: FuturesContractSeries, kind: str, values,
              defined=None) -> MeasureSeries:
-    """A measure on ``futures``' calendar, sharing its date index."""
+    """A measure on ``futures``' calendar."""
     if defined is None:
         defined = np.ones(len(futures), dtype=bool)
-    return MeasureSeries(futures.contract_id, kind, futures.dates, values,
-                         _ordinals=futures.ordinals, _defined=defined)
+    return MeasureSeries(futures.contract_id, kind, futures.dates, values, _defined=defined)
 
 
 def volume_series(futures: FuturesContractSeries) -> MeasureSeries:

@@ -14,7 +14,7 @@ import io
 import math
 import re
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from typing import Sequence
 
@@ -72,26 +72,29 @@ class DeliveryPeriod:
         return [date.fromordinal(o) for o in range(self.start.toordinal(), self.end.toordinal() + 1)]
 
 
-def _date_index(dates, what: str, ordinals=None) -> np.ndarray:
-    """The read-only ``date.toordinal()`` index of strictly increasing ``dates``.
+class _Calendar(tuple):
+    """Strictly increasing dates and their read-only ``date.toordinal()`` index.
 
-    ``ordinals``, when given, must be that index already (contracts on one
-    calendar share one); only its length, ends and order are checked. A
-    duplicate or decreasing date raises, naming the first offending pair.
+    The dates are checked and indexed once: a _Calendar given to the
+    constructor comes back as it is, so series made on one calendar share
+    its index. A duplicate or decreasing date raises, naming the first
+    offending pair and ``what`` the dates belong to.
     """
-    if ordinals is None:
-        ordinals = np.fromiter((d.toordinal() for d in dates), dtype=np.int64, count=len(dates))
-    elif len(ordinals) != len(dates) or (len(dates) and (
-            ordinals[0] != dates[0].toordinal() or ordinals[-1] != dates[-1].toordinal())):
-        raise MarketDataError(f"date index does not match the dates of {what}")
-    bad = np.flatnonzero(np.diff(ordinals) <= 0)
-    if bad.size:
-        prev, d = dates[bad[0]], dates[bad[0] + 1]
-        if d == prev:
-            raise MarketDataError(f"duplicate date {d} in {what}")
-        raise MarketDataError(f"non-monotone dates in {what}: {d} after {prev}")
-    ordinals.setflags(write=False)
-    return ordinals
+
+    def __new__(cls, dates, what: str = "dates"):  # copy and pickle pass only the dates
+        if type(dates) is cls:
+            return dates
+        self = super().__new__(cls, dates)
+        ordinals = np.fromiter((d.toordinal() for d in self), dtype=np.int64, count=len(self))
+        bad = np.flatnonzero(np.diff(ordinals) <= 0)
+        if bad.size:
+            prev, d = self[bad[0]], self[bad[0] + 1]
+            if d == prev:
+                raise MarketDataError(f"duplicate date {d} in {what}")
+            raise MarketDataError(f"non-monotone dates in {what}: {d} after {prev}")
+        ordinals.setflags(write=False)
+        self.ordinals = ordinals
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,12 +102,12 @@ class SpotPriceSeries:
     zone: MarketZone
     dates: tuple[date, ...]
     prices: np.ndarray
-    ordinals: np.ndarray = field(init=False, repr=False)
+    ordinals = property(lambda self: self.dates.ordinals)  # the index the dates carry
 
     def __post_init__(self):
         if len(self.dates) != len(self.prices):
             raise MarketDataError("dates and prices length mismatch")
-        object.__setattr__(self, "ordinals", _date_index(self.dates, "spot series"))
+        object.__setattr__(self, "dates", _Calendar(self.dates, "spot series"))
         prices = np.asarray(self.prices, dtype=float)
         if prices.size and not np.all(np.isfinite(prices)):
             raise MarketDataError("non-finite spot price")
@@ -143,10 +146,9 @@ class FuturesContractSeries:
     settle: np.ndarray
     volume: np.ndarray
     open_interest: np.ndarray
-    ordinals: np.ndarray = field(init=False, repr=False)
-    index: InitVar[np.ndarray | None] = None  # the dates' ordinals, if already built
+    ordinals = property(lambda self: self.dates.ordinals)  # the index the dates carry
 
-    def __post_init__(self, index):
+    def __post_init__(self):
         n = len(self.dates)
         arrays = {}
         for name in ("settle", "volume", "open_interest"):
@@ -156,8 +158,7 @@ class FuturesContractSeries:
             if arr.size and not np.all(np.isfinite(arr)):
                 raise MarketDataError(f"non-finite {name} in {self.contract_id}")
             arrays[name] = arr
-        object.__setattr__(self, "ordinals",
-                           _date_index(self.dates, f"futures {self.contract_id}", index))
+        object.__setattr__(self, "dates", _Calendar(self.dates, f"futures {self.contract_id}"))
         if np.any(arrays["volume"] < 0):
             raise MarketDataError(f"negative volume in {self.contract_id}")
         if np.any(arrays["open_interest"] < 0):
@@ -667,10 +668,10 @@ def load_spot_csv_multi(path) -> dict[MarketZone, SpotPriceSeries]:
 def load_futures_csv(path) -> list[FuturesContractSeries]:
     """Load a futures CSV; returns one series per contract_id, in file order.
 
-    Contracts with the same trading days share one dates tuple and one index.
+    Contracts with the same date cells share one calendar and its index.
     """
     rows = _read_table(path, _FUTURES)
-    cids, markets, zones, dates = rows.columns[:4]
+    cids, markets, zones = rows.columns[:3]
     contract, zone = cids.codes, _zone_codes(markets, zones)
     first_row = np.unique(contract, return_index=True)[1]
     changed = np.flatnonzero(zone != zone[first_row[contract]])
@@ -678,20 +679,16 @@ def load_futures_csv(path) -> list[FuturesContractSeries]:
         i = changed[0]
         raise MarketDataError(
             f"{path} line {rows.linenos[i]}: contract {cids.item(i)} changes zone")
-    ordinals = np.fromiter(map(date.toordinal, dates.values), dtype=np.int64,
-                           count=len(dates.values))[dates.codes]
-    calendars: dict[bytes, tuple] = {}
+    calendars: dict[bytes, _Calendar] = {}  # equal date codes mean equal dates
     out = []
-    for cid, market, z, days, settle, volume, open_interest, days_ordinals in _blocks(
-            contract, [*rows.columns, ordinals]):
-        key = days_ordinals.tobytes()
-        if key not in calendars:
-            calendars[key] = tuple(days.tolist()), days_ordinals.copy()
-        days, index = calendars[key]
-        out.append(FuturesContractSeries(
-            contract_id=cid.item(0), zone=MarketZone(market.item(0), z.item(0)), dates=days,
-            settle=settle, volume=volume, open_interest=open_interest, index=index,
-        ))
+    for cid, market, z, days, settle, volume, open_interest in _blocks(contract, rows.columns):
+        key = days.codes.tobytes()
+        series = FuturesContractSeries(
+            contract_id=cid.item(0), zone=MarketZone(market.item(0), z.item(0)),
+            dates=calendars.get(key) or days.tolist(),
+            settle=settle, volume=volume, open_interest=open_interest)
+        calendars.setdefault(key, series.dates)
+        out.append(series)
     return out
 
 

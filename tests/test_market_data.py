@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import tempfile
 import warnings
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from powerauctions import (DeliveryPeriod, FuturesContractSeries, MarketDataError,
                            MarketZone, SpotPriceSeries, average_price, load_auctions_csv,
                            load_costs_csv, load_futures_csv, load_spot_csv)
-from powerauctions import market_data
+from powerauctions import (MeasureSeries, event_study, market_data, r1_series,
+                           volume_series)
 from powerauctions.market_data import (write_auctions_csv, write_costs_csv,
                                        write_futures_csv, write_spot_csv)
 
@@ -148,16 +150,56 @@ class TestFuturesLoader:
         with pytest.raises(MarketDataError, match="non-monotone dates in futures A"):
             load_futures_csv(p)
 
-    def test_index_must_match_the_dates(self):
-        dates = (date(2007, 1, 1), date(2007, 1, 2))
-        good = np.array([d.toordinal() for d in dates])
-        series = FuturesContractSeries("A", ES, dates, np.ones(2), np.ones(2), np.ones(2),
-                                       index=good)
-        assert series.ordinals is good
-        for bad in (good[:1], good + 1):
-            with pytest.raises(MarketDataError, match="date index does not match"):
-                FuturesContractSeries("A", ES, dates, np.ones(2), np.ones(2), np.ones(2),
-                                      index=bad)
+
+# --- calendars: the dates carry their own index --------------------------------
+
+JAN_1_2_4 = [date(2007, 1, 1), date(2007, 1, 2), date(2007, 1, 4)]
+
+
+def test_series_on_one_calendar_share_its_index():
+    f = FuturesContractSeries("A", ES, JAN_1_2_4, np.ones(3), np.ones(3), np.ones(3))
+    assert r1_series(f).ordinals is f.ordinals
+    assert MeasureSeries("A", "volume", f.dates, np.ones(3)).ordinals is f.ordinals
+    spot = SpotPriceSeries(ES, JAN_1_2_4, np.ones(3))
+    assert SpotPriceSeries(ES, spot.dates, np.zeros(3)).ordinals is spot.ordinals
+    assert f.ordinals is not spot.ordinals
+    assert f.ordinals.tolist() == [d.toordinal() for d in JAN_1_2_4]
+
+
+def test_no_constructor_takes_an_index():
+    params = {cls: list(inspect.signature(cls).parameters) for cls in
+              (SpotPriceSeries, FuturesContractSeries, MeasureSeries)}
+    assert params == {
+        SpotPriceSeries: ["zone", "dates", "prices"],
+        FuturesContractSeries: ["contract_id", "zone", "dates", "settle", "volume",
+                                "open_interest"],
+        MeasureSeries: ["contract_id", "measure_kind", "dates", "values", "undefined_dates",
+                        "_defined"],
+    }
+
+
+@pytest.mark.parametrize("make", [
+    lambda days: SpotPriceSeries(ES, days, np.array([1.0, 2.0, 3.0])),
+    lambda days: FuturesContractSeries("A", ES, days, np.ones(3), np.ones(3), np.ones(3)),
+    lambda days: MeasureSeries("A", "volume", days, np.array([1.0, 2.0, 3.0])),
+], ids=["spot", "futures", "measure"])
+def test_dates_given_as_a_list_are_kept_as_a_tuple(make):
+    days = list(JAN_1_2_4)
+    series = make(days)
+    days[1] = date(2007, 1, 9)
+    assert isinstance(series.dates, tuple)
+    assert series.dates == tuple(JAN_1_2_4)
+    assert series.ordinals.tolist() == [d.toordinal() for d in JAN_1_2_4]
+    if isinstance(series, SpotPriceSeries):
+        assert series.price_on(date(2007, 1, 2)) == 2.0
+        with pytest.raises(MarketDataError, match="no spot price for 2007-01-09"):
+            series.price_on(date(2007, 1, 9))
+    else:
+        measure = series if isinstance(series, MeasureSeries) else volume_series(series)
+        assert event_study(measure, [date(2007, 1, 2)], window=(0, 0))[0].n_events == 1
+        for absent in (date(2007, 1, 3), date(2007, 1, 9)):
+            with pytest.raises(ValueError, match=f"event date {absent} not in the series"):
+                event_study(measure, [absent], window=(0, 0))
 
 
 class TestAuctionsLoader:

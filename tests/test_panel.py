@@ -90,7 +90,7 @@ def make_panel(rng, n_units=4, n_periods=6, covs=("x1", "x2"), beta=None):
     return panel
 
 
-def ols_oracle(panel, covariates, period_fixed_effects):
+def ols_oracle(panel, covariates, period_fixed_effects, unit_fixed_effects=False):
     """Normal equations + explicit sandwich, independent of the fit path."""
     y = np.array([o.y for o in panel])
     cols = [np.ones(len(panel))]
@@ -100,6 +100,9 @@ def ols_oracle(panel, covariates, period_fixed_effects):
         periods = sorted({o.period for o in panel})
         for p in periods[1:]:
             cols.append(np.array([1.0 if o.period == p else 0.0 for o in panel]))
+    if unit_fixed_effects:
+        for u in sorted({o.unit for o in panel})[1:]:
+            cols.append(np.array([1.0 if o.unit == u else 0.0 for o in panel]))
     X = np.column_stack(cols)
     n, k = X.shape
     xtx_inv = np.linalg.inv(X.T @ X)
@@ -145,6 +148,25 @@ def oracle_panels():
                 panel.append(PanelObservation(unit=f"U{u}", period=2000 + t,
                                               y=y, covariates=x))
         yield trial, panel, covs, use_fe
+
+
+def unit_effect_panels():
+    """60 panels drawn from seed 12 for a unit-effects fit: (trial, panel,
+    covariates, period effects), 3-8 units, 4-6 periods, 1-3 covariates,
+    and period effects on every other panel."""
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        g, n_periods = int(rng.integers(3, 9)), int(rng.integers(4, 7))
+        covs = [f"x{i}" for i in range(int(rng.integers(1, 4)))]
+        effects = rng.normal(0, 2, g)
+        panel = []
+        for u in range(g):
+            for t in range(n_periods):
+                x = {c: float(rng.uniform(-3, 3)) for c in covs}
+                y = effects[u] + sum(x.values()) + float(rng.standard_normal())
+                panel.append(PanelObservation(unit=f"U{u}", period=2000 + t,
+                                              y=float(y), covariates=x))
+        yield trial, panel, covs, trial % 2 == 0
 
 
 # acceptance 7's coefficients whose sandwich variance is 0 up to round-off:
@@ -262,6 +284,20 @@ class TestPooledOls:
         np.testing.assert_allclose(got_se, se, rtol=1e-10)
         assert res.rss == pytest.approx(rss, rel=1e-10)
         assert res.rmse == pytest.approx(np.sqrt(rss / (res.n - res.k)), rel=1e-12)
+
+    def test_unit_effects_match_matrix_oracle(self):
+        # acceptance 7's tolerances, with the unit dummies in the oracle's design
+        for trial, panel, covs, use_fe in unit_effect_panels():
+            res = fit_pooled_ols(panel, covs, period_fixed_effects=use_fe,
+                                 unit_fixed_effects=True)
+            beta, se, rss = ols_oracle(panel, covs, use_fe, unit_fixed_effects=True)
+            assert res.k == len(beta) and res.coefficients[-1].name == "unit_" + panel[-1].unit
+            np.testing.assert_allclose([c.estimate for c in res.coefficients], beta,
+                                       rtol=1e-10, err_msg=str(trial))
+            np.testing.assert_allclose([c.std_error for c in res.coefficients], se,
+                                       rtol=1e-10, atol=1e-7 * float(se.max()),
+                                       err_msg=str(trial))
+            assert res.rss == pytest.approx(rss, rel=1e-10)
 
     def test_singleton_clusters_equal_hc0_up_to_factor(self, rng):
         # every observation its own cluster: the meat collapses to HC0
