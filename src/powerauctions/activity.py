@@ -10,38 +10,35 @@ baseline that excludes every (merged) event window.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .market_data import FuturesContractSeries, _Calendar
+from .market_data import FuturesContractSeries, _Calendar, _Series
 from .premiums import _ZeroVarianceError, _moments, _two_sample_t
 
 MEASURE_KINDS = ("volume", "open_interest", "R1", "R2")
 
 
 @dataclass(frozen=True, eq=False)
-class MeasureSeries:
-    """A daily activity measure; ``undefined_dates`` are days without a value.
+class MeasureSeries(_Series):
+    """A daily activity measure; a NaN value marks a day without one.
 
     Dates must strictly increase and are stored as a tuple that carries their
     ordinal index, so a measure on a futures series' dates shares its index.
-    The defined-day mask is kept read-only; a measure built from a futures
-    series passes it (``_defined``) and derives ``undefined_dates`` from it.
+    ``defined_mask()`` (read-only) and ``undefined_dates`` are derived from
+    the NaN values, so a ratio that overflows to inf stays defined. Copy and
+    pickle rebuild a measure through this constructor.
     """
     contract_id: str
     measure_kind: str
     dates: tuple[date, ...]
     values: np.ndarray
-    undefined_dates: frozenset[date] = frozenset()
-    _defined: InitVar[np.ndarray | None] = None
-    _mask: np.ndarray = field(init=False, repr=False)
-    ordinals = property(lambda self: self.dates.ordinals)  # the index the dates carry
 
-    def __post_init__(self, _defined):
+    def __post_init__(self):
         if self.measure_kind not in MEASURE_KINDS:
             raise ValueError(f"unknown measure kind {self.measure_kind!r}")
         vals = np.asarray(self.values, dtype=float)
@@ -50,64 +47,48 @@ class MeasureSeries:
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
         object.__setattr__(self, "dates", _Calendar(self.dates, f"measure {self.contract_id}"))
-        if _defined is None:
-            undefined = np.fromiter((d.toordinal() for d in self.undefined_dates),
-                                    dtype=np.int64, count=len(self.undefined_dates))
-            _defined = ~np.isin(self.ordinals, undefined)
-        else:
-            object.__setattr__(self, "undefined_dates",
-                               frozenset(compress(self.dates, (~_defined).tolist())))
-        _defined.setflags(write=False)
-        object.__setattr__(self, "_mask", _defined)
 
     def defined_mask(self) -> np.ndarray:
-        return self._mask
+        mask = ~np.isnan(self.values)
+        mask.setflags(write=False)
+        return mask
 
-
-def _measure(futures: FuturesContractSeries, kind: str, values,
-             defined=None) -> MeasureSeries:
-    """A measure on ``futures``' calendar."""
-    if defined is None:
-        defined = np.ones(len(futures), dtype=bool)
-    return MeasureSeries(futures.contract_id, kind, futures.dates, values, _defined=defined)
+    @property
+    def undefined_dates(self) -> frozenset[date]:
+        return frozenset(compress(self.dates, (~self.defined_mask()).tolist()))
 
 
 def volume_series(futures: FuturesContractSeries) -> MeasureSeries:
-    return _measure(futures, "volume", np.array(futures.volume))
+    return MeasureSeries(futures.contract_id, "volume", futures.dates, futures.volume)
 
 
 def open_interest_series(futures: FuturesContractSeries) -> MeasureSeries:
-    return _measure(futures, "open_interest", np.array(futures.open_interest))
+    return MeasureSeries(futures.contract_id, "open_interest", futures.dates,
+                         futures.open_interest)
 
 
 def r1_series(futures: FuturesContractSeries) -> MeasureSeries:
-    """Volume over open interest; days with zero OI are marked undefined."""
+    """Volume over open interest; days with zero OI are undefined (NaN)."""
     if len(futures) == 0:
         raise ValueError("empty futures series")
     oi = futures.open_interest
-    undefined = oi == 0
-    values = np.zeros(len(futures))
-    np.divide(futures.volume, oi, out=values, where=~undefined)
-    values[undefined] = np.nan
-    return _measure(futures, "R1", values, ~undefined)
+    values = np.full(len(futures), np.nan)
+    np.divide(futures.volume, oi, out=values, where=oi != 0)
+    return MeasureSeries(futures.contract_id, "R1", futures.dates, values)
 
 
 def r2_series(futures: FuturesContractSeries) -> MeasureSeries:
     """Volume over |day-on-day change in open interest|.
 
     The first day has no predecessor and days with an unchanged open
-    interest divide by zero; both are undefined, not infinite.
+    interest divide by zero; both are undefined (NaN), not infinite.
     """
     if len(futures) < 2:
         raise ValueError("need at least 2 observations for the OI change")
-    delta = np.empty(len(futures))
-    delta[0] = 0.0
-    delta[1:] = np.abs(np.diff(futures.open_interest))
-    undefined = delta == 0
-    undefined[0] = True
+    delta = np.abs(np.diff(futures.open_interest))
     values = np.full(len(futures), np.nan)
-    np.divide(futures.volume, delta, out=values, where=~undefined)
-    return _measure(futures, "R2", values, ~undefined)
+    np.divide(futures.volume[1:], delta, out=values[1:], where=delta != 0)
+    return MeasureSeries(futures.contract_id, "R2", futures.dates, values)
 
 
 def baseline_mean_excluding(series: MeasureSeries, excluded_dates: Iterable[date]) -> float:

@@ -291,11 +291,10 @@ def _resolve_undershoot(config, bidder_ids, prev, final):
 
 def _block_rules(strategies):
     """The block rules of all the bidders, one per type, or None unless each
-    is of an exact built-in type with exact numeric fields (a float, or an
-    int that a float holds exactly: float64 arithmetic on it is Python's),
-    shares neither itself nor its ``Generator``, if it draws, with another
-    bidder (a block drawn at once would change the other holder's draws) and,
-    if a StochasticShrink, has ``low`` <= 1 (numpy raises at uniform(low > 1, 1.0);
+    is of an exact built-in type with ``_exact`` numeric fields, shares
+    neither itself nor its ``Generator``, if it draws, with another bidder (a
+    block drawn at once would change the other holder's draws) and, if a
+    StochasticShrink, has ``low`` <= 1 (numpy raises at uniform(low > 1, 1.0);
     ``__post_init__`` refuses such a low, but the field can be set later)."""
     held = list(map(id, strategies))  # the ids of the objects each bidder holds
     by_type = {t: [] for t in _BLOCK_TYPES}
@@ -306,8 +305,7 @@ def _block_rules(strategies):
         fields = s.__dict__
         rng = fields.get("rng", s)  # s: no generator
         for v in fields.values():
-            if not (type(v) is float or v is rng
-                    or type(v) is int and -_EXACT_INT <= v <= _EXACT_INT):
+            if not (_exact(v) or v is rng):
                 return None
         if rng is not s and type(rng) is not np.random.Generator or (
                 type(s) is StochasticShrink and not s.low <= 1):

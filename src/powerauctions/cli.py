@@ -223,7 +223,7 @@ def _cmd_activity(args):
                          measure.dates,
                          [v if d else None for v, d in zip(measure.values.tolist(), mask)],
                          mask)],
-            f"activity ok measure={args.measure} n={n} undefined={len(measure.undefined_dates)}")
+            f"activity ok measure={args.measure} n={n} undefined={mask.count(False)}")
 
 
 def _cmd_event_study(args):

@@ -14,7 +14,7 @@ import io
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from typing import Sequence
 
@@ -81,7 +81,7 @@ class _Calendar(tuple):
     offending pair and ``what`` the dates belong to.
     """
 
-    def __new__(cls, dates, what: str = "dates"):  # copy and pickle pass only the dates
+    def __new__(cls, dates, what: str = "dates"):
         if type(dates) is cls:
             return dates
         self = super().__new__(cls, dates)
@@ -96,13 +96,30 @@ class _Calendar(tuple):
         self.ordinals = ordinals
         return self
 
+    def __reduce__(self):  # copy and pickle pass only the dates
+        return _Calendar, (tuple(self),)
+
+
+class _Series:
+    """A series on a _Calendar: its length and index are its dates'.
+
+    Copy and pickle rebuild it through its constructor, so a copy is checked
+    again and its arrays are read-only, like the original's.
+    """
+    ordinals = property(lambda self: self.dates.ordinals)  # the index the dates carry
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
 
 @dataclass(frozen=True, eq=False)
-class SpotPriceSeries:
+class SpotPriceSeries(_Series):
     zone: MarketZone
     dates: tuple[date, ...]
     prices: np.ndarray
-    ordinals = property(lambda self: self.dates.ordinals)  # the index the dates carry
 
     def __post_init__(self):
         if len(self.dates) != len(self.prices):
@@ -113,9 +130,6 @@ class SpotPriceSeries:
             raise MarketDataError("non-finite spot price")
         object.__setattr__(self, "prices", prices)
         prices.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.dates)
 
     def price_on(self, day: date) -> float:
         ordinal = day.toordinal()
@@ -139,14 +153,13 @@ class SpotPriceSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class FuturesContractSeries:
+class FuturesContractSeries(_Series):
     contract_id: str
     zone: MarketZone
     dates: tuple[date, ...]
     settle: np.ndarray
     volume: np.ndarray
     open_interest: np.ndarray
-    ordinals = property(lambda self: self.dates.ordinals)  # the index the dates carry
 
     def __post_init__(self):
         n = len(self.dates)
@@ -166,9 +179,6 @@ class FuturesContractSeries:
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.dates)
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,9 @@ def _build_design(panel, covariate_names, groups, y):
     for prefix, (levels, codes) in groups:  # first level dropped for identification
         names += [f"{prefix}_{v}" for v in levels[1:]]
         cols.append(codes[:, None] == np.arange(1, len(levels)))
+    clash = next((c for c in covariate_names if names.count(c) > 1), None)
+    if clash is not None:
+        raise RegressionError(f"covariate {clash!r} has the name of another design column")
     a = np.column_stack(cols + [y])
     finite = np.isfinite(a)  # the constant and the dummies are
     if not finite.all():  # a QR would spread it over every result as NaN
@@ -198,13 +201,11 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
         bound = np.sqrt(c_factor * ((np.abs(scores) @ np.abs(r_inv @ r_inv.T)) ** 2).sum(axis=0))
         se[se <= bound * (n + k) * np.finfo(float).eps] = 0.0
 
-    coefs = []
-    fixed = {}
-    for name, b, s in zip(names, beta, se):
-        coefs.append(Coefficient(name=name, estimate=float(b), std_error=float(s),
-                                 t_stat=float(b / s) if s > 0 else float("inf")))
-        if name.startswith(("period_", "unit_")):
-            fixed[name] = float(b)
-    return RegressionResult(coefficients=tuple(coefs), r_squared=r2,
+    coefs = tuple(Coefficient(name=name, estimate=float(b), std_error=float(s),
+                              t_stat=float(b / s) if s > 0 else float("inf"))
+                  for name, b, s in zip(names, beta, se))
+    dummies = 1 + len(covariates)  # the dummies follow const and the covariates
+    fixed = {c.name: c.estimate for c in coefs[dummies:]}
+    return RegressionResult(coefficients=coefs, r_squared=r2,
                             adj_r_squared=float(adj_r2), rss=rss, rmse=rmse,
                             n=n, k=k, n_clusters=g, fixed_effects=fixed)

@@ -92,6 +92,24 @@ class TestBaselineMean:
             baseline_mean_excluding(m, m.dates)
 
 
+def test_nan_values_are_the_undefined_days(rng):
+    dates = daily_dates(date(2007, 1, 1), 60)
+    values = rng.uniform(1.0, 10.0, 60)
+    values[[3, 20, 21, 40]] = np.nan
+    m = MeasureSeries("C", "volume", dates, values)
+    assert m.undefined_dates == {dates[3], dates[20], dates[21], dates[40]}
+    assert baseline_mean_excluding(m, dates[18:24]) == pytest.approx(
+        np.nanmean(np.delete(values, range(18, 24))), abs=1e-12)
+    by_offset = {r.offset: r for r in event_study(m, [dates[21], dates[41]], window=(-1, 1))}
+    assert [by_offset[k].n_events for k in (-1, 0, 1)] == [0, 1, 2]
+    assert by_offset[0].event_mean == values[41]
+    assert by_offset[1].event_mean == pytest.approx((values[22] + values[42]) / 2)
+    assert by_offset[0].baseline_mean == pytest.approx(
+        np.nanmean(np.delete(values, [20, 21, 22, 40, 41, 42])), abs=1e-12)
+    # only NaN is undefined: a ratio that overflowed to inf keeps its day
+    inf_day = MeasureSeries("C", "R1", dates[:3], np.array([1.0, np.inf, np.nan]))
+    assert inf_day.defined_mask().tolist() == [True, True, False]
+
 def series_with_events(rng, n=400, n_events=8, level=100.0, noise=1.0,
                        spike_offsets=(), spike=0.0):
     dates = daily_dates(date(2007, 1, 3), n)

@@ -239,8 +239,9 @@ class TestEventStudyEdges:
     def test_offset_with_every_event_day_undefined(self, rng):
         dates = daily_dates(date(2007, 1, 1), 120)
         events = [dates[30], dates[70]]
-        m = MeasureSeries("C", "R1", dates, rng.normal(size=120),
-                          undefined_dates=frozenset({dates[32], dates[72], date(1990, 1, 1)}))
+        values = rng.normal(size=120)
+        values[[32, 72]] = np.nan
+        m = MeasureSeries("C", "R1", dates, values)
         by_offset = {r.offset: r for r in event_study(m, events)}
         assert by_offset[2].n_events == 0
         assert np.isnan(by_offset[2].event_mean) and np.isnan(by_offset[2].t_stat)
@@ -307,8 +308,9 @@ def _study_case(draw):
 def test_event_study_baseline_is_the_excluded_baseline(case):
     n, positions, (lo, hi), undefined, seed = case
     dates = daily_dates(date(2007, 1, 1), n)
-    m = MeasureSeries("C", "R1", dates, np.random.default_rng(seed).uniform(1.0, 100.0, n),
-                      undefined_dates=frozenset(dates[i] for i in undefined))
+    values = np.random.default_rng(seed).uniform(1.0, 100.0, n)
+    values[list(undefined)] = np.nan
+    m = MeasureSeries("C", "R1", dates, values)
     events = [dates[p] for p in positions]
     in_window = {dates[i] for p in positions for i in range(p + lo, p + hi + 1) if 0 <= i < n}
     try:
@@ -368,8 +370,7 @@ class TestSeriesValidation:
 
 def test_defined_mask_is_read_only(rng):
     f = make_futures(rng.integers(1, 50, 30).astype(float), np.full(30, 500.0))
-    hand_built = MeasureSeries("C", "R2", f.dates, np.ones(30),
-                               undefined_dates=frozenset(f.dates[:3]))
+    hand_built = MeasureSeries("C", "R2", f.dates, np.r_[np.full(3, np.nan), np.ones(27)])
     for m in (r1_series(f), r2_series(f), hand_built):
         mask = m.defined_mask()
         with pytest.raises(ValueError, match="read-only"):

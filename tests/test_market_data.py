@@ -1,6 +1,8 @@
+import copy
 import csv
 import inspect
 import io
+import pickle
 import tempfile
 import warnings
 from datetime import date
@@ -16,8 +18,8 @@ from powerauctions import (DeliveryPeriod, FuturesContractSeries, MarketDataErro
                            MarketZone, SpotPriceSeries, average_price, load_auctions_csv,
                            load_costs_csv, load_futures_csv, load_spot_csv)
 from powerauctions import (MeasureSeries, event_study, market_data, r1_series,
-                           volume_series)
-from powerauctions.market_data import (write_auctions_csv, write_costs_csv,
+                           r2_series, volume_series)
+from powerauctions.market_data import (_Calendar, write_auctions_csv, write_costs_csv,
                                        write_futures_csv, write_spot_csv)
 
 from conftest import make_spot
@@ -173,8 +175,7 @@ def test_no_constructor_takes_an_index():
         SpotPriceSeries: ["zone", "dates", "prices"],
         FuturesContractSeries: ["contract_id", "zone", "dates", "settle", "volume",
                                 "open_interest"],
-        MeasureSeries: ["contract_id", "measure_kind", "dates", "values", "undefined_dates",
-                        "_defined"],
+        MeasureSeries: ["contract_id", "measure_kind", "dates", "values"],
     }
 
 
@@ -200,6 +201,32 @@ def test_dates_given_as_a_list_are_kept_as_a_tuple(make):
         for absent in (date(2007, 1, 3), date(2007, 1, 9)):
             with pytest.raises(ValueError, match=f"event date {absent} not in the series"):
                 event_study(measure, [absent], window=(0, 0))
+
+
+ON_A_CALENDAR = {
+    "spot": lambda cal: SpotPriceSeries(ES, cal, np.array([1.0, 2.0, 3.0])),
+    "futures": lambda cal: FuturesContractSeries("A", ES, cal, np.ones(3), np.ones(3),
+                                                 np.array([5.0, 5.0, 7.0])),
+    "measure": lambda cal: r2_series(ON_A_CALENDAR["futures"](cal)),  # NaN on days 0 and 1
+    "calendar": lambda cal: cal,
+}
+
+
+@pytest.mark.parametrize("make", ON_A_CALENDAR.values(), ids=list(ON_A_CALENDAR))
+def test_copies_and_pickles_are_rebuilt_frozen(make):
+    cal = _Calendar(JAN_1_2_4)
+    original = make(cal)
+    for twin in (copy.copy(original), copy.deepcopy(original),
+                 pickle.loads(pickle.dumps(original))):
+        assert type(twin) is type(original)
+        assert tuple(getattr(twin, "dates", twin)) == tuple(JAN_1_2_4)
+        np.testing.assert_equal(vars(twin), vars(original))
+        arrays = [a for a in vars(twin).values() if isinstance(a, np.ndarray)]
+        for a in arrays + [twin.ordinals]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+    a, b = pickle.loads(pickle.dumps((make(cal), make(cal))))
+    assert a.ordinals is b.ordinals
 
 
 class TestAuctionsLoader:
@@ -695,8 +722,8 @@ def _series_text(draw, futures: bool):
             rows[i][date_col] = "2006-12-31"
         elif fault == "non_ascii":
             rows[i][draw(st.integers(0, date_col - 1))] = "Ésé"
-        elif fault == "short":
-            rows[i] = rows[i][:-1]
+        elif fault == "short":  # the row loses its last number, never its date
+            rows[i] = rows[i][:max(date_col + 1, len(rows[i]) - 1)]
         elif fault == "long":
             rows[i] = rows[i] + ["1"]
     header = (["contract_id"] * futures + ["market", "zone", "date"]

@@ -385,6 +385,20 @@ class TestPooledOls:
         with pytest.raises(RegressionError, match="missing covariate 'x'"):
             fit_pooled_ols(panel, ["x"])
 
+    def test_fixed_effects_are_the_dummies(self, rng):
+        panel = make_panel(rng, covs=("unit_share", "period_len"))
+        res = fit_pooled_ols(panel, ["unit_share", "period_len"], True, True)
+        assert list(res.fixed_effects) == ([f"period_{t}" for t in range(2008, 2013)]
+                                           + [f"unit_U{u}" for u in (1, 2, 3)])
+        assert res.fixed_effects == {c.name: c.estimate for c in res.coefficients[3:]}
+
+    @pytest.mark.parametrize("clash", ["const", "period_2008", "unit_U1", "x1"])
+    def test_covariate_named_like_another_column_rejected(self, rng, clash):
+        panel = make_panel(rng, covs=("x1", clash))
+        with pytest.raises(RegressionError, match=(
+                f"^covariate '{clash}' has the name of another design column$")):
+            fit_pooled_ols(panel, ["x1", clash], True, True)
+
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: standardize_by_group([1.0, 2.0], ["A"]), ValueError,
