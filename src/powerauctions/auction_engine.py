@@ -22,7 +22,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field
 from datetime import date
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
@@ -35,31 +35,25 @@ _UNDERSHOOT_POLICIES = ("previous_price_prorata", "previous_price_priority")
 
 @dataclass(frozen=True)
 class ClockAuctionConfig:
+    """Round r announces ``opening_price - (r - 1) * price_decrement``. The
+    target quantity, the opening price and the decrement are positive and finite."""
     target_quantity: float
     opening_price: float
     price_decrement: float = 1.0
-    # optional explicit schedule round -> price; overrides the fixed tick
-    price_schedule: Callable[[int], float] | None = None
     max_rounds: int = 1000
     undershoot_policy: str = "previous_price_prorata"  # or previous_price_priority
 
     def __post_init__(self):
-        # written as "not > 0" so that NaN is rejected too
-        if not self.target_quantity > 0:
-            raise AuctionError("target quantity must be positive")
-        if not self.opening_price > 0:
-            raise AuctionError("opening price must be positive")
-        if self.price_schedule is None and not self.price_decrement > 0:
-            raise AuctionError("price decrement must be positive")
+        for name in ("target_quantity", "opening_price", "price_decrement"):
+            value, text = getattr(self, name), name.replace("_", " ")
+            if not value > 0:  # written so that NaN is rejected too
+                raise AuctionError(f"{text} must be positive")
+            if not -math.inf < value < math.inf:  # compared, so a huge int passes
+                raise AuctionError(f"{text} must be finite, got {value!r}")
         if not (isinstance(self.max_rounds, (int, np.integer)) and self.max_rounds >= 1):
             raise AuctionError(f"max rounds must be an integer >= 1, got {self.max_rounds!r}")
         if self.undershoot_policy not in _UNDERSHOOT_POLICIES:
             raise AuctionError(f"unknown undershoot policy {self.undershoot_policy!r}")
-
-    def price_for_round(self, round_no: int) -> float:
-        if self.price_schedule is not None:
-            return float(self.price_schedule(round_no))
-        return self.opening_price - (round_no - 1) * self.price_decrement
 
 
 class Strategy(Protocol):
@@ -71,11 +65,11 @@ class Strategy(Protocol):
 
 # Each built-in strategy's _block_offers(bidders, cols) gives the offer rule
 # of those bidders, columns ``cols`` of the auction, over a block of rounds:
-# a function (first, prices, last, raw) that writes their raw offers into
-# raw[:, cols], rounds x bidders. ``first`` is true for a block that starts
-# at round 1, ``prices`` are the block's announced prices and ``last`` every
-# bidder's logged offer before the block. A bidder's offers depend only on
-# its own history, so the whole block has a closed form.
+# a function (round_no, prices, last, raw) that writes their raw offers into
+# raw[:, cols], rounds x bidders. ``round_no`` is the block's first round,
+# ``prices`` are its announced prices and ``last`` every bidder's logged
+# offer before it. A bidder's offers depend only on its own history, so the
+# whole block has a closed form.
 
 
 def _fields(bidders, *names) -> np.ndarray:
@@ -96,7 +90,7 @@ class ConstantSupply:
     def _block_offers(bidders, cols):
         q, = _fields(bidders, "quantity")
 
-        def offers(first, prices, last, raw):
+        def offers(round_no, prices, last, raw):
             raw[:, cols] = q
         return offers
 
@@ -115,7 +109,7 @@ class ThresholdExit:
     def _block_offers(bidders, cols):
         q, threshold, below = _fields(bidders, "quantity", "threshold", "below_quantity")
 
-        def offers(first, prices, last, raw):
+        def offers(round_no, prices, last, raw):
             raw[:, cols] = np.where(np.array(prices, dtype=float)[:, None] >= threshold, q, below)
         return offers
 
@@ -148,8 +142,9 @@ class StochasticExit:
         q, p = _fields(bidders, "quantity", "exit_probability")
         rngs = [b.rng for b in bidders]
 
-        def offers(first, prices, last, raw):
+        def offers(round_no, prices, last, raw):
             raw[:, cols] = q
+            first = round_no == 1  # round 1 draws nothing
             active = last[cols].nonzero()[0]  # a retired bidder draws nothing
             u = _draws(active, len(prices) - first, lambda j, n: rngs[j].random(n))
             raw[first:, cols[active]] = np.where(u < p[active], 0.0, q[active])
@@ -179,7 +174,8 @@ class StochasticShrink:
         q, low = _fields(bidders, "quantity", "low")
         rngs = [b.rng for b in bidders]
 
-        def offers(first, prices, last, raw):
+        def offers(round_no, prices, last, raw):
+            first = round_no == 1
             # a retired bidder draws nothing, and its raw offers stay 0
             active = last[cols].nonzero()[0]
             # with low <= 1 no factor exceeds 1, so an offer is only ever
@@ -319,39 +315,33 @@ def _block_rules(strategies):
             for t, cols in by_type.items() if cols]
 
 
-def _clamp(raw, last, bounds):
+def _call_rule(strategies):
+    """The offer rule of bidders that are called: one round, in which each
+    bidder's ``offer`` is called in bidder order while it is active."""
+    def offers(round_no, prices, last, raw):
+        price = prices[0]
+        raw[0] = [float(s.offer(round_no, price, q)) if q != 0.0 else 0.0
+                  for s, q in zip(strategies, last.tolist())]
+    return offers
+
+
+def _clamp(raw, last):
     """Logged offers, clamp flags and non-finite flags (None if there are
     none) of a block of rounds.
 
     A bidder is asked while its previous offer is not 0, and an asked offer
     outside [0, previous] is clamped into it: the logged offers are a
     running minimum of max(raw, 0) from ``last``, and 0.0 once retired.
-    ``bounds`` is a buffer of at least one row more than ``raw`` to hold it.
     """
-    bounds = bounds[:len(raw) + 1]
-    bounds[0] = last
-    bounds[1:] = np.where(raw >= 0.0, raw, 0.0)
+    bounds = np.concatenate((last[None], np.where(raw >= 0.0, raw, 0.0)))
     np.minimum.accumulate(bounds, out=bounds)
     asked = bounds[:-1] != 0.0
     offers = np.where(asked, bounds[1:], 0.0)
     # an asked offer in [0, previous] is logged as it is
     clamped = asked & (offers != raw)
     finite = np.isfinite(raw)
-    return offers, clamped, None if finite.all() else asked & ~finite
-
-
-def _valid_prefix(candidates, prev_price, round_no):
-    """The announced prices up to the first bad one, and the error it raises
-    (None if every price is good)."""
-    for r, price in enumerate(candidates, round_no):
-        if prev_price is not None and price >= prev_price:
-            return candidates[:r - round_no], AuctionError(
-                f"announced prices must strictly decrease (round {r}: {price} >= {prev_price})")
-        if not price > 0:
-            return candidates[:r - round_no], AuctionError(
-                f"announced price must be positive (round {r}: {price})")
-        prev_price = price
-    return candidates, None
+    # count_nonzero is one C call; finite.all() goes through Python first
+    return offers, clamped, None if np.count_nonzero(finite) == finite.size else asked & ~finite
 
 
 def _check_ids(bidder_ids, n: int, error: type[Exception], where: str = "") -> None:
@@ -369,83 +359,84 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
     The previous round's offers are the only bidder state. An offer outside
     [0, last offer] is clamped (and logged), a non-finite one stops the
     auction, a zero offer retires the bidder permanently, and the returned
-    awards always sum exactly to the target quantity. A round whose
-    announced price is not positive stops the auction, so it can only clear
-    at a positive price.
+    awards always sum exactly to the target quantity.
 
-    An auction runs in one of two modes. With a fixed tick whose opening
-    price and decrement are ``_exact`` and every bidder eligible for
-    ``_block_rules``, all bidders are priced ``BLOCK`` rounds at a time from
-    their closed forms, and a random bidder's generator may end up to one
-    block past its last used draw. Otherwise every bidder is called per
-    round, in bidder order and only while active. Strategies are called
-    with numpy's floating-point errors ignored.
+    Round r announces ``opening_price - (r - 1) * price_decrement``, computed
+    k rounds at a time: in numpy's default dtype when both numbers are
+    ``_exact`` (float64 or int64 arithmetic on them is Python's), else in an
+    object array, which keeps Python's arithmetic on, say, a huge int, a
+    ``Fraction`` or a ``np.float32``; an int tick logs ints. The first round
+    whose price is not below the previous one, or not positive, stops the
+    auction, so it can only clear at a positive price.
+
+    With an exact tick and every bidder eligible for ``_block_rules``, all
+    bidders are priced k = ``BLOCK`` rounds at a time from their closed
+    forms, and a random bidder's generator may end up to one block past its
+    last used draw. Otherwise each bidder is called per round (k = 1), in
+    bidder order and only while active. Strategies are called with numpy's
+    floating-point errors ignored.
     """
     if not strategies:
         raise AuctionError("at least one strategy required")
     if bidder_ids is None:
         bidder_ids = [f"B{i + 1}" for i in range(len(strategies))]
     _check_ids(bidder_ids, len(strategies), AuctionError)
-    # an exact fixed tick is computed a block at a time, as Python would
-    tick = (config.price_schedule is None and _exact(config.opening_price)
-            and _exact(config.price_decrement))
-    blocks = _block_rules(strategies) if tick else None
-    step = 1 if blocks is None else BLOCK
+    dtype = None if _exact(config.opening_price) and _exact(config.price_decrement) else object
+    # 0-d arrays: in an object array numpy would make a np.float32 scalar a
+    # Python float, and a 0-d operand is the cheapest for numpy to compare with
+    opening, tick, zero = (np.array(x, dtype) for x in (
+        config.opening_price, config.price_decrement, 0))
+    blocks = _block_rules(strategies) if dtype is None else None
+    rules, step = (blocks, BLOCK) if blocks else ([_call_rule(strategies)], 1)
     target = config.target_quantity
     n = len(strategies)
     last = np.full(n, math.inf)
-    bounds = np.empty((step + 1, n))
-    prices: list = []  # as price_for_round returns them: an int tick logs ints
+    prices: list = []
     offer_log, clamp_log, aggregates = [], [], []
 
     while len(prices) < config.max_rounds:
-        round_no = len(prices) + 1
-        if blocks is None:
-            candidates, valid = [config.price_for_round(round_no)], False
-        else:
-            k = int(min(step, config.max_rounds - len(prices)))
-            grid = config.price_for_round(np.arange(round_no, round_no + k))
-            candidates = grid.tolist()
-            # prices that fall strictly and end above 0 are all good
-            valid = (grid[-1] > 0 and (grid[1:] < grid[:-1]).all()
-                     and (not prices or candidates[0] < prices[-1]))
-        # a bad price ends the block, and raises unless the auction closes before it
-        block_prices, price_error = (candidates, None) if valid else _valid_prefix(
-            candidates, prices[-1] if prices else None, round_no)
+        done = len(prices)
+        lo = max(done - 1, 0)  # from the last logged round, if any, to compare with
+        k = min(step, config.max_rounds - done)
+        ahead = opening - np.arange(lo, done + k, dtype=tick.dtype) * tick
+        # the first price not below the one before, or not positive, ends the block,
+        # and raises unless the auction closes before it. The config's numbers are
+        # positive and finite, so round 1's price is good and no price is NaN
+        cur = ahead[1:]
+        bad = ((cur >= ahead[:-1]) | (cur <= zero)).tolist()
+        ahead = ahead.tolist()
+        end = bad.index(True) + 1 if True in bad else len(ahead)
+        block_prices, price_error = ahead[done - lo:end], None
+        if end < len(ahead):
+            r, price, prev = lo + end + 1, ahead[end], ahead[end - 1]
+            price_error = AuctionError(
+                f"announced prices must strictly decrease (round {r}: {price} >= {prev})"
+                if price >= prev else f"announced price must be positive (round {r}: {price})")
         if not block_prices:
             raise price_error
         raw = np.zeros((len(block_prices), n))
-        if blocks is None:  # one round: called in bidder order while active
-            for i, (s, q) in enumerate(zip(strategies, last.tolist())):
-                if q != 0.0:
-                    raw[0, i] = float(s.offer(round_no, block_prices[0], q))
-        else:
-            for block_offers in blocks:
-                block_offers(round_no == 1, block_prices, last, raw)
-        offers, clamped, bad = _clamp(raw, last, bounds)
+        for rule in rules:
+            rule(done + 1, block_prices, last, raw)
+        offers, clamped, nonfinite = _clamp(raw, last)
         # a left-to-right sum like Python's sum over the offers; sum starts
         # from 0, so + 0.0 turns an all -0.0 round into 0.0
-        block_aggregates = (np.cumsum(offers, axis=1)[:, -1] + 0.0).tolist()
+        block_aggregates = (offers.cumsum(axis=1)[:, -1] + 0.0).tolist()
         # offers never rise, so neither do the aggregates: bisect for the close
         t = bisect.bisect_left(block_aggregates, -target, key=operator.neg)
-        bad_rounds = () if bad is None else bad.any(axis=1).nonzero()[0]
+        bad_rounds = () if nonfinite is None else nonfinite.any(axis=1).nonzero()[0]
         if len(bad_rounds) and bad_rounds[0] <= t:
             t = int(bad_rounds[0])
-            j = int(np.argmax(bad[t]))
+            j = int(np.argmax(nonfinite[t]))
             raise AuctionError(f"non-finite offer {raw[t, j].item()} from bidder "
-                               f"{bidder_ids[j]} in round {round_no + t}")
-        if round_no == 1 and block_aggregates[0] < target:
+                               f"{bidder_ids[j]} in round {done + 1 + t}")
+        if done == 0 and block_aggregates[0] < target:
             raise AuctionError(f"undersubscribed at opening: aggregate {block_aggregates[0]} "
                                f"< target {target}")
-        done = t < len(block_prices)
-        end = t + 1 if done else len(block_prices)
-        prices += block_prices[:end]
-        aggregates += block_aggregates[:end]
-        offer_log.append(offers[:end])
-        clamp_log.append(clamped[:end])
-        if done:
-            log = RoundLog(bidder_ids, prices, np.concatenate(offer_log), aggregates,
-                           np.concatenate(clamp_log))
+        prices += block_prices[:t + 1]
+        aggregates += block_aggregates[:t + 1]
+        if t < len(block_prices):
+            log = RoundLog(bidder_ids, prices, np.concatenate(offer_log + [offers[:t + 1]]),
+                           aggregates, np.concatenate(clamp_log + [clamped[:t + 1]]))
             exact = block_aggregates[t] == target
             awards = ({b: q for b, q in zip(bidder_ids, offers[t].tolist()) if q > 0} if exact
                       else _resolve_undershoot(config, bidder_ids, offers[t - 1] if t else last,
@@ -455,6 +446,8 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
                                   undershoot_resolved=not exact)
         if price_error is not None:
             raise price_error
+        offer_log.append(offers)
+        clamp_log.append(clamped)
         last = offers[-1]
     raise AuctionError(
         f"max rounds ({config.max_rounds}) exhausted without closing; "

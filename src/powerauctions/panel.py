@@ -158,6 +158,9 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
     """
     if not panel:
         raise RegressionError("empty panel")
+    twice = next((c for i, c in enumerate(covariates) if c in covariates[:i]), None)
+    if twice is not None:
+        raise RegressionError(f"covariate {twice!r} is listed twice")
     seen = set()
     for obs in panel:
         key = (obs.unit, obs.period)

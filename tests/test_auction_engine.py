@@ -4,6 +4,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from datetime import date
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -184,6 +185,17 @@ class TestClockAuction:
         with pytest.raises(AuctionError, match=name.replace("_", " ") + " must be positive"):
             ClockAuctionConfig(**kw)
 
+    @pytest.mark.parametrize("name", ["target_quantity", "opening_price", "price_decrement"])
+    def test_infinite_config_rejected(self, name):
+        # an infinite decrement used to announce nan in round 1 and an
+        # infinite opening price to stop at round 2 as not decreasing
+        kw = {"target_quantity": 10, "opening_price": 100, "price_decrement": 10, name: math.inf}
+        with pytest.raises(AuctionError, match=re.escape(
+                f"{name.replace('_', ' ')} must be finite, got inf")):
+            ClockAuctionConfig(**kw)
+        # an int too large for a float is compared, not converted
+        assert config(opening=10 ** 400, tick=10 ** 399).opening_price == 10 ** 400
+
     @pytest.mark.parametrize("max_rounds", [0, -3, 2.5, 1.0, "5", None])
     def test_max_rounds_must_be_a_positive_integer(self, max_rounds):
         # max_rounds=0 used to run no round and fail reading the empty log
@@ -238,10 +250,11 @@ class TestClockAuction:
                                  bidder_ids=["A", "B", "C"])
         assert later.calls == [1]
 
-    def test_price_schedule_must_decrease(self):
-        cfg = ClockAuctionConfig(target_quantity=5, opening_price=100,
-                                 price_schedule=lambda r: 100.0)
-        with pytest.raises(AuctionError, match="strictly decrease"):
+    def test_announced_prices_must_strictly_decrease(self):
+        # a tick below half the opening price's last bit leaves the price unchanged
+        cfg = config(target=5, opening=100.0, tick=1e-15)
+        with pytest.raises(AuctionError, match=re.escape(
+                "announced prices must strictly decrease (round 2: 100.0 >= 100.0)")):
             run_descending_clock(cfg, [ConstantSupply(10)])
 
     def test_price_at_or_below_zero_stops_the_clock(self):
@@ -249,14 +262,36 @@ class TestClockAuction:
         cfg = config(target=5, opening=10, tick=3)
         with pytest.raises(AuctionError, match=r"must be positive \(round 5: -2\)"):
             run_descending_clock(cfg, [ThresholdExit(10, threshold=-5), ConstantSupply(1)])
-        cfg = ClockAuctionConfig(target_quantity=5, opening_price=2,
-                                 price_schedule=lambda r: 3.0 - r)
+        cfg = config(target=5, opening=2.0, tick=1.0)
         with pytest.raises(AuctionError, match=r"must be positive \(round 3: 0.0\)"):
             run_descending_clock(cfg, [ConstantSupply(10)])
-        cfg = ClockAuctionConfig(target_quantity=5, opening_price=2,
-                                 price_schedule=lambda r: 2.0 if r == 1 else math.nan)
-        with pytest.raises(AuctionError, match=r"must be positive \(round 2: nan\)"):
-            run_descending_clock(cfg, [ConstantSupply(10)])
+
+    @pytest.mark.parametrize("mode", ["block", "per_call"])
+    @pytest.mark.parametrize("opening, tick, message", [
+        (64, 1, "announced price must be positive (round 65: 0)"),  # block 2's first round
+        (65.0, 1.0, "announced price must be positive (round 66: 0.0)"),  # mid-block
+        # 2**53 + 1 rounds to 2**53, so round 3's price ties round 2's
+        (2.0 ** 53 + 2, 1.0, "announced prices must strictly decrease "
+         "(round 3: 9007199254740992.0 >= 9007199254740992.0)"),
+    ], ids=["block_start", "mid_block", "rounding_tie"])
+    def test_first_bad_price_is_named(self, opening, tick, message, mode):
+        bidder = ConstantSupply(10)
+        with pytest.raises(AuctionError, match=f"^{re.escape(message)}$"):
+            run_descending_clock(config(target=5, opening=opening, tick=tick),
+                                 [bidder if mode == "block" else Forward(bidder)])
+
+    @pytest.mark.parametrize("opening, tick", [
+        (Fraction(201, 2), Fraction(1, 3)), (np.float32(100.1), np.float32(0.3)),
+        (100.1, np.float32(0.3))], ids=["fraction", "float32", "float32_tick"])
+    def test_inexact_tick_keeps_pythons_arithmetic(self, opening, tick):
+        # every bidder is called per round, and each price is Python's
+        out = run_descending_clock(config(target=6.5, opening=opening, tick=tick),
+                                   [ThresholdExit(8, 60.0, 2), ThresholdExit(9, 30.0),
+                                    ConstantSupply(4)])
+        expected = [opening - (r - 1) * tick for r in range(1, out.rounds_used + 1)]
+        assert out.rounds_used > 3
+        assert [(type(e.announced_price), e.announced_price) for e in out.round_log] == [
+            (type(p), p) for p in expected]
 
     def test_determinism_with_seeded_randomness(self):
         def run():

@@ -4,8 +4,10 @@ Each case is the sha256 of ``json.dumps(outcome_to_dict(outcome))``, or the
 error it raises as ``"<type>: <message>"``, as recorded in
 ``auction_digests.json``. The scenarios are drawn like the benchmark's
 (10, 60 and 1000 bidders of all four kinds, both undershoot policies), plus
-hostile populations and populations that take the engine's per-call path.
-Regenerate the file only for an intended change of outcomes:
+hostile populations and five special populations: four that take the
+engine's per-call path (a shared generator, a repeated strategy object, a
+subclass of a built-in type, a user strategy) and one priced in ints.
+Regenerate the file only for an intended change of cases or outcomes:
 
     PYTHONPATH=src python tests/test_auction_pinned.py > tests/auction_digests.json
 """
@@ -139,21 +141,12 @@ def special_cases():
                  ThresholdExit(6, 80, 1), StochasticShrink(7, 0.93, rng=np.random.default_rng(11))],
                 ["c", "user", "exit", "thr", "shrink"])
 
-    def list_schedule():
-        # the clock closes before the list runs out; a call past it would raise IndexError
-        schedule = [100.0 - 1.5 * i for i in range(30)]
-        cfg = ClockAuctionConfig(target_quantity=15.5, opening_price=100.0,
-                                 price_schedule=lambda r: schedule[r - 1])
-        return cfg, [StochasticShrink(8, 0.9, rng=np.random.default_rng(12)),
-                     StochasticShrink(9, 0.9, rng=np.random.default_rng(13)),
-                     ThresholdExit(5, 70)], None
-
     def int_priced():
         return (ClockAuctionConfig(target_quantity=15, opening_price=100, price_decrement=3),
                 [ThresholdExit(8, 91, 2), ThresholdExit(9, 70), ConstantSupply(4),
                  StochasticExit(5, 0.2, rng=np.random.default_rng(14))], None)
 
-    for make in (shared_generator, repeated_object, subclass, mixed, list_schedule, int_priced):
+    for make in (shared_generator, repeated_object, subclass, mixed, int_priced):
         yield f"special/{make.__name__}", make
 
 

@@ -176,8 +176,17 @@ class TestSimulateCommand:
         ({"target_quantity": 5, "opening_price": 100},
          {"kind": "stochastic_shrink", "quantity": 5, "low": 1.5},
          "StochasticShrink.low must be at most 1, got 1.5"),
+        # json reads 1e999 as inf: an infinite decrement used to announce nan
+        # in round 1, and an infinite opening price to stop at round 2
+        ({"target_quantity": 1e999, "opening_price": 100}, {"kind": "constant", "quantity": 5},
+         "target quantity must be finite, got inf"),
+        ({"target_quantity": 5, "opening_price": 1e999}, {"kind": "constant", "quantity": 5},
+         "opening price must be finite, got inf"),
+        ({"target_quantity": 5, "opening_price": 100, "price_decrement": 1e999},
+         {"kind": "constant", "quantity": 10}, "price decrement must be finite, got inf"),
     ], ids=["nan_target", "nan_opening_price", "nan_offer", "nan_low", "inf_low",
-            "nan_exit_probability", "low_above_one"])
+            "nan_exit_probability", "low_above_one", "inf_target", "inf_opening_price",
+            "inf_decrement"])
     def test_nan_in_scenario_is_numeric_failure(self, tmp_path, capsys, config, strategy,
                                                 reason):
         # json.dumps writes the NaN token, which json.load accepts
@@ -792,6 +801,18 @@ class TestRegressCommand:
         name = covariates.split(",")[-1]
         assert capsys.readouterr().err == (
             f"error code=2 reason={panel}: {name!r} is not a covariate column\n")
+        assert not out.exists()
+
+    def test_covariate_listed_twice_is_numeric_error(self, tmp_path, capsys):
+        # used to be reported as having the name of another design column
+        panel = tmp_path / "panel.csv"
+        panel.write_text("unit,period,y,vol3y,startbidders,wbidders\n" + "".join(
+            f"{u},{t},{t % 3 + i},{t % 5},20,{t % 7}\n"
+            for i, u in enumerate(("ACE", "JCPL")) for t in range(2007, 2011)))
+        out = tmp_path / "result.json"
+        assert main(["regress", "--panel", str(panel), "--covariates", "vol3y,vol3y",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error code=3 reason=covariate 'vol3y' is listed twice\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("covariates", [",", "", " , "])

@@ -392,12 +392,21 @@ class TestPooledOls:
                                            + [f"unit_U{u}" for u in (1, 2, 3)])
         assert res.fixed_effects == {c.name: c.estimate for c in res.coefficients[3:]}
 
-    @pytest.mark.parametrize("clash", ["const", "period_2008", "unit_U1", "x1"])
+    @pytest.mark.parametrize("clash", ["const", "period_2008", "unit_U1"])
     def test_covariate_named_like_another_column_rejected(self, rng, clash):
         panel = make_panel(rng, covs=("x1", clash))
         with pytest.raises(RegressionError, match=(
                 f"^covariate '{clash}' has the name of another design column$")):
             fit_pooled_ols(panel, ["x1", clash], True, True)
+
+    @pytest.mark.parametrize("covariates", [["x1", "x1"], ["const", "x2", "x1", "x2"]],
+                             ids=["x1", "x2_after_const"])
+    def test_covariate_listed_twice_rejected(self, rng, covariates):
+        # named before any clash with another design column; it used to be
+        # reported as such a clash
+        panel = make_panel(rng, covs=("x1", "x2", "const"))
+        with pytest.raises(RegressionError, match=f"^covariate '{covariates[-1]}' is listed twice$"):
+            fit_pooled_ols(panel, covariates, True, True)
 
 
 @pytest.mark.parametrize("call, error, message", [
