@@ -48,7 +48,12 @@ class ClockAuctionConfig:
             value, text = getattr(self, name), name.replace("_", " ")
             if not value > 0:  # written so that NaN is rejected too
                 raise AuctionError(f"{text} must be positive")
-            if not -math.inf < value < math.inf:  # compared, so a huge int passes
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # the price arithmetic would raise it mid-auction
+                raise AuctionError(
+                    f"{text} must be finite, got a value too large for a float") from None
+            if not finite:
                 raise AuctionError(f"{text} must be finite, got {value!r}")
         if not (isinstance(self.max_rounds, (int, np.integer)) and self.max_rounds >= 1):
             raise AuctionError(f"max rounds must be an integer >= 1, got {self.max_rounds!r}")

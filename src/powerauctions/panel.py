@@ -1,14 +1,12 @@
-"""Pooled OLS with period fixed effects and cluster-robust covariance.
+"""Pooled OLS with period and unit fixed effects and cluster-robust covariance.
 
 Covariates follow the standardized-premium regression design: within-market
 z-scored dependent variable, three-year spot volatility, bidder counts and
 an optional load-share column. Groups (units, periods, markets) are coded once,
-in sorted order. One QR of [X | y] does all the fitting: its leading k x k
-block R names the first collinear column and is the bread of the
-unit-clustered covariance, which carries the usual G/(G-1) * (n-1)/(n-K)
-finite-sample factor; its column k holds Q'y, so R beta = Q'y gives the
-coefficients, and its last diagonal entry is the residual norm, which decides
-an exact fit.
+in sorted order. One QR of [W | y] does all the fitting; with unit effects W is
+demeaned within unit, so that no unit dummy enters it (see ``fit_pooled_ols``).
+The unit-clustered covariance, built from products of W's width, carries the
+usual G/(G-1) * (n-1)/(n-K) finite-sample factor, K counting every design column.
 """
 
 from __future__ import annotations
@@ -105,9 +103,19 @@ class RegressionResult:
         raise KeyError(name)
 
 
-def _build_design(panel, covariate_names, groups, y):
-    """Design matrix X, column names and the R factor of [X | y]; ``groups``
-    hold (prefix, coding). X is a view of the first k columns of [X | y]."""
+def _unit_sums(codes, g, v):
+    """Per-unit sums of v's columns, g x m: one bincount, each unit's rows in row order."""
+    m = v.shape[1]
+    idx = codes[:, None] * m + np.arange(m)
+    return np.bincount(idx.ravel(), weights=v.ravel(), minlength=g * m).reshape(g, m)
+
+
+def _build_design(panel, covariate_names, periods, units, y):
+    """[W | y], the design's names, None and 0.0. The design is const, the
+    covariates, then the dummies of ``periods`` and ``units`` ((levels, codes) or
+    None, first level dropped). With ``units`` [W | y] drops const and the unit
+    dummies and is demeaned within unit; its unit means and the largest norm of
+    const and W's columns before demeaning replace None and 0.0."""
     n = len(panel)
     names = ["const"]
     cols = [np.ones(n)]
@@ -118,9 +126,11 @@ def _build_design(panel, covariate_names, groups, y):
                 f"observation ({missing.unit}, {missing.period}) missing covariate {name!r}")
         names.append(name)
         cols.append(np.array([obs.covariates[name] for obs in panel], dtype=float))
-    for prefix, (levels, codes) in groups:  # first level dropped for identification
-        names += [f"{prefix}_{v}" for v in levels[1:]]
-        cols.append(codes[:, None] == np.arange(1, len(levels)))
+    if periods is not None:
+        names += [f"period_{v}" for v in periods[0][1:]]
+        cols.append(periods[1][:, None] == np.arange(1, len(periods[0])))
+    if units is not None:
+        names += [f"unit_{v}" for v in units[0][1:]]
     clash = next((c for c in covariate_names if names.count(c) > 1), None)
     if clash is not None:
         raise RegressionError(f"covariate {clash!r} has the name of another design column")
@@ -129,16 +139,12 @@ def _build_design(panel, covariate_names, groups, y):
     if not finite.all():  # a QR would spread it over every result as NaN
         i, j = np.unravel_index(np.argmin(finite), a.shape)  # the first in row order
         raise RegressionError(f"observation ({panel[i].unit}, {panel[i].period}) "
-                              f"has non-finite {(names + ['y'])[j]} {a[i, j]}")
-    # |R_jj| is column j's distance from the span of the columns before it;
-    # the tolerance is numpy's SVD rank default with max |R_ii| for the top singular value
-    r = np.linalg.qr(a, mode="r")
-    diag = np.abs(np.diagonal(r[:, :-1]))
-    small = np.flatnonzero(diag <= diag.max() * max(n, len(names)) * np.finfo(float).eps)
-    if small.size or n < len(names):  # then column n is the first that adds no rank
-        j = small[0] if small.size else n
-        raise RegressionError(f"design matrix rank deficient at column {names[j]!r}")
-    return a[:, :-1], names, r
+                              f"has non-finite {(names[:a.shape[1] - 1] + ['y'])[j]} {a[i, j]}")
+    if units is None:
+        return a, names, None, 0.0
+    means = _unit_sums(units[1], len(units[0]), a[:, 1:]) / np.bincount(units[1])[:, None]
+    norm = np.sqrt(np.einsum("ij,ij->j", a[:, :-1], a[:, :-1]).max())
+    return a[:, 1:] - means[units[1]], names, means, norm
 
 
 def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
@@ -146,15 +152,20 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
                    unit_fixed_effects: bool = False) -> RegressionResult:
     """Pooled least squares with unit-clustered robust standard errors.
 
-    With R and Q'y from one QR of [X | y], the coefficients are R^-1 Q'y and
-    the sandwich's bread is R^-1 R^-T (X'X = R'R), so X'X is neither formed
-    nor inverted. The fit is exact when y's distance from the span of X is
-    within the rank rule's tolerance for y's own norm; every standard error
-    is then 0.0 (and every t statistic inf). With G clusters the scores'
-    covariance has rank at most G - 1, so one coefficient's sandwich variance
-    can be 0 up to round-off: its standard error is reported as 0.0 too when
-    it is within (n + k) eps of the same sum over the absolute values of the
-    scores and of R^-1 R^-T, a test that no column's units change.
+    One QR of [W | y] gives b = R^-1 Q'y and M^-1 = R^-1 R^-T (W'W = R'R). W is
+    X, or with unit effects the covariates and period dummies demeaned within
+    unit (Frisch-Waugh-Lovell); the unit intercepts a_g = ybar_g - wbar_g b then
+    give const = a_0 and unit_g = a_g - a_0. A map e takes W's columns to all k:
+    the identity, or [-wbar_0' | I | -(wbar_g - wbar_0)'], so that M^-1 e holds
+    the rows of (X'X)^-1 for W. The scores of const and of the unit dummies sum
+    to 0 in every unit, so with S the per-unit sums of W's scores and P = S M^-1,
+    column j's variance is c e_j' P'P e_j, and no product grows with both G and
+    k. An exact fit (y's distance from the span of X within the rank rule's
+    tolerance for ||y||) has every standard error 0.0 and every t statistic
+    inf. With G clusters the scores' covariance has rank at most G - 1, so a
+    variance can be 0 up to round-off: it is reported as 0.0 when it is within
+    (n + k) eps of the same form over |S| and |M^-1 e|, a test that no column's
+    units change.
     """
     if not panel:
         raise RegressionError("empty panel")
@@ -169,13 +180,22 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
         seen.add(key)
     y = np.array([obs.y for obs in panel], dtype=float)
     units = _group_codes([obs.unit for obs in panel])
-    groups = []
-    if period_fixed_effects:
-        groups.append(("period", _group_codes([obs.period for obs in panel])))
-    if unit_fixed_effects:
-        groups.append(("unit", units))
-    X, names, r = _build_design(panel, covariates, groups, y)
-    n, k = X.shape
+    periods = _group_codes([obs.period for obs in panel]) if period_fixed_effects else None
+    a, names, means, norm = _build_design(panel, covariates, periods,
+                                          units if unit_fixed_effects else None, y)
+    n, k, f = len(panel), len(names), a.shape[1] - 1  # f columns in W
+    first = 1 if unit_fixed_effects else 0  # W's column j is design column first + j
+    # |R_jj| is column j's distance from the span of the columns before it and the
+    # absorbed ones; the tolerance is numpy's SVD rank default, top singular value
+    # max |R_ii|, or with unit effects the larger norm that X had before demeaning
+    r = np.linalg.qr(a, mode="r")
+    diag = np.abs(np.diagonal(r[:, :-1]))
+    tol = max(np.max(diag, initial=0.0), norm) * max(n, k) * np.finfo(float).eps
+    small = first + np.flatnonzero(diag <= tol)
+    if n < k and (first or not small.size):  # then column n is the first that adds no
+        small = [n]  # rank; a demeaned column may depend only on the unit dummies after it
+    if len(small):
+        raise RegressionError(f"design matrix rank deficient at column {names[small[0]]!r}")
     if n <= k:
         raise RegressionError(f"not enough observations ({n}) for {k} parameters")
     unit_levels, clusters = units
@@ -183,26 +203,36 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
     if g < 2:
         raise RegressionError("need at least 2 clusters")
 
-    r_inv = np.linalg.inv(r[:k, :k])
-    beta = r_inv @ r[:k, k]
-    resid = y - X @ beta
-    rss = float(resid @ resid)
+    r_inv = np.linalg.inv(r[:f, :f])
+    b = r_inv @ r[:f, f]
+    resid = a[:, f] - a[:, :f] @ b
+    # (b, -1) e is every coefficient, (a_0, b, a_g - a_0) with unit effects; the
+    # products are einsum, not OpenBLAS, which rounds a large one differently per
+    # thread count
+    e = np.eye(f + 1, f) if means is None else np.hstack(
+        [-means[:1].T, np.eye(f + 1, f), -(means[1:] - means[0]).T])
+    beta = np.einsum("l,lj->j", np.append(b, -1.0), e)
+    rss = float(np.einsum("i,i->", resid, resid))
     tss = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - k)
     rmse = float(np.sqrt(rss / (n - k)))
 
-    if abs(r[k, k]) <= np.linalg.norm(y) * max(n, k + 1) * np.finfo(float).eps:
+    if abs(r[f, f]) <= np.linalg.norm(y) * max(n, k + 1) * np.finfo(float).eps:
         se = np.zeros(k)  # exact fit: the residuals are round-off
     else:
-        # diag of c A S'S A, A = R^-1 R^-T, S = per-unit score sums: a sum of squares
-        scores = np.zeros((g, k))
-        np.add.at(scores, clusters, X * resid[:, None])
+        # c e_j' P'P e_j, P = S M^-1: for W's columns e_j picks P'P's diagonal,
+        # a sum of squares, and the unit-level sums make P G x f, not G x k
         c_factor = (g / (g - 1)) * ((n - 1) / (n - k))
-        se = np.sqrt(c_factor * ((scores @ r_inv @ r_inv.T) ** 2).sum(axis=0))
-        # the round-off bound: the same sum over |S| and |A|, in the column's units
-        bound = np.sqrt(c_factor * ((np.abs(scores) @ np.abs(r_inv @ r_inv.T)) ** 2).sum(axis=0))
-        se[se <= bound * (n + k) * np.finfo(float).eps] = 0.0
+        m_inv, quad = r_inv @ r_inv.T, "lj,lm,mj->j"
+        scores = _unit_sums(clusters, g, a[:, :f] * resid[:, None])
+        p = np.einsum("gl,lm->gm", scores, m_inv)
+        var = c_factor * np.einsum(quad, e[:f], np.einsum("gl,gm->lm", p, p), e[:f])
+        # the round-off bound: the same form over |S| and |M^-1 e|, in the column's
+        # units; a quadratic form's round-off scales with it, not with its root
+        s_abs, b_abs = np.abs(scores), np.abs(np.einsum("lm,mj->lj", m_inv, e[:f]))
+        bound = c_factor * np.einsum(quad, b_abs, np.einsum("gl,gm->lm", s_abs, s_abs), b_abs)
+        se = np.sqrt(np.where(var > bound * (n + k) * np.finfo(float).eps, var, 0.0))
 
     coefs = tuple(Coefficient(name=name, estimate=float(b), std_error=float(s),
                               t_stat=float(b / s) if s > 0 else float("inf"))

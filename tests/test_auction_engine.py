@@ -193,8 +193,12 @@ class TestClockAuction:
         with pytest.raises(AuctionError, match=re.escape(
                 f"{name.replace('_', ' ')} must be finite, got inf")):
             ClockAuctionConfig(**kw)
-        # an int too large for a float is compared, not converted
-        assert config(opening=10 ** 400, tick=10 ** 399).opening_price == 10 ** 400
+        # an int too large for a float used to pass here, and then raise a bare
+        # OverflowError from the price arithmetic
+        for big in (10 ** 400, Fraction(10 ** 400, 3)):
+            with pytest.raises(AuctionError, match=re.escape(
+                    f"{name.replace('_', ' ')} must be finite, got a value too large for a float")):
+                ClockAuctionConfig(**{**kw, name: big})
 
     @pytest.mark.parametrize("max_rounds", [0, -3, 2.5, 1.0, "5", None])
     def test_max_rounds_must_be_a_positive_integer(self, max_rounds):

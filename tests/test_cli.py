@@ -815,6 +815,26 @@ class TestRegressCommand:
         assert capsys.readouterr().err == "error code=3 reason=covariate 'vol3y' is listed twice\n"
         assert not out.exists()
 
+    def test_unit_effects_output_is_the_same_under_any_blas_thread_count(self, tmp_path):
+        # with the 99 unit dummies in the QR, 18 standard errors and t
+        # statistics of a G = 100, T = 20 panel differed in the last bit
+        rng = np.random.default_rng(25)
+        panel = tmp_path / "panel.csv"
+        panel.write_text("unit,period,y,vol3y,startbidders,wbidders\n" + "".join(
+            f"Z{u:03d},{2000 + t},{float(rng.normal(10 + u % 5, 3))!r},"
+            f"{float(rng.uniform(5, 25))!r},{rng.integers(10, 40)},{rng.integers(1, 10)}\n"
+            for u in range(100) for t in range(20)))
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"regress_{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(powerauctions.__file__).parents[1]))
+            subprocess.run([sys.executable, "-m", "powerauctions.cli", "regress", "--panel",
+                            str(panel), "--unit-effects", "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("covariates", [",", "", " , "])
     def test_no_covariate_is_usage_error(self, tmp_path, capsys, covariates):
         # checked before the panel is read: this one does not exist

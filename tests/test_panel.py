@@ -193,6 +193,18 @@ def with_x(**others):
     return make
 
 
+def unit_level(x=True):
+    """A c drawn in each unit's first period and kept for its others, after an x
+    drawn in every period if ``x``."""
+    held = {}
+
+    def make(rng, t):
+        if t == 0:
+            held["c"] = float(rng.uniform(-1, 1))
+        return ({"x": float(rng.uniform(-1, 1))} if x else {}) | {"c": held["c"]}
+    return make
+
+
 # case: ((units, periods), covariates, (period effects, unit effects), named column)
 RANK_CASES = {
     "x_copy": ((3, 4), with_x(x_copy=lambda x, t: 2 * x), (False, False), "x_copy"),
@@ -204,6 +216,15 @@ RANK_CASES = {
     # x2 is 2x up to 1e-9 at scale 1e3: an SVD rank test on growing column
     # slices only sees it once the later, larger x_sq column raises its tolerance
     "near_collinear": ((4, 10), lambda rng, t: near_collinear(rng, 1e3), (True, True), "x2"),
+    # demeaning within unit zeros c itself; with the unit dummies in the QR
+    # after it, the last of them used to be named
+    "constant_within_unit": ((3, 4), unit_level(), (True, True), "c"),
+    # the same with c alone: its unit means do not round exactly, so demeaning
+    # leaves only round-off, which once set the tolerance and fitted c at random
+    "unit_level_only": ((3, 3), unit_level(x=False), (False, True), "c"),
+    # 4 observations, 5 columns: with unit effects column n = 4 is named, as a
+    # demeaned column cannot tell a copy from a column the unit dummies span
+    "x_copy_few_rows": ((2, 2), with_x(x_copy=lambda x, t: 2 * x), (True, True), "unit_U1"),
 }
 
 
@@ -271,8 +292,12 @@ class TestPooledOls:
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
-        fit_pooled_ols(make_panel(rng), ["x1", "x2"])
-        assert len(calls) == 1
+        panel = make_panel(rng)  # 4 units, 6 periods
+        fit_pooled_ols(panel, ["x1", "x2"])
+        fit_pooled_ols(panel, ["x1", "x2"], unit_fixed_effects=True)
+        # with unit effects only the covariates, the period dummies and y are
+        # factored: const and the n x (G - 1) unit dummies are absorbed
+        assert [args[0].shape for args in calls] == [(24, 1 + 2 + 5 + 1), (24, 2 + 5 + 1)]
 
     def test_matches_matrix_oracle(self, rng):
         panel = make_panel(rng)
