@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,7 +54,8 @@ class MeasureSeries(_Series):
 
     @property
     def undefined_dates(self) -> frozenset[date]:
-        return frozenset(compress(self.dates, (~self.defined_mask()).tolist()))
+        where = np.flatnonzero(np.isnan(self.values)).tolist()
+        return frozenset(map(self.dates.__getitem__, where))
 
 
 def volume_series(futures: FuturesContractSeries) -> MeasureSeries:
@@ -98,7 +98,7 @@ def baseline_mean_excluding(series: MeasureSeries, excluded_dates: Iterable[date
     mean M2, the remaining N1 = N - N2 observations have mean
     (N/N1) * M - (N2/N1) * M2. Undefined days never enter either sample.
     """
-    excluded = np.fromiter((d.toordinal() for d in excluded_dates), dtype=np.int64)
+    excluded = np.fromiter(map(date.toordinal, excluded_dates), np.int64)
     mask = series.defined_mask()
     values = series.values[mask]
     n = len(values)
@@ -132,7 +132,10 @@ def event_study(series: MeasureSeries, event_dates: Sequence[date],
     Offsets are trading days (positions in the series), not calendar days.
     All event windows are merged into one exclusion set for the baseline.
     Events whose offset falls off the series edge are dropped for that
-    offset only; n_events reports how many contributed.
+    offset only; n_events reports how many contributed. The cost is
+    O(events x window) plus one O(n) pass for the defined mask: offsets
+    beyond +-(n - 1) reach no day and add no gather, but a window wider than
+    the series still gives one row per offset.
     """
     lo, hi = window
     if lo > hi:
@@ -142,8 +145,7 @@ def event_study(series: MeasureSeries, event_dates: Sequence[date],
     if not event_dates:
         raise ValueError("no event dates")
     n = len(series.dates)
-    wanted = np.fromiter((d.toordinal() for d in event_dates), dtype=np.int64,
-                         count=len(event_dates))
+    wanted = np.fromiter(map(date.toordinal, event_dates), np.int64, len(event_dates))
     positions = np.searchsorted(series.ordinals, wanted)
     found = positions < n
     found[found] = series.ordinals[positions[found]] == wanted[found]
@@ -152,20 +154,24 @@ def event_study(series: MeasureSeries, event_dates: Sequence[date],
         raise ValueError(f"event date {missing} not in the series trading calendar")
     defined = series.defined_mask()
 
-    # +1 at each window's start and -1 past its end, both clipped into the series
-    edges = (np.bincount(np.clip(positions + lo, 0, n), minlength=n + 1)
-             - np.bincount(np.clip(positions + hi + 1, 0, n), minlength=n + 1))
-    baseline = series.values[defined & (np.cumsum(edges[:n]) == 0)]
+    # offsets x events, for the offsets that reach the series (the rest: NaN rows)
+    first, last = max(lo, 1 - n), min(hi, n - 1)
+    idx = positions + np.arange(first, last + 1)[:, None]
+    inside = (idx >= 0) & (idx < n)
+    outside = defined.copy()
+    outside[idx[inside]] = False
+    baseline = series.values[outside]
     if baseline.size < 2:
         raise ValueError("baseline sample too small after exclusions")
     base = _moments(baseline)
     baseline_mean = float(base[1])
+    idx[~inside] = 0  # any day of the series: keep drops it
+    rows, keep = series.values[idx], inside & defined[idx]
 
     results = []
     for k in range(lo, hi + 1):
-        idx = positions + k
-        idx = idx[(idx >= 0) & (idx < n)]
-        sample = series.values[idx[defined[idx]]]
+        # a reduce per offset, as one reduce over all rows rounds differently
+        sample = rows[k - first][keep[k - first]] if first <= k <= last else baseline[:0]
         mean = t = p = math.nan  # no event at this offset
         if sample.size:
             moments = _moments(sample)

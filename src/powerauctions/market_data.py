@@ -85,7 +85,7 @@ class _Calendar(tuple):
         if type(dates) is cls:
             return dates
         self = super().__new__(cls, dates)
-        ordinals = np.fromiter((d.toordinal() for d in self), dtype=np.int64, count=len(self))
+        ordinals = np.fromiter(map(date.toordinal, self), np.int64, len(self))
         bad = np.flatnonzero(np.diff(ordinals) <= 0)
         if bad.size:
             prev, d = self[bad[0]], self[bad[0] + 1]

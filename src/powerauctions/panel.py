@@ -185,6 +185,10 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
                                           units if unit_fixed_effects else None, y)
     n, k, f = len(panel), len(names), a.shape[1] - 1  # f columns in W
     first = 1 if unit_fixed_effects else 0  # W's column j is design column first + j
+    if first and n < k:  # rank deficient: test X itself, as demeaned W hides copies
+        x = _build_design(panel, covariates, periods, None, y)[0]
+        a, first, norm = np.column_stack(
+            [x[:, :-1], units[1][:, None] == np.arange(1, len(units[0])), y]), 0, 0.0
     # |R_jj| is column j's distance from the span of the columns before it and the
     # absorbed ones; the tolerance is numpy's SVD rank default, top singular value
     # max |R_ii|, or with unit effects the larger norm that X had before demeaning
@@ -192,8 +196,8 @@ def fit_pooled_ols(panel: Sequence[PanelObservation], covariates: Sequence[str],
     diag = np.abs(np.diagonal(r[:, :-1]))
     tol = max(np.max(diag, initial=0.0), norm) * max(n, k) * np.finfo(float).eps
     small = first + np.flatnonzero(diag <= tol)
-    if n < k and (first or not small.size):  # then column n is the first that adds no
-        small = [n]  # rank; a demeaned column may depend only on the unit dummies after it
+    if n < k and not small.size:  # then column n is the first that adds no rank
+        small = [n]
     if len(small):
         raise RegressionError(f"design matrix rank deficient at column {names[small[0]]!r}")
     if n <= k:

@@ -7,12 +7,13 @@ and their messages included.
 
 from dataclasses import astuple
 from datetime import date, timedelta
+from itertools import compress
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerauctions import (DeliveryPeriod, FuturesContractSeries, MarketDataError,
@@ -187,6 +188,8 @@ def ref_event_study(m, events, window=(-5, 5), variance="welch"):
     excluded = {i for p in positions for i in range(p + window[0], p + window[1] + 1)}
     baseline = np.array([v for i, (v, ok) in enumerate(zip(m.values, defined))
                          if ok and i not in excluded])
+    if baseline.size < 2:
+        raise ValueError("baseline sample too small after exclusions")
     rows = []
     for k in range(window[0], window[1] + 1):
         sample = np.array([m.values[p + k] for p in positions
@@ -264,6 +267,21 @@ class TestEventStudyEdges:
         # outside the series: it then excludes nothing from the baseline
         assert_same_study(measure, [measure.dates[p] for p in edge], window=window)
 
+    @pytest.mark.parametrize("window,events", [
+        ((-400, 10), (0, 3)), ((-10, 400), (116, 119)),
+        ((-400, -150), (0, 3, 116, 119)), ((150, 400), (0, 3, 116, 119))])
+    def test_window_much_wider_than_the_series(self, measure, window, events):
+        # offsets beyond +-119 reach no day: each still gives a NaN row
+        d = measure.dates
+        n_events = assert_same_study(measure, [d[p] for p in events], window=window)
+        assert list(n_events) == list(range(window[0], window[1] + 1))
+        assert not any(n for k, n in n_events.items() if abs(k) > 119)
+
+    def test_window_over_the_whole_series_leaves_no_baseline(self, measure):
+        for window in ((-400, 400), (-10 ** 6, 10 ** 6)):
+            with pytest.raises(ValueError, match="^baseline sample too small after exclusions$"):
+                event_study(measure, [measure.dates[60]], window=window)
+
     @pytest.mark.parametrize("missing", [
         [date(2007, 2, 1), date(1999, 1, 1), date(2030, 1, 1)],
         [date(2030, 1, 1), date(1999, 1, 1)],
@@ -297,20 +315,51 @@ def _study_case(draw):
     n = draw(st.integers(2, 60))
     position = st.one_of(st.integers(0, n - 1), st.sampled_from([0, n - 1]))
     positions = draw(st.lists(position, min_size=1, max_size=8))
-    lo = draw(st.integers(-n - 5, n + 5))
-    hi = draw(st.integers(lo, n + 6))
+    lo = draw(st.integers(-2 * n - 5, 2 * n + 5))
+    hi = draw(st.integers(lo, 2 * n + 6))
     undefined = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
     return n, positions, (lo, hi), undefined, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _study_measure(n, undefined, seed):
+    values = np.random.default_rng(seed).uniform(1.0, 100.0, n)
+    values[list(undefined)] = np.nan
+    return MeasureSeries("C", "R1", daily_dates(date(2007, 1, 1), n), values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_study_case(), variance=st.sampled_from(["welch", "pooled"]))
+def test_event_study_is_the_per_day_reference_bit_for_bit(case, variance):
+    n, positions, window, undefined, seed = case
+    m = _study_measure(n, undefined, seed)
+    events = [m.dates[p] for p in positions]
+    try:
+        ref_event_study(m, events, window, variance)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            event_study(m, events, window=window, variance=variance)
+        return
+    assert_same_study(m, events, window=window, variance=variance)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["nan", "inf", "-inf", "2.5"]), max_size=40))
+@example(kinds=["nan"] * 9)
+@example(kinds=["2.5"] * 9)
+def test_undefined_dates_are_the_nan_days(kinds):
+    values = np.array(kinds, dtype=float)
+    dates = daily_dates(date(2007, 1, 1), len(values))
+    undefined = MeasureSeries("C", "R1", dates, values).undefined_dates
+    assert undefined == frozenset(compress(dates, np.isnan(values)))
+    assert not undefined & {d for d, v in zip(dates, values) if np.isinf(v)}  # inf is defined
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_study_case())
 def test_event_study_baseline_is_the_excluded_baseline(case):
     n, positions, (lo, hi), undefined, seed = case
-    dates = daily_dates(date(2007, 1, 1), n)
-    values = np.random.default_rng(seed).uniform(1.0, 100.0, n)
-    values[list(undefined)] = np.nan
-    m = MeasureSeries("C", "R1", dates, values)
+    m = _study_measure(n, undefined, seed)
+    dates = m.dates
     events = [dates[p] for p in positions]
     in_window = {dates[i] for p in positions for i in range(p + lo, p + hi + 1) if 0 <= i < n}
     try:

@@ -222,9 +222,9 @@ RANK_CASES = {
     # the same with c alone: its unit means do not round exactly, so demeaning
     # leaves only round-off, which once set the tolerance and fitted c at random
     "unit_level_only": ((3, 3), unit_level(x=False), (False, True), "c"),
-    # 4 observations, 5 columns: with unit effects column n = 4 is named, as a
-    # demeaned column cannot tell a copy from a column the unit dummies span
-    "x_copy_few_rows": ((2, 2), with_x(x_copy=lambda x, t: 2 * x), (True, True), "unit_U1"),
+    # 4 observations, 5 columns: the rule runs on X with its unit dummies, not
+    # on demeaned W, so the copy is named as it is without unit effects
+    "x_copy_few_rows": ((2, 2), with_x(x_copy=lambda x, t: 2 * x), (True, True), "x_copy"),
 }
 
 
