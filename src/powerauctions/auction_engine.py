@@ -9,8 +9,7 @@ with the final-round reductions partially restored so awards sum exactly to
 the target.
 
 Settlement side: fixed-quantity contracts settle as daily contracts for
-differences against spot, full-requirements contracts pay the auction price
-times a seasonal factor on realized load.
+differences against spot.
 """
 
 from __future__ import annotations
@@ -674,23 +673,9 @@ def outcome_to_dict(outcome) -> dict:
 # --- settlement --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeasonalPayoutFactors:
-    summer_factor: float = 1.2
-    winter_factor: float = 0.9
-    summer_months: frozenset[int] = frozenset({6, 7, 8, 9})
-
-    def __post_init__(self):
-        if self.summer_factor <= 0 or self.winter_factor <= 0:
-            raise ValueError("payout factors must be positive")
-
-    def factor_for(self, day: date) -> float:
-        return self.summer_factor if day.month in self.summer_months else self.winter_factor
-
-
-def settle_cfd(auction_price: float, spot, period, quantity: float,
-               hours_per_day: int = 24) -> list[tuple[date, float]]:
-    """Daily contract-for-differences cash flows over the delivery period.
+def settle_cfd(auction_price: float, spot, period, quantity: float) -> list[tuple[date, float]]:
+    """Daily contract-for-differences cash flows over the delivery period,
+    for ``quantity`` MW delivered 24 hours a day.
 
     Positive flows favour the winning bidder (seller): it receives the
     auction price and pays out spot.
@@ -698,16 +683,5 @@ def settle_cfd(auction_price: float, spot, period, quantity: float,
     days, _, first_missing = spot._period_slice(period)
     if first_missing is not None:
         raise MarketDataError(f"no spot price for {first_missing}")
-    flows = (auction_price - spot.prices[days]) * quantity * hours_per_day
+    flows = (auction_price - spot.prices[days]) * quantity * 24
     return list(zip(spot.dates[days], flows.tolist()))
-
-
-def full_requirements_payout(auction_price: float, load: list[tuple[date, float]],
-                             factors: SeasonalPayoutFactors) -> list[tuple[date, float]]:
-    """Daily payout = auction price x seasonal factor x MWh of load served."""
-    flows = []
-    for day, mwh in load:
-        if mwh < 0:
-            raise ValueError(f"negative load {mwh} on {day}")
-        flows.append((day, auction_price * factors.factor_for(day) * mwh))
-    return flows

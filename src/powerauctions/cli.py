@@ -153,31 +153,30 @@ def _premium_rows(args) -> list:
 
 
 def _cmd_report(args):
-    """``report``, and ``premium``: the same premiums.csv, with the aggregates alone."""
+    """premiums.csv, one row per auction product, and report.json: the group
+    aggregates and, where the rows allow them, the premiums' distribution and
+    the groups' mean tests."""
     from .premiums import distribution_stats, equality_of_means, yearly_aggregate
 
     rows = _premium_rows(args)
     report = {"metadata": _metadata(args),
               "aggregates": dataclasses.asdict(yearly_aggregate(rows))}
-    json_name = "premium_summary.json"
-    if args.command == "report":
-        json_name = "report.json"
-        premiums = [r.premium for r in rows]
-        if len(premiums) >= 4:
-            report["premium_distribution"] = dataclasses.asdict(distribution_stats(premiums))
-        by_group: dict[str, list[float]] = {}
-        for r in rows:
-            by_group.setdefault(r.group, []).append(r.premium)
-        if len(by_group) >= 2 and all(len(v) >= 2 for v in by_group.values()):
-            report["equality_of_means"] = [
-                {"a": c.label_a, "b": c.label_b, "t": c.t_stat, "dof": c.dof, "p": c.p_value}
-                for c in equality_of_means(by_group)
-            ]
+    premiums = [r.premium for r in rows]
+    if len(premiums) >= 4:
+        report["premium_distribution"] = dataclasses.asdict(distribution_stats(premiums))
+    by_group: dict[str, list[float]] = {}
+    for r in rows:
+        by_group.setdefault(r.group, []).append(r.premium)
+    if len(by_group) >= 2 and all(len(v) >= 2 for v in by_group.values()):
+        report["equality_of_means"] = [
+            {"a": c.label_a, "b": c.label_b, "t": c.t_stat, "dof": c.dof, "p": c.p_value}
+            for c in equality_of_means(by_group)
+        ]
     # the table's columns are named after PremiumRow's fields
     return ([_csv_output(Path(args.out) / "premiums.csv", args, _PREMIUMS,
                          *([getattr(r, name) for r in rows] for name in _PREMIUMS.columns)),
-             _json_output(Path(args.out) / json_name, report)],
-            f"{args.command} ok rows={len(rows)}")
+             _json_output(Path(args.out) / "report.json", report)],
+            f"report ok rows={len(rows)}")
 
 
 def _cmd_fmpi(args):
@@ -233,6 +232,10 @@ def _cmd_event_study(args):
         raise UsageError(f"argument --window: lower bound {args.window[0]} exceeds "
                          f"upper bound {args.window[1]}")
     measure = _measure(args)
+    n = len(measure)
+    if args.window[0] < 1 - n or args.window[1] > n - 1:  # no event can fall there
+        raise UsageError(f"argument --window: a series of {n} days has offsets {1 - n} to "
+                         f"{n - 1}, got {args.window[0]} {args.window[1]}")
     events = [day for _, (day,) in _read_table(args.events, _EVENTS)]
     if not events:
         raise MarketDataError(f"{args.events}: no event dates")
@@ -318,16 +321,6 @@ def _cmd_simulate(args):
 # --- argument wiring ---------------------------------------------------------
 
 
-def _add_premium_inputs(p):
-    p.add_argument("--auctions", required=True)
-    p.add_argument("--spot", required=True)
-    p.add_argument("--costs")
-    p.add_argument("--fmpi")
-    p.add_argument("--averages")
-    p.add_argument("--spot-mode", default="strict", choices=["strict", "available"])
-    p.add_argument("--out", required=True)
-
-
 def _build_parser() -> _CliParser:
     # no --conf for --config: the config reader takes the full name only
     parser = _CliParser(prog="powerauctions", allow_abbrev=False)
@@ -340,10 +333,6 @@ def _build_parser() -> _CliParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("premium")
-    _add_premium_inputs(p)
-    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("fmpi")
     p.add_argument("--prices", required=True)
@@ -384,7 +373,13 @@ def _build_parser() -> _CliParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("report")
-    _add_premium_inputs(p)
+    p.add_argument("--auctions", required=True)
+    p.add_argument("--spot", required=True)
+    p.add_argument("--costs")
+    p.add_argument("--fmpi")
+    p.add_argument("--averages")
+    p.add_argument("--spot-mode", default="strict", choices=["strict", "available"])
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
 
     return parser

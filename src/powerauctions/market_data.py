@@ -23,7 +23,6 @@ import numpy as np
 OMEL_ZONES = frozenset({"ES"})
 PJM_ZONES = frozenset({"ACE", "JCPL", "PSEG", "RECO"})
 MARKET_ZONES = {"OMEL": OMEL_ZONES, "PJM": PJM_ZONES}
-MARKET_CURRENCY = {"OMEL": "EUR", "PJM": "USD"}
 # CESUR sells fixed-quantity contracts, PJM-BGS full-requirements ones
 MARKET_PRODUCT_KIND = {"OMEL": "fixed_quantity", "PJM": "full_requirements"}
 
@@ -50,10 +49,6 @@ class MarketZone:
             raise MarketDataError(
                 f"zone {self.zone!r} does not belong to market {self.market!r}"
             )
-
-    @property
-    def currency(self) -> str:
-        return MARKET_CURRENCY[self.market]
 
 
 @dataclass(frozen=True)
@@ -130,13 +125,6 @@ class SpotPriceSeries(_Series):
             raise MarketDataError("non-finite spot price")
         object.__setattr__(self, "prices", prices)
         prices.setflags(write=False)
-
-    def price_on(self, day: date) -> float:
-        ordinal = day.toordinal()
-        i = int(np.searchsorted(self.ordinals, ordinal))
-        if i == len(self) or self.ordinals[i] != ordinal:
-            raise MarketDataError(f"no spot price for {day}")
-        return float(self.prices[i])
 
     def _period_slice(self, period: DeliveryPeriod) -> tuple[slice, int, date | None]:
         """Positions of ``period``'s days, with the count and first of those missing."""
@@ -654,20 +642,8 @@ def _blocks(code: np.ndarray, columns) -> list[list]:
     return [[c[lo:hi] for c in columns] for lo, hi in zip(edges, edges[1:])]
 
 
-def load_spot_csv(path, zone: MarketZone) -> SpotPriceSeries:
-    """Load a spot-price CSV (``market,zone,date,price``) for one zone."""
-    rows = _read_table(path, _SPOT)
-    markets, zones, dates, prices = rows.columns
-    for lineno, market, z in zip(rows.linenos, markets.tolist(), zones.tolist()):
-        if market != zone.market or z != zone.zone:
-            raise MarketDataError(
-                f"{path} line {lineno}: row for {market}/{z}, expected {zone.market}/{zone.zone}"
-            )
-    return SpotPriceSeries(zone=zone, dates=tuple(dates.tolist()), prices=prices)
-
-
 def load_spot_csv_multi(path) -> dict[MarketZone, SpotPriceSeries]:
-    """Load a spot CSV that may carry several market zones in one file."""
+    """Load a spot CSV (``market,zone,date,price``): one series per market zone."""
     rows = _read_table(path, _SPOT)
     blocks = _blocks(_zone_codes(*rows.columns[:2]), rows.columns)
     zones = [MarketZone(markets.item(0), zones.item(0)) for markets, zones, _, _ in blocks]

@@ -99,12 +99,12 @@ def fmpi_premium(gross_price: float, costs: float, fmpi: float) -> tuple[float, 
     return premium, premium / gross_price
 
 
-def monetary_impact(premium: float, capacity_mw: float,
-                    mwh_per_mw: float = MWH_PER_MW_CAPACITY) -> float:
-    """Cash impact of a per-MWh premium on an awarded capacity."""
+def monetary_impact(premium: float, capacity_mw: float) -> float:
+    """Cash impact of a per-MWh premium on an awarded capacity, at
+    ``MWH_PER_MW_CAPACITY`` MWh per MW."""
     if capacity_mw < 0:
         raise ValueError("capacity must be non-negative")
-    return premium * capacity_mw * mwh_per_mw
+    return premium * capacity_mw * MWH_PER_MW_CAPACITY
 
 
 # --- aggregation -------------------------------------------------------------

@@ -13,10 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerauctions import (AuctionError, ClockAuctionConfig, ConstantSupply,
-                           DeliveryPeriod, SeasonalPayoutFactors, StochasticExit,
-                           StochasticShrink, ThresholdExit,
-                           full_requirements_payout, run_descending_clock,
-                           settle_cfd)
+                           DeliveryPeriod, StochasticExit, StochasticShrink, ThresholdExit,
+                           run_descending_clock, settle_cfd)
 from powerauctions.auction_engine import RoundLogEntry
 
 from conftest import make_spot
@@ -548,7 +546,7 @@ class TestSettlement:
     def test_cfd_daily_flow_matches_hourly_arithmetic(self):
         spot = make_spot([36.45])
         period = DeliveryPeriod(date(2007, 1, 1), date(2007, 1, 1))
-        (_, flow), = settle_cfd(46.27, spot, period, quantity=1.0, hours_per_day=24)
+        (_, flow), = settle_cfd(46.27, spot, period, quantity=1.0)
         assert flow == pytest.approx(9.82 * 24, abs=1e-9)
         assert flow == pytest.approx(235.68, abs=1e-9)
 
@@ -579,38 +577,6 @@ class TestSettlement:
             settle_cfd(50.0, spot, period, quantity=1.0)
 
 
-class TestFullRequirements:
-    def test_unit_factor(self):
-        factors = SeasonalPayoutFactors(summer_factor=1.0, winter_factor=1.0)
-        flows = full_requirements_payout(100.0, [(date(2007, 3, 1), 2.0)], factors)
-        assert flows == [(date(2007, 3, 1), 200.0)]
-
-    def test_summer_factor_applies_in_july(self):
-        factors = SeasonalPayoutFactors()
-        flows = full_requirements_payout(100.0, [(date(2007, 7, 15), 1.0)], factors)
-        assert flows[0][1] == pytest.approx(120.0)
-
-    def test_winter_factor_applies_in_january(self):
-        factors = SeasonalPayoutFactors()
-        flows = full_requirements_payout(100.0, [(date(2007, 1, 15), 1.0)], factors)
-        assert flows[0][1] == pytest.approx(90.0)
-
-    def test_zero_load_zero_payout(self):
-        flows = full_requirements_payout(100.0, [(date(2007, 7, 1), 0.0)],
-                                         SeasonalPayoutFactors())
-        assert flows[0][1] == 0.0
-
-    def test_negative_load_rejected(self):
-        with pytest.raises(ValueError, match="negative load"):
-            full_requirements_payout(100.0, [(date(2007, 7, 1), -1.0)],
-                                     SeasonalPayoutFactors())
-
-
 def test_clock_without_strategies_rejected():
     with pytest.raises(AuctionError, match="at least one strategy required"):
         run_descending_clock(config(), [])
-
-
-def test_non_positive_payout_factor_rejected():
-    with pytest.raises(ValueError, match="payout factors must be positive"):
-        SeasonalPayoutFactors(summer_factor=0)

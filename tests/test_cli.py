@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -70,7 +71,7 @@ class TestPremiumCommand:
     def test_table_shaped_output(self, tmp_path, omel_fixture):
         auctions, spot, fmpi = omel_fixture
         out = tmp_path / "out"
-        rc = main(["premium", "--auctions", str(auctions), "--spot", str(spot),
+        rc = main(["report", "--auctions", str(auctions), "--spot", str(spot),
                    "--fmpi", str(fmpi), "--out", str(out)])
         assert rc == 0
         rows = read_csv_skipping_comments(out / "premiums.csv")
@@ -80,13 +81,13 @@ class TestPremiumCommand:
         assert float(by_ref["Q3-07"][header.index("premium")]) == pytest.approx(9.82, abs=0.01)
         assert float(by_ref["Q4-07"][header.index("premium")]) == pytest.approx(-9.33, abs=0.01)
         assert float(by_ref["Q3-07"][header.index("fmpi_premium")]) == pytest.approx(1.82, abs=0.01)
-        summary = json.loads((out / "premium_summary.json").read_text())
+        summary = json.loads((out / "report.json").read_text())
         assert "2007" in summary["aggregates"]["groups"]
 
     def test_outputs_carry_metadata_header(self, tmp_path, omel_fixture):
         auctions, spot, fmpi = omel_fixture
         out = tmp_path / "out"
-        main(["premium", "--auctions", str(auctions), "--spot", str(spot),
+        main(["report", "--auctions", str(auctions), "--spot", str(spot),
               "--out", str(out)])
         first = (out / "premiums.csv").read_text().splitlines()[0]
         assert first.startswith("# powerauctions")
@@ -94,7 +95,7 @@ class TestPremiumCommand:
     def test_inputs_not_mutated(self, tmp_path, omel_fixture):
         auctions, spot, fmpi = omel_fixture
         before = auctions.read_bytes(), spot.read_bytes()
-        main(["premium", "--auctions", str(auctions), "--spot", str(spot),
+        main(["report", "--auctions", str(auctions), "--spot", str(spot),
               "--out", str(tmp_path / "o")])
         assert (auctions.read_bytes(), spot.read_bytes()) == before
 
@@ -537,6 +538,24 @@ class TestEventStudyCommand:
             "error code=1 reason=argument --window: lower bound 5 exceeds upper bound -5\n")
         assert not out.exists()
 
+    def test_window_beyond_the_series_is_usage_error(self, tmp_path, futures_fixture, capsys):
+        # an offset past +-(n - 1) holds no event, and a window of 10^20 such
+        # offsets would never finish: found once the 120-day series is read
+        futures, events = futures_fixture
+        out = tmp_path / "out"
+        for window, code in ((("-119", "-40"), 0), (("40", "119"), 0), (("-120", "-40"), 1),
+                             (("40", "120"), 1), (("-1", "99999999999999999999"), 1)):
+            rc = main(["event-study", "--futures", str(futures), "--measure", "volume",
+                       "--events", str(events), "--window", *window, "--out", str(out)])
+            assert rc == code, window
+            err = capsys.readouterr().err
+            if code:
+                assert err == (f"error code=1 reason=argument --window: a series of 120 days "
+                               f"has offsets -119 to 119, got {window[0]} {window[1]}\n")
+            else:
+                assert len(read_csv_skipping_comments(out / "event_study.csv")) == 1 + 80
+            shutil.rmtree(out, ignore_errors=True)
+
     def test_json_failure_writes_no_csv(self, tmp_path, futures_fixture, capsys, monkeypatch):
         # the summary's JSON text is made before event_study.csv is written
         from powerauctions import activity
@@ -615,16 +634,15 @@ class TestEventStudyCommand:
 
 
 class TestNoFileFromAFailedRun:
-    """A premium or report run computes every number before it writes a file."""
+    """A report run computes every number before it writes a file."""
 
-    @pytest.mark.parametrize("command", ["premium", "report"])
-    def test_auctions_without_rows(self, tmp_path, omel_fixture, capsys, command):
+    def test_auctions_without_rows(self, tmp_path, omel_fixture, capsys):
         _, spot, _ = omel_fixture
         auctions = tmp_path / "empty.csv"
         auctions.write_text(AUCTIONS_HEADER)
         out = tmp_path / "out"
         with pytest.warns(UserWarning, match="no data rows"):
-            rc = main([command, "--auctions", str(auctions), "--spot", str(spot),
+            rc = main(["report", "--auctions", str(auctions), "--spot", str(spot),
                        "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err == "error code=3 reason=no rows to aggregate\n"
@@ -854,9 +872,19 @@ class TestErrorsAndConfig:
         assert "error code=2" in capsys.readouterr().err
 
     def test_bad_flag_is_usage_error(self, capsys):
-        rc = main(["premium", "--nonsense"])
+        rc = main(["report", "--nonsense"])
         assert rc == 1
         assert "error code=1" in capsys.readouterr().err
+
+    def test_premium_is_not_a_subcommand(self, tmp_path, omel_fixture, capsys):
+        # report is the one premiums command
+        auctions, spot, _ = omel_fixture
+        rc = main(["premium", "--auctions", str(auctions), "--spot", str(spot),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error code=1 reason=argument command: invalid choice: 'premium'")
+        assert not (tmp_path / "o").exists()
 
     def test_reason_and_warning_stay_one_line(self, tmp_path, monkeypatch):
         # a config key or a file name that holds a line break went into the
@@ -888,7 +916,7 @@ class TestErrorsAndConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"auctions={auctions}\nspot={spot}\nspot_mode=strict\n")
         out = tmp_path / "out"
-        rc = main(["premium", "--config", str(cfg), "--spot-mode", "available",
+        rc = main(["report", "--config", str(cfg), "--spot-mode", "available",
                    "--out", str(out)])
         assert rc == 0
         header_line = (out / "premiums.csv").read_text().splitlines()[1]
@@ -943,7 +971,7 @@ class TestErrorsAndConfig:
         assert not out.exists()
 
     def test_config_flag_without_value_is_usage_error(self, capsys):
-        rc = main(["premium", "--config"])
+        rc = main(["report", "--config"])
         assert rc == 1
         assert "error code=1" in capsys.readouterr().err
 
@@ -1036,7 +1064,7 @@ class TestErrorsAndConfig:
         auctions, _, _ = omel_fixture
         spot = tmp_path / "pjm_spot.csv"
         spot.write_text("market,zone,date,price\nPJM,ACE,2007-07-01,50\n")
-        rc = main(["premium", "--auctions", str(auctions), "--spot", str(spot),
+        rc = main(["report", "--auctions", str(auctions), "--spot", str(spot),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
@@ -1046,12 +1074,12 @@ class TestErrorsAndConfig:
     def test_non_number_in_cli_table_is_data_error(self, tmp_path, omel_fixture, flag, capsys):
         auctions, spot, _ = omel_fixture
         bad = tmp_path / "bad.csv"
-        premium = ["premium", "--auctions", str(auctions), "--spot", str(spot),
-                   "--out", str(tmp_path / "o")]
+        report = ["report", "--auctions", str(auctions), "--spot", str(spot),
+                  "--out", str(tmp_path / "o")]
         text, argv, reason = {
-            "--fmpi": ("market,key,fmpi\nOMEL,Q3-07,44.45\nOMEL,Q4-07,{}\n", premium,
+            "--fmpi": ("market,key,fmpi\nOMEL,Q3-07,44.45\nOMEL,Q4-07,{}\n", report,
                        "line 3: unparseable fmpi '{}'"),
-            "--averages": ("market,zone,year,avg_price\nPJM,ACE,2007,{}\n", premium,
+            "--averages": ("market,zone,year,avg_price\nPJM,ACE,2007,{}\n", report,
                            "line 2: unparseable avg_price '{}'"),
             "--prices": ("month,price\n1,50\n2,{}\n", ["fmpi"],
                          "line 3: unparseable price '{}'"),
@@ -1170,11 +1198,11 @@ class TestArtifactBytes:
         Path("events.csv").write_text("date\n2007-01-06\n2007-01-14\n")
 
     def test_premiums_csv(self, inputs):
-        assert main(["premium", "--auctions", "auctions.csv", "--spot", "spot.csv",
+        assert main(["report", "--auctions", "auctions.csv", "--spot", "spot.csv",
                      "--fmpi", "fmpi.csv", "--out", "out"]) == 0
         assert Path("out/premiums.csv").read_bytes() == (
             b"# powerauctions 0.1.0\n"
-            b'# config={"auctions": "auctions.csv", "command": "premium", "fmpi": "fmpi.csv", '
+            b'# config={"auctions": "auctions.csv", "command": "report", "fmpi": "fmpi.csv", '
             b'"spot": "spot.csv", "spot_mode": "strict"}\n'
             b"auction_ref,group,auction_price,spot_avg,costs,premium,premium_pct,fmpi,"
             b"fmpi_premium,fmpi_premium_pct\r\n"
@@ -1256,7 +1284,7 @@ def test_cli_import_leaves_the_engine_out():
 
 
 # the powerauctions modules a subcommand may load besides cli and market_data
-FOOTPRINT = {"ingest": set(), "premium": {"premiums"}, "report": {"premiums"},
+FOOTPRINT = {"ingest": set(), "report": {"premiums"},
              "fmpi": {"premiums"}, "activity": {"activity", "premiums"},
              "event-study": {"activity", "premiums"}, "regress": {"panel"},
              "simulate": {"auction_engine"}}
@@ -1282,10 +1310,9 @@ def subcommand_runs(tmp_path, omel_fixture):
         f"{u},{t},{(i * 7 + t) % 5 - 2},{8 + (i * 3 + t) % 7},{20 + (t * i) % 4},{5 + i}\n"
         for i, u in enumerate(("ACE", "JCPL", "PSEG", "RECO")) for t in range(2007, 2013)))
     (tmp_path / "scenario.json").write_text(json.dumps(TestSimulateCommand.SCENARIO))
-    premium_inputs = ["--auctions", auctions.name, "--spot", spot.name, "--fmpi", fmpi.name]
+    report_inputs = ["--auctions", auctions.name, "--spot", spot.name, "--fmpi", fmpi.name]
     runs = {"ingest": ["--kind", "futures", "--input", "futures.csv", "--out", "ingest"],
-            "premium": [*premium_inputs, "--out", "premium"],
-            "report": [*premium_inputs, "--out", "report"],
+            "report": [*report_inputs, "--out", "report"],
             "fmpi": ["--prices", "prices.csv"],
             "activity": ["--futures", "futures.csv", "--measure", "r1", "--out", "activity"],
             "event-study": ["--futures", "futures.csv", "--measure", "volume", "--events",
@@ -1294,6 +1321,13 @@ def subcommand_runs(tmp_path, omel_fixture):
             "simulate": ["--scenario", "scenario.json", "--out", "simulate.json"]}
     assert set(runs) == set(_build_parser().commands)
     return runs
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("scriptable through `powerauctions <subcommand>`:", 1)[1]
+    listed = re.findall(r"`([^`]+)`", sentence.split(".", 1)[0])
+    assert sorted(listed) == sorted(_build_parser().commands)
 
 
 def test_subcommands_without_p_values_leave_scipy_out(tmp_path, subcommand_runs):
@@ -1364,7 +1398,8 @@ _CONFIG_LINES = ["seed=abc", "alpha=2", "window=1", "window=3 -3", "no_period_ef
                  "unit_effects=true", "bogus=1", "measure=r9", "rate=nan", "covariates=,",
                  "# comment", "", "=", "config=run.cfg"]
 # flags whose value alone decides the exit code
-_BAD_FLAGS = {"event-study": [(["--alpha", "2"], 3), (["--window", "2", "-2"], 1)],
+_BAD_FLAGS = {"event-study": [(["--alpha", "2"], 3), (["--window", "2", "-2"], 1),
+                              (["--window", "-1", "99999999999999999999"], 1)],
               "fmpi": [(["--rate", "nan"], 3)], "regress": [(["--covariates", ","], 1)],
               "simulate": [(["--seed", "-1"], 1)]}
 
@@ -1500,12 +1535,12 @@ EXPORTED = """
     AggregateReport AuctionError AuctionOutcome AuctionRecord ClockAuctionConfig Coefficient
     ConstantSupply CostComponents DeliveryPeriod DistributionStats EventStudyResult FmpiSpec
     FuturesContractSeries MarketDataError MarketZone MeanComparison MeasureSeries
-    PanelObservation PremiumRow RegressionError RegressionResult SeasonalPayoutFactors
-    SignificanceTally SpotPriceSeries StochasticExit StochasticShrink ThresholdExit activity
-    auction_engine average_price baseline_mean_excluding cesur_premium distribution_stats
-    equality_of_means event_study fit_pooled_ols fmpi_premium fmpi_strip fmpi_weights
-    full_requirements_payout load_auctions_csv load_costs_csv load_futures_csv load_spot_csv
-    load_spot_csv_multi market_data monetary_impact open_interest_series panel pjm_premium
+    PanelObservation PremiumRow RegressionError RegressionResult SignificanceTally
+    SpotPriceSeries StochasticExit StochasticShrink ThresholdExit activity auction_engine
+    average_price baseline_mean_excluding cesur_premium distribution_stats equality_of_means
+    event_study fit_pooled_ols fmpi_premium fmpi_strip fmpi_weights load_auctions_csv
+    load_costs_csv load_futures_csv load_spot_csv_multi market_data monetary_impact
+    open_interest_series panel pjm_premium
     premiums r1_series r2_series run_descending_clock settle_cfd significance_tally
     standardize_by_group vol3y volume_series welch_t yearly_aggregate
 """.split()

@@ -54,13 +54,13 @@ def ref_average_price(spot, period, mode):
     return float(np.mean(picked))
 
 
-def ref_settle_cfd(price, spot, period, quantity, hours=24):
+def ref_settle_cfd(price, spot, period, quantity):
     by_day = dict(zip(spot.dates, spot.prices))
     flows = []
     for d in calendar(period):
         if d not in by_day:
             raise MarketDataError(f"no spot price for {d}")
-        flows.append((d, (price - float(by_day[d])) * quantity * hours))
+        flows.append((d, (price - float(by_day[d])) * quantity * 24))
     return flows
 
 
@@ -116,10 +116,11 @@ class TestCalendarLookups:
                 == outcome(ref_settle_cfd, 47.25, SPOT, period, 3.5))
 
     def test_price_on_each_day(self, bounds):
+        # a one-day period's average is that day's price, in either mode
         for d in calendar(DeliveryPeriod(*bounds))[:50]:
-            want = (float(SPOT.prices[SPOT.dates.index(d)]) if d in SPOT.dates
-                    else (MarketDataError, f"no spot price for {d}"))
-            assert outcome(SPOT.price_on, d) == want
+            for mode in ("strict", "available"):
+                assert (outcome(average_price, SPOT, DeliveryPeriod(d, d), mode)
+                        == outcome(ref_average_price, SPOT, DeliveryPeriod(d, d), mode))
 
 
 def test_lookups_cover_every_kind_of_period():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from powerauctions import (DeliveryPeriod, FuturesContractSeries, MarketDataError,
                            MarketZone, SpotPriceSeries, average_price, load_auctions_csv,
-                           load_costs_csv, load_futures_csv, load_spot_csv)
+                           load_costs_csv, load_futures_csv, load_spot_csv_multi)
 from powerauctions import (MeasureSeries, event_study, market_data, r1_series,
                            r2_series, volume_series)
 from powerauctions.market_data import (_Calendar, write_auctions_csv, write_costs_csv,
@@ -34,8 +34,10 @@ def write(path, text):
 
 class TestZones:
     def test_valid_zones(self):
-        assert MarketZone("PJM", "ACE").currency == "USD"
-        assert ES.currency == "EUR"
+        zones = [MarketZone(market, zone) for market, zones in market_data.MARKET_ZONES.items()
+                 for zone in sorted(zones)]
+        assert [(z.market, z.zone) for z in zones] == [
+            ("OMEL", "ES"), ("PJM", "ACE"), ("PJM", "JCPL"), ("PJM", "PSEG"), ("PJM", "RECO")]
 
     def test_zone_must_match_market(self):
         with pytest.raises(MarketDataError):
@@ -49,7 +51,7 @@ class TestSpotLoader:
         p = write(tmp_path / "s.csv",
                   "market,zone,date,price\n"
                   "OMEL,ES,2007-01-01,30\nOMEL,ES,2007-01-02,31\nOMEL,ES,2007-01-03,32\n")
-        series = load_spot_csv(p, ES)
+        series = load_spot_csv_multi(p)[ES]
         assert len(series) == 3
         assert list(series.prices) == [30.0, 31.0, 32.0]
 
@@ -58,36 +60,35 @@ class TestSpotLoader:
                   "market,zone,date,price\n"
                   "OMEL,ES,2007-01-01,30\nOMEL,ES,2007-01-01,31\n")
         with pytest.raises(MarketDataError, match="duplicate date"):
-            load_spot_csv(p, ES)
+            load_spot_csv_multi(p)
 
     def test_non_monotone_dates_rejected(self, tmp_path):
         p = write(tmp_path / "s.csv",
                   "market,zone,date,price\n"
                   "OMEL,ES,2007-01-02,30\nOMEL,ES,2007-01-01,31\n")
         with pytest.raises(MarketDataError, match="non-monotone"):
-            load_spot_csv(p, ES)
+            load_spot_csv_multi(p)
 
     def test_empty_data_section_warns(self, tmp_path):
         p = write(tmp_path / "s.csv", "market,zone,date,price\n")
         with pytest.warns(UserWarning, match="no data rows"):
-            series = load_spot_csv(p, ES)
-        assert len(series) == 0
+            assert load_spot_csv_multi(p) == {}
 
     def test_malformed_row_reports_line(self, tmp_path):
         p = write(tmp_path / "s.csv",
                   "market,zone,date,price\nOMEL,ES,2007-01-01,30\nOMEL,ES,2007-01-02,oops\n")
         with pytest.raises(MarketDataError, match="line 3"):
-            load_spot_csv(p, ES)
+            load_spot_csv_multi(p)
 
     def test_wrong_header_rejected(self, tmp_path):
         p = write(tmp_path / "s.csv", "date,price\n2007-01-01,30\n")
         with pytest.raises(MarketDataError, match="header"):
-            load_spot_csv(p, ES)
+            load_spot_csv_multi(p)
 
     def test_no_silent_drops(self, tmp_path):
         lines = [f"OMEL,ES,2007-01-{d:02d},{20 + d}" for d in range(1, 29)]
         p = write(tmp_path / "s.csv", "market,zone,date,price\n" + "\n".join(lines) + "\n")
-        assert len(load_spot_csv(p, ES)) == len(lines)
+        assert len(load_spot_csv_multi(p)[ES]) == len(lines)
 
 
 class TestFuturesLoader:
@@ -192,9 +193,9 @@ def test_dates_given_as_a_list_are_kept_as_a_tuple(make):
     assert series.dates == tuple(JAN_1_2_4)
     assert series.ordinals.tolist() == [d.toordinal() for d in JAN_1_2_4]
     if isinstance(series, SpotPriceSeries):
-        assert series.price_on(date(2007, 1, 2)) == 2.0
-        with pytest.raises(MarketDataError, match="no spot price for 2007-01-09"):
-            series.price_on(date(2007, 1, 9))
+        assert average_price(series, DeliveryPeriod(date(2007, 1, 2), date(2007, 1, 2))) == 2.0
+        with pytest.raises(MarketDataError, match="missing 1 day.*first 2007-01-09"):
+            average_price(series, DeliveryPeriod(date(2007, 1, 9), date(2007, 1, 9)))
     else:
         measure = series if isinstance(series, MeasureSeries) else volume_series(series)
         assert event_study(measure, [date(2007, 1, 2)], window=(0, 0))[0].n_events == 1
@@ -312,7 +313,7 @@ class TestRoundTrip:
         series = make_spot([30.5, 31.25, 29.875])
         path = tmp_path / "out.csv"
         write_spot_csv(path, series)
-        back = load_spot_csv(path, ES)
+        back = load_spot_csv_multi(path)[ES]
         assert back.dates == series.dates
         np.testing.assert_array_equal(back.prices, series.prices)
 
@@ -418,14 +419,6 @@ def test_domain_object_checks(case):
     assert str(exc.value) == message
 
 
-def test_spot_row_of_another_zone_rejected(tmp_path):
-    p = write(tmp_path / "s.csv",
-              "market,zone,date,price\nOMEL,ES,2007-01-01,30\nPJM,ACE,2007-01-02,31\n")
-    with pytest.raises(MarketDataError) as exc:
-        load_spot_csv(p, ES)
-    assert str(exc.value) == f"{p} line 3: row for PJM/ACE, expected OMEL/ES"
-
-
 def test_multi_product_fields_of_unequal_counts_rejected(tmp_path):
     p = write(tmp_path / "a.csv", TestAuctionsLoader.HEADER +
               "OMEL,4,2008-03-13,Q2-08;Q2Q3-08,2008-04-01;2008-04-01,"
@@ -515,7 +508,7 @@ class TestTableCodec:
 
 
 WRITTEN_TABLES = {
-    "spot": (lambda p: load_spot_csv(p, ES), write_spot_csv,
+    "spot": (lambda p: load_spot_csv_multi(p)[ES], write_spot_csv,
              "market,zone,date,price\nOMEL,ES,2007-01-01,30\nOMEL,ES,2007-01-02,0.1\n"
              "OMEL,ES,2007-01-03,1e22\n"),
     "futures": (load_futures_csv, write_futures_csv,
