@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .market_data import FuturesContractSeries, _Calendar, _Series
+from .market_data import FuturesContractSeries, _Calendar, _read_only, _Series
 from .premiums import _ZeroVarianceError, _moments, _two_sample_t
 
 MEASURE_KINDS = ("volume", "open_interest", "R1", "R2")
@@ -40,11 +40,10 @@ class MeasureSeries(_Series):
     def __post_init__(self):
         if self.measure_kind not in MEASURE_KINDS:
             raise ValueError(f"unknown measure kind {self.measure_kind!r}")
-        vals = np.asarray(self.values, dtype=float)
+        vals = _read_only(self.values)
         if len(vals) != len(self.dates):
             raise ValueError("dates and values length mismatch")
         object.__setattr__(self, "values", vals)
-        vals.setflags(write=False)
         object.__setattr__(self, "dates", _Calendar(self.dates, f"measure {self.contract_id}"))
 
     def defined_mask(self) -> np.ndarray:
@@ -74,6 +73,7 @@ def r1_series(futures: FuturesContractSeries) -> MeasureSeries:
     oi = futures.open_interest
     values = np.full(len(futures), np.nan)
     np.divide(futures.volume, oi, out=values, where=oi != 0)
+    values.setflags(write=False)  # fresh, so the series keeps it without a copy
     return MeasureSeries(futures.contract_id, "R1", futures.dates, values)
 
 
@@ -88,6 +88,7 @@ def r2_series(futures: FuturesContractSeries) -> MeasureSeries:
     delta = np.abs(np.diff(futures.open_interest))
     values = np.full(len(futures), np.nan)
     np.divide(futures.volume[1:], delta, out=values[1:], where=delta != 0)
+    values.setflags(write=False)  # fresh, so the series keeps it without a copy
     return MeasureSeries(futures.contract_id, "R2", futures.dates, values)
 
 
@@ -114,6 +115,7 @@ def baseline_mean_excluding(series: MeasureSeries, excluded_dates: Iterable[date
 
 @dataclass(frozen=True)
 class EventStudyResult:
+    """The event mean against the baseline at one trading-day offset."""
     offset: int
     event_mean: float
     baseline_mean: float
@@ -189,6 +191,7 @@ def event_study(series: MeasureSeries, event_dates: Sequence[date],
 
 @dataclass(frozen=True)
 class SignificanceTally:
+    """How many offsets are significant, by sign, and the verdict."""
     significant_positive: int
     significant_negative: int
     total: int

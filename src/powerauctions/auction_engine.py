@@ -210,6 +210,7 @@ def _exact(x) -> bool:
 
 @dataclass(frozen=True)
 class RoundLogEntry:
+    """One clock round: the announced price, each bidder's offer and the clamps."""
     round_no: int
     announced_price: float
     offers: dict[str, float]
@@ -251,6 +252,7 @@ class RoundLog(Sequence):
 
 @dataclass(frozen=True)
 class AuctionOutcome:
+    """How a clock auction closed: price, awards and its rounds."""
     clearing_price: float
     awards: dict[str, float]
     rounds_used: int
@@ -675,7 +677,7 @@ def outcome_to_dict(outcome) -> dict:
 
 def settle_cfd(auction_price: float, spot, period, quantity: float) -> list[tuple[date, float]]:
     """Daily contract-for-differences cash flows over the delivery period,
-    for ``quantity`` MW delivered 24 hours a day.
+    for ``quantity`` MW delivered 24 hours a day: the period must be baseload.
 
     Positive flows favour the winning bidder (seller): it receives the
     auction price and pays out spot.

@@ -39,6 +39,7 @@ class AuctionError(RuntimeError):
 
 @dataclass(frozen=True)
 class MarketZone:
+    """A bidding zone of a market: OMEL's ES or one of PJM's four."""
     market: str
     zone: str
 
@@ -53,6 +54,7 @@ class MarketZone:
 
 @dataclass(frozen=True)
 class DeliveryPeriod:
+    """Calendar days from ``start`` to ``end``, both included, in one load shape."""
     start: date
     end: date  # inclusive
     load_shape: str = "baseload"
@@ -95,11 +97,21 @@ class _Calendar(tuple):
         return _Calendar, (tuple(self),)
 
 
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only float array: a read-only array as it is,
+    anything else copied, so that no caller can write to a series' data."""
+    arr = np.asarray(values, dtype=float)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 class _Series:
     """A series on a _Calendar: its length and index are its dates'.
 
-    Copy and pickle rebuild it through its constructor, so a copy is checked
-    again and its arrays are read-only, like the original's.
+    Its arrays are read-only (_read_only). Copy and pickle rebuild it through
+    its constructor, so a copy is checked again, like the original.
     """
     ordinals = property(lambda self: self.dates.ordinals)  # the index the dates carry
 
@@ -112,6 +124,7 @@ class _Series:
 
 @dataclass(frozen=True, eq=False)
 class SpotPriceSeries(_Series):
+    """Daily spot prices of one zone, on strictly increasing dates."""
     zone: MarketZone
     dates: tuple[date, ...]
     prices: np.ndarray
@@ -120,14 +133,19 @@ class SpotPriceSeries(_Series):
         if len(self.dates) != len(self.prices):
             raise MarketDataError("dates and prices length mismatch")
         object.__setattr__(self, "dates", _Calendar(self.dates, "spot series"))
-        prices = np.asarray(self.prices, dtype=float)
+        prices = _read_only(self.prices)
         if prices.size and not np.all(np.isfinite(prices)):
             raise MarketDataError("non-finite spot price")
         object.__setattr__(self, "prices", prices)
-        prices.setflags(write=False)
 
     def _period_slice(self, period: DeliveryPeriod) -> tuple[slice, int, date | None]:
-        """Positions of ``period``'s days, with the count and first of those missing."""
+        """Positions of ``period``'s days, with the count and first of those missing.
+
+        A day's price covers its 24 hours, so only a baseload period has one.
+        """
+        if period.load_shape != "baseload":
+            raise MarketDataError(
+                f"daily spot prices cannot price a {period.load_shape} delivery period")
         first, last = period.start.toordinal(), period.end.toordinal()
         lo, hi = np.searchsorted(self.ordinals, (first, last + 1)).tolist()
         missing = last + 1 - first - (hi - lo)
@@ -142,6 +160,7 @@ class SpotPriceSeries(_Series):
 
 @dataclass(frozen=True, eq=False)
 class FuturesContractSeries(_Series):
+    """Daily settle, volume and open interest of one futures contract."""
     contract_id: str
     zone: MarketZone
     dates: tuple[date, ...]
@@ -153,7 +172,7 @@ class FuturesContractSeries(_Series):
         n = len(self.dates)
         arrays = {}
         for name in ("settle", "volume", "open_interest"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = _read_only(getattr(self, name))
             if len(arr) != n:
                 raise MarketDataError(f"{name} length mismatch in {self.contract_id}")
             if arr.size and not np.all(np.isfinite(arr)):
@@ -166,11 +185,11 @@ class FuturesContractSeries(_Series):
             raise MarketDataError(f"negative open interest in {self.contract_id}")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class AuctionRecord:
+    """One product of an auction session and how it cleared."""
     market: str
     auction_id: int
     auction_date: date
@@ -205,6 +224,7 @@ class AuctionRecord:
 
 @dataclass(frozen=True)
 class CostComponents:
+    """A zone's non-energy cost per MWh in one year."""
     zone: MarketZone
     year: int
     unit_cost: float  # capacity + transmission + ancillary services, per MWh
@@ -477,22 +497,27 @@ def _code_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 
 
 def _cell_keys(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """One row of integers per cell ``data[starts[i]:starts[i] + sizes[i]]``,
-    equal for cells of equal bytes.
+    """Integer keys of the cells ``data[starts[i]:starts[i] + sizes[i]]``, equal
+    for cells of equal bytes: one word per cell, or one row of words per cell.
 
-    A YYYY-MM-DD shaped cell (10 bytes, "-" at bytes 4 and 7), when every
-    cell of the column has that shape, gets one word: its other 8 bytes.
-    Any other cell gets its 8-byte words, the bytes past its end zeroed, and
-    its length. ``data`` must hold _KEY_BYTES bytes past the last cell.
+    When every cell of the column is at most 7 bytes long, a cell's word is
+    its bytes, the bytes past its end zeroed, with its length in the top
+    byte. When every cell is YYYY-MM-DD shaped (10 bytes, "-" at bytes 4
+    and 7), its word is its other 8 bytes. Otherwise a cell's row is its
+    8-byte words, the bytes past its end zeroed, and its length. ``data``
+    must hold _KEY_BYTES bytes past the last cell.
     """
     # the little-endian 8-byte word at each byte offset
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
-    if len(sizes) and np.all(sizes == 10):
+    widest = int(sizes.max(initial=0))
+    if widest <= 7:
+        return words[starts] & _LOW_BYTES[sizes] | sizes.astype(np.uint64) << np.uint64(56)
+    if np.all(sizes == 10):
         head, tail = words[starts], words[starts + 2]  # bytes 0-7 and 2-9
         if np.all(head & (_BYTE_4 | _BYTE_7) == _DATE_DASHES):
             # bytes 8 and 9 take the places of the dashes
-            return (head & ~(_BYTE_4 | _BYTE_7) | tail >> 16 & _BYTE_4 | tail & _BYTE_7)[:, None]
-    n_words = max(1, -(-int(sizes.max(initial=0)) // 8))
+            return head & ~(_BYTE_4 | _BYTE_7) | tail >> 16 & _BYTE_4 | tail & _BYTE_7
+    n_words = -(-widest // 8)
     keys = np.empty((len(starts), n_words + 1), dtype=np.uint64)
     for w in range(n_words):
         keys[:, w] = words[starts + 8 * w] & _LOW_BYTES[np.clip(sizes - 8 * w, 0, 8)]
@@ -500,20 +525,30 @@ def _cell_keys(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.nd
     return keys
 
 
-def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first row of each distinct row of ``keys``, in row order, and each
-    row's number among them: 0, 1, ... as first seen.
+def _changed(keys: np.ndarray) -> np.ndarray:
+    """Whether each key of ``keys`` (one per row, or a row of them) differs
+    from the one before; the first does."""
+    new = np.ones(len(keys), dtype=bool)
+    if keys.ndim == 1:
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    else:
+        np.any(keys[1:] != keys[:-1], axis=1, out=new[1:])
+    return new
 
-    Only the first row of each run of equal rows is sorted.
+
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct key of ``keys`` (one per row, or a row of
+    them), in row order, and each row's number among them: 0, 1, ... as first
+    seen.
+
+    Only the first row of each run of equal keys is sorted.
     """
-    new_run = np.ones(len(keys), dtype=bool)
-    np.any(keys[1:] != keys[:-1], axis=1, out=new_run[1:])
+    new_run = _changed(keys)
     heads = np.flatnonzero(new_run)
     keys = keys[heads]
-    order = np.lexsort(keys.T)  # stable, so each key's rows stay in row order
-    ordered = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    # stable, so each key's rows stay in row order
+    order = np.argsort(keys, kind="stable") if keys.ndim == 1 else np.lexsort(keys.T)
+    new = _changed(keys[order])
     first = order[new]
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))
@@ -583,22 +618,47 @@ def _write_table(path, table: _Table, *blocks, preamble: str = "") -> None:
     """Write ``preamble`` as it is, ``table``'s header, then the rows of each block.
 
     A block holds one sequence or _Coded per column, all of the same length.
-    Each column is formatted by its kind, a _Coded one of its values at a
-    time, and a column object that the next block holds again (the dates
-    contracts on one calendar share) is not formatted again. A block's rows
-    are joined as they are, in the csv module's format.
+    Each column is formatted across all blocks at once (_column_cells), and
+    each block's rows are then joined as they are, in the csv module's
+    format, so only one block's rows are held at a time.
     """
     kinds = list(table.columns.values())
-    alone = len(kinds) == 1
-    last = [(None, None)] * len(kinds)  # per column: (object, its cells)
+    blocks = [block for block in map(list, blocks) if block]
+    columns = [_column_cells(kind, [block[j] for block in blocks], len(kinds) == 1)
+               for j, kind in enumerate(kinds)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(preamble + ",".join(table.columns) + "\r\n")
-        for block in blocks:
-            for j, (kind, column) in enumerate(zip(kinds, block)):
-                if last[j][0] is not column:
-                    last[j] = column, _format_column(kind, column, alone)
-            if rows := "\r\n".join(map(",".join, zip(*(cells for _, cells in last)))):
+        for cells in zip(*columns):
+            if rows := "\r\n".join(map(",".join, zip(*cells))):
                 fh.write(rows + "\r\n")
+
+
+def _column_cells(kind, columns: list, alone: bool):
+    """Yield the cells of each of ``columns``, as _format_column gives them.
+
+    A column object that comes back (the dates contracts on one calendar
+    share) is formatted once. The float64 arrays of a _FLOAT column are
+    formatted once per distinct bit pattern among them all, so -0.0 and
+    0.0 stay apart.
+    """
+    arrays = {id(c): c for c in columns
+              if kind is _FLOAT and isinstance(c, np.ndarray) and c.dtype == np.float64}
+    distinct = {}  # per float array: the position of each of its values' text
+    if arrays:
+        bits, inverse = np.unique(np.concatenate(list(arrays.values())).view(np.uint64),
+                                  return_inverse=True)
+        # .tolist() gives Python floats, whose repr the kind writes
+        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        ends = np.cumsum([len(c) for c in arrays.values()])[:-1]
+        distinct = dict(zip(arrays, np.split(inverse, ends)))
+    last = {id(c): i for i, c in enumerate(columns)}
+    done = {}
+    for i, column in enumerate(columns):
+        key = id(column)
+        if key not in done:
+            done[key] = (text[distinct[key]].tolist() if key in distinct
+                         else _format_column(kind, column, alone))
+        yield done.pop(key) if last[key] == i else done[key]
 
 
 def _format_column(kind, column, alone: bool) -> list:
@@ -607,11 +667,10 @@ def _format_column(kind, column, alone: bool) -> list:
     of one column (``alone``), go in quotes, with each quote doubled."""
     if isinstance(column, _Coded):
         cells = _format_column(kind, column.values, alone)
+        if len(cells) == 1:
+            return cells * len(column.codes)
         return list(map(cells.__getitem__, column.codes.tolist()))
     if isinstance(column, np.ndarray):
-        if kind is _FLOAT and column.dtype == np.float64:
-            # .tolist() gives Python floats, whose repr the kind writes
-            return list(map(repr, column.tolist()))
         column = column.tolist()
     cells = list(map(kind[1], column))
     if _QUOTED.search("".join(cells)) or alone and "" in cells:
@@ -625,19 +684,23 @@ def _format_column(kind, column, alone: bool) -> list:
 
 def _zone_codes(markets: _Coded, zones: _Coded) -> np.ndarray:
     """One int per row, equal for rows of one (market, zone), numbered 0, 1, ... as first seen."""
-    return _first_seen(np.column_stack([markets.codes, zones.codes]))[1]
+    return _first_seen(markets.codes * len(zones.values) + zones.codes)[1]
 
 
 def _blocks(code: np.ndarray, columns) -> list[list]:
     """``columns`` cut into one block per ``code``, in code order, rows in file order.
 
     A file whose codes already run in order is only sliced, so an array
-    block is a view.
+    block is a view. Array blocks are read-only, so a series keeps them
+    without a copy.
     """
     if np.any(np.diff(code) < 0):
         order = np.argsort(code, kind="stable")
         code = code[order]
         columns = [c[order] for c in columns]
+    for c in columns:
+        if isinstance(c, np.ndarray):
+            c.setflags(write=False)
     edges = [0, *np.cumsum(np.bincount(code)).tolist()]
     return [[c[lo:hi] for c in columns] for lo, hi in zip(edges, edges[1:])]
 
@@ -659,7 +722,9 @@ def load_futures_csv(path) -> list[FuturesContractSeries]:
     rows = _read_table(path, _FUTURES)
     cids, markets, zones = rows.columns[:3]
     contract, zone = cids.codes, _zone_codes(markets, zones)
-    first_row = np.unique(contract, return_index=True)[1]
+    # codes number contracts as first seen, so contract c's first row is where
+    # the running maximum of the codes reaches c
+    first_row = np.flatnonzero(np.diff(np.maximum.accumulate(contract), prepend=-1))
     changed = np.flatnonzero(zone != zone[first_row[contract]])
     if changed.size:
         i = changed[0]
@@ -755,7 +820,8 @@ def write_costs_csv(path, costs: list[CostComponents]) -> None:
 
 
 def average_price(series: SpotPriceSeries, period: DeliveryPeriod, mode: str = "strict") -> float:
-    """Arithmetic mean of daily prices over the delivery period.
+    """Arithmetic mean of daily prices over the delivery period, which must
+    be baseload (SpotPriceSeries._period_slice).
 
     mode="strict" requires every calendar day of the period to be present;
     mode="available" averages over whatever days the series holds.

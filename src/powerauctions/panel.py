@@ -70,6 +70,7 @@ def standardize_by_group(values: Sequence[float], labels: Sequence[str]) -> np.n
 
 @dataclass(frozen=True)
 class PanelObservation:
+    """One unit in one period: the outcome and its covariates."""
     unit: str
     period: int
     y: float
@@ -78,6 +79,7 @@ class PanelObservation:
 
 @dataclass(frozen=True)
 class Coefficient:
+    """A fitted coefficient with its cluster-robust standard error."""
     name: str
     estimate: float
     std_error: float
@@ -86,6 +88,7 @@ class Coefficient:
 
 @dataclass(frozen=True)
 class RegressionResult:
+    """A pooled OLS fit: coefficients, fit statistics and fixed effects."""
     coefficients: tuple[Coefficient, ...]
     r_squared: float
     adj_r_squared: float

@@ -24,6 +24,7 @@ FMPI_STRIP_LENGTH = 36
 
 @dataclass(frozen=True)
 class PremiumRow:
+    """One auction's premium over spot, and over the FMPI when one is given."""
     auction_ref: str
     group: str  # grouping label for aggregation (year, zone, ...)
     auction_price: float
@@ -115,6 +116,7 @@ _NUMERIC_FIELDS = ("auction_price", "spot_avg", "costs", "premium", "premium_pct
 
 @dataclass(frozen=True)
 class AggregateReport:
+    """Column means per group and the grand mean of the group means."""
     groups: dict[str, dict[str, float]]
     grand: dict[str, float]
 
@@ -152,6 +154,7 @@ def yearly_aggregate(rows: Sequence[PremiumRow]) -> AggregateReport:
 
 @dataclass(frozen=True)
 class DistributionStats:
+    """Moment statistics and the Jarque-Bera statistic of a sample."""
     n: int
     mean: float
     std: float  # sample (n-1)
@@ -193,6 +196,7 @@ def distribution_stats(values: Sequence[float]) -> DistributionStats:
 
 @dataclass(frozen=True)
 class MeanComparison:
+    """A two-sample t test of equal means."""
     label_a: str
     label_b: str
     t_stat: float

@@ -931,6 +931,18 @@ class TestErrorsAndConfig:
         summary = json.loads((out / "ingest_summary.json").read_text())
         assert summary["rows_accepted"] == 2
 
+    @pytest.mark.parametrize("kind", ["auctions", "costs"])
+    def test_ingest_of_a_file_without_rows_writes_its_header(self, tmp_path, kind):
+        # an empty block of columns used to end the writer in a TypeError
+        header = {"auctions": AUCTIONS_HEADER, "costs": "market,zone,year,unit_cost\n"}[kind]
+        source, out = tmp_path / "in.csv", tmp_path / "norm"
+        source.write_text(header)
+        code, stdout, stderr = run_main(["ingest", "--kind", kind, "--input", str(source),
+                                         "--out", str(out)])
+        assert (code, stdout) == (0, f"ingest ok kind={kind} rows=0\n")
+        assert f"{source}: no data rows" in stderr
+        assert (out / f"{kind}.csv").read_bytes() == header.replace("\n", "\r\n").encode()
+
     def test_ingest_spot_writes_each_zone_alone(self, tmp_path):
         spot = tmp_path / "spot.csv"
         spot.write_text("market,zone,date,price\n" + "".join(
@@ -1069,6 +1081,27 @@ class TestErrorsAndConfig:
         assert rc == 2
         err = capsys.readouterr().err
         assert "error code=2" in err and "OMEL/ES" in err
+
+    @pytest.mark.parametrize("shape", ["peak", "offpeak"])
+    def test_non_baseload_product_is_data_error(self, tmp_path, omel_fixture, shape, capsys):
+        # daily prices cannot price a peak or off-peak product; ingest still
+        # round-trips its row
+        auctions, spot, _ = omel_fixture
+        shaped = tmp_path / "shaped.csv"
+        shaped.write_text(auctions.read_text().replace(",baseload,", f",{shape},", 1))
+        out = tmp_path / "o"
+        assert main(["report", "--auctions", str(shaped), "--spot", str(spot),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error code=2 reason=daily spot prices cannot price a {shape} delivery period\n")
+        assert not out.exists()
+        first, second = tmp_path / "first", tmp_path / "second"
+        for source, norm in ((shaped, first), (first / "auctions.csv", second)):
+            assert main(["ingest", "--kind", "auctions", "--input", str(source),
+                         "--out", str(norm)]) == 0
+        written = (first / "auctions.csv").read_text().splitlines()
+        assert f",{shape}," in written[-2] and ",baseload," in written[-1]
+        assert written[-2:] == (second / "auctions.csv").read_text().splitlines()[-2:]
 
     @pytest.mark.parametrize("flag", ["--fmpi", "--averages", "--prices", "--panel"])
     def test_non_number_in_cli_table_is_data_error(self, tmp_path, omel_fixture, flag, capsys):

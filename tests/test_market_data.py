@@ -376,6 +376,63 @@ class TestAveragePrice:
         assert average_price(series, period, mode="available") == 20.0
 
 
+@pytest.mark.parametrize("shape", ["peak", "offpeak"])
+def test_daily_prices_price_only_baseload_periods(shape):
+    # a day's price covers its 24 hours: it gives no peak or off-peak average
+    # and no CfD flow of such a product
+    from powerauctions import settle_cfd
+    series = make_spot([10, 20, 30])
+    period = DeliveryPeriod(date(2007, 1, 1), date(2007, 1, 3), load_shape=shape)
+    message = f"daily spot prices cannot price a {shape} delivery period"
+    for price in (lambda: average_price(series, period),
+                  lambda: average_price(series, period, mode="available"),
+                  lambda: settle_cfd(50.0, series, period, 1.0)):
+        with pytest.raises(MarketDataError) as exc:
+            price()
+        assert str(exc.value) == message
+
+
+SERIES_ARRAYS = {
+    "spot": (lambda a: SpotPriceSeries(ES, JAN_1_2_4, a), ["prices"]),
+    "futures": (lambda a: FuturesContractSeries("A", ES, JAN_1_2_4, a, a, a),
+                ["settle", "volume", "open_interest"]),
+    "measure": (lambda a: MeasureSeries("A", "volume", JAN_1_2_4, a), ["values"]),
+}
+
+
+@pytest.mark.parametrize("name", SERIES_ARRAYS)
+def test_series_copy_a_writeable_array_and_keep_a_read_only_one(name):
+    make, fields = SERIES_ARRAYS[name]
+    caller = np.array([1.0, 2.0, 3.0])
+    series = make(caller)
+    caller[0] = 9.0  # the caller's array stays writeable, and the series does not see this
+    for field in fields:
+        kept = getattr(series, field)
+        assert kept.tolist() == [1.0, 2.0, 3.0] and not kept.flags.writeable
+    frozen = np.array([1.0, 2.0, 3.0])
+    frozen.setflags(write=False)
+    assert all(getattr(make(frozen), field) is frozen for field in fields)
+
+
+def test_loaders_and_ratios_hand_series_arrays_they_keep(tmp_path):
+    # the loaders' arrays are views of one parsed column, and r1/r2 values
+    # are fresh: each is read-only before its series is built, so none is copied
+    p = write(tmp_path / "f.csv", TestFuturesLoader.HEADER +
+              "B,OMEL,ES,2007-01-01,51,2,20\nA,OMEL,ES,2007-01-01,50,1,10\n"
+              "B,OMEL,ES,2007-01-02,53,4,40\nA,OMEL,ES,2007-01-02,52,3,30\n")
+    b, a = load_futures_csv(p)
+    assert a.settle.base is not None and a.settle.base is b.settle.base
+    assert volume_series(a).values is a.volume
+    from powerauctions import activity
+    with mock.patch.object(activity, "_read_only", side_effect=market_data._read_only) as spy:
+        ratios = [r1_series(a), r2_series(a)]
+    assert spy.call_count == 2 and all(m.values is call.args[0] for m, call in zip(ratios, spy.call_args_list))
+    spot = load_spot_csv_multi(write(tmp_path / "s.csv", "market,zone,date,price\n"
+                                     "PJM,ACE,2007-01-01,30\nOMEL,ES,2007-01-01,31\n"))
+    prices = [s.prices for s in spot.values()]
+    assert prices[0].base is not None and prices[0].base is prices[1].base
+
+
 _DAY = date(2007, 1, 1)
 
 
@@ -799,12 +856,15 @@ def _write_rows_one_at_a_time(path, table, *blocks, preamble=""):
                               for fmt, c in zip(formats, block)]))
 
 
-# tables of one column whose cells can be empty: csv.writer quotes such a cell
+# tables of one column whose cells can be empty: csv.writer quotes such a cell;
+# and one of floats alone, whose blocks' values the writer formats together
 WRITE_TABLES = {**ALL_TABLES, "one_text": market_data._Table({"note": market_data._TEXT}),
-                "one_fixed": market_data._Table({"x": market_data._fixed(".4f")})}
+                "one_fixed": market_data._Table({"x": market_data._fixed(".4f")}),
+                "floats": market_data._Table({"x": market_data._FLOAT,
+                                              "y": market_data._FLOAT})}
 TEXT = st.text(st.sampled_from(["a", "Z", "0", " ", ";", "-", ",", '"', "\r", "\n", "é",
                                 "€", "日", "\x00"]), max_size=5)
-FLOATS = (st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5, 1e22])
+FLOATS = (st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e16, 1e-5, 0.1, -2.5, 1e22])
           | st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6))
 VALUES = {id(market_data._TEXT): TEXT, id(market_data._DATE): st.dates(),
           id(market_data._FLOAT): FLOATS, id(market_data._INT): st.integers(-10**20, 10**20),
@@ -893,3 +953,141 @@ def test_write_matches_csv_writer_loop():
     # the blocks must have held cells csv quotes and cells it leaves as they
     # are for the comparison to mean anything
     assert cells_csv["quotes"] and cells_csv["leaves"]
+
+
+# --- one-word keys and the writers' blocks ------------------------------------
+
+
+def _keys_of(cells: list) -> np.ndarray:
+    """_cell_keys of byte strings ``cells``, laid end to end."""
+    data = np.frombuffer(b"".join(cells) + bytes(_KEY_BYTES), dtype=np.uint8)
+    sizes = np.array([len(c) for c in cells], dtype=np.int64)
+    return market_data._cell_keys(data, np.cumsum(sizes) - sizes, sizes)
+
+
+SHORT_CELLS = st.lists(st.sampled_from([b"", b"\0", b"a", b"a\0", b"\0a", b"ES", b"ES\0",
+                                        b"1234567", b"123456\0", b"12345678"])
+                       | st.binary(max_size=8), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=SHORT_CELLS)
+def test_one_word_keys_code_cells_as_multi_word_keys(cells):
+    # a column of cells of at most 7 bytes gets one word per cell; an 8-byte
+    # cell appended to it, which cannot change the codes before it, makes
+    # every cell a row of words. Both must number the cells as their bytes do.
+    keys, rows = _keys_of(cells), _keys_of(cells + [b"8 bytes!"])
+    assert keys.ndim == (1 if all(len(c) <= 7 for c in cells) else 2) and rows.ndim == 2
+    first_seen = {}
+    expected = [first_seen.setdefault(c, len(first_seen)) for c in cells]
+    assert market_data._first_seen(keys)[1].tolist() == expected
+    assert market_data._first_seen(rows)[1][:len(cells)].tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(0, 3) | st.sampled_from([2**63, 2**64 - 1]), max_size=30))
+def test_first_seen_of_one_word_keys_equals_rows_of_them(values):
+    keys = np.array(values, dtype=np.uint64)
+    one, rows = market_data._first_seen(keys), market_data._first_seen(keys[:, None])
+    assert [a.tolist() for a in one] == [a.tolist() for a in rows]
+
+
+# float values a column repeats across blocks, ±0.0 and subnormals among them
+POOL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.5, 0.1, 50.25, 1e16,
+                               1e22])
+
+
+@st.composite
+def _written_objects(draw, name):
+    """What write_<name>_csv takes: several series or records.
+
+    Futures series may share a calendar, also one that is not the previous
+    series', or a settle array; their floats come from POOL_FLOATS.
+    """
+    def floats(n, low=-np.inf):
+        return np.array(draw(st.lists(POOL_FLOATS.filter(lambda x: x >= low),
+                                      min_size=n, max_size=n)), dtype=float)
+
+    if name == "spot":
+        n = draw(st.integers(0, 6))
+        zone = MarketZone(*draw(st.sampled_from(SERIES_ZONES)))
+        return SpotPriceSeries(zone, [date(2007, 1, d) for d in range(1, n + 1)], floats(n))
+    if name == "futures":
+        calendars = [_Calendar([date(2007, 1, d) for d in range(1, n + 1)]) for n in (0, 2, 3)]
+        series = []
+        for i in range(draw(st.integers(0, 5))):
+            dates = draw(st.sampled_from(calendars))
+            shared = [s.settle for s in series if len(s) == len(dates)]
+            settle = (draw(st.sampled_from(shared)) if shared and draw(st.booleans())
+                      else floats(len(dates)))
+            series.append(FuturesContractSeries(
+                f"C{i}", MarketZone(*draw(st.sampled_from(SERIES_ZONES))), dates, settle,
+                floats(len(dates), low=0.0), floats(len(dates), low=0.0)))
+        return series
+    if name == "auctions":
+        return [_auction(auction_id=i, product_id=draw(st.sampled_from(["Q1-07", "a,b", 'x"'])),
+                         delivery=DeliveryPeriod(_DAY, date(2007, 3, 31),
+                                                 draw(st.sampled_from(market_data.LOAD_SHAPES))),
+                         clearing_price=draw(POOL_FLOATS.filter(lambda x: x > 0)),
+                         quantity=draw(POOL_FLOATS))
+                for i in range(draw(st.integers(0, 4)))]
+    from powerauctions import CostComponents
+    return [CostComponents(MarketZone(*draw(st.sampled_from(SERIES_ZONES))), 2007 + i,
+                           draw(POOL_FLOATS.filter(lambda x: x >= 0)))
+            for i in range(draw(st.integers(0, 4)))]
+
+
+@pytest.mark.parametrize("name", WRITTEN_TABLES)
+def test_writers_match_csv_writer_loop(name):
+    # each writer's blocks (a block per series, or the zip of one column per
+    # field) through _write_table give the bytes of every row through csv.writer
+    writer = WRITTEN_TABLES[name][1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=_written_objects(name))
+    def check(data):
+        with tempfile.TemporaryDirectory() as tmp:
+            expected, written = Path(tmp) / "expected.csv", Path(tmp) / "written.csv"
+            with mock.patch.object(market_data, "_write_table", _write_rows_one_at_a_time):
+                writer(expected, data)
+            writer(written, data)
+            assert written.read_bytes() == expected.read_bytes()
+
+    check()
+
+
+@settings(max_examples=150, deadline=None)
+@given(contracts=st.lists(st.sampled_from(SERIES_ZONES), min_size=1, max_size=4),
+       data=st.data())
+def test_interleaved_contracts_come_in_file_order(contracts, data):
+    # contracts come in the order of their first rows, and a zone change is
+    # reported at the first row whose zone is not its contract's first one
+    # each contract's rows in date order, the contracts interleaved
+    order = data.draw(st.permutations([c for c in range(len(contracts))
+                                       for _ in range(data.draw(st.integers(1, 4)))]))
+    days = [0] * len(contracts)
+    rows = []
+    for c in order:
+        days[c] += 1
+        rows.append([f"C{c}", *contracts[c], f"2007-01-0{days[c]}"])
+    for _ in range(data.draw(st.integers(0, 1))):
+        rows[data.draw(st.integers(0, len(rows) - 1))][1:3] = data.draw(
+            st.sampled_from(SERIES_ZONES))
+    first = {}
+    for row in rows:
+        first.setdefault(row[0], row)
+    change = next((i for i, row in enumerate(rows, start=2) if row[1:3] != first[row[0]][1:3]),
+                  None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        path.write_text(TestFuturesLoader.HEADER + "".join(",".join(row) + ",50,1,10\n"
+                                                         for row in rows))
+        if change is not None:
+            cid = rows[change - 2][0]
+            with pytest.raises(MarketDataError,
+                               match=f"line {change}: contract {cid} changes zone"):
+                load_futures_csv(path)
+            return
+        series = load_futures_csv(path)
+    assert [s.contract_id for s in series] == list(first)
+    assert [(s.zone.market, s.zone.zone) for s in series] == [tuple(r[1:3]) for r in first.values()]
