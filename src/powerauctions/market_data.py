@@ -378,12 +378,23 @@ class _Rows:
 
 
 def _read_text(path, newline=None) -> str:
-    """The whole of a UTF-8 file; a file that is not UTF-8 is a data error naming it."""
+    """The whole of a UTF-8 file, as ``open(path, newline=newline)`` reads it
+    (_decoded)."""
+    with open(path, "rb") as fh:
+        return _decoded(path, fh.read(), newline)
+
+
+def _decoded(path, raw: bytes, newline=None) -> str:
+    """File ``path``'s bytes ``raw`` as ``open(path, newline=newline)`` reads them:
+    with newline=None, "\\r\\n" and a lone "\\r" become "\\n"; with newline="",
+    line breaks stay as they are. Bytes that are not UTF-8 are a data error
+    naming the file.
+    """
     try:
-        with open(path, newline=newline, encoding="utf-8") as fh:
-            return fh.read()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MarketDataError(f"{path}: {exc}") from None
+    return text if newline == "" else text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _header_fits(header: list, table: _Table) -> bool:
@@ -393,37 +404,47 @@ def _header_fits(header: list, table: _Table) -> bool:
 
 
 _CSV_FIELD_LIMIT = 131072  # the csv module's default field_size_limit()
-_KEY_BYTES = 32  # the longest non-float cell, in UTF-8 bytes, given a byte key
+# the longest cell, in UTF-8 bytes, read from the bytes: a longer non-float
+# cell gets no byte key, and a longer float cell declines the file
+_KEY_BYTES = 32
 # masks of a little-endian word: its low n bytes, and bytes 4 and 7
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 _BYTE_4, _BYTE_7 = np.uint64(0xFF << 32), np.uint64(0xFF << 56)
 _DATE_DASHES = np.uint64(int.from_bytes(b"\0\0\0\0-\0\0-", "little"))
+_EXACT_DIGITS = 15  # an integer of at most 15 digits is below 2**53, so a float holds it
+_POW10 = np.array([float(10 ** k) for k in range(_EXACT_DIGITS + 1)])  # each one exact
+_FLOAT_CHUNK = 16384  # cells per pass of _decimal_cells, so that its arrays stay in cache
 
 
-def _parse_columns(text: str, table: _Table) -> _Rows | None:
-    """Parse CSV ``text`` of ``table`` column by column, or None if it cannot.
+def _parse_columns(raw: bytes, table: _Table) -> _Rows | None:
+    """Parse a CSV file of ``table``, its bytes ``raw``, column by column, or
+    None if it cannot.
 
     This gives what _read_table's per-cell loop gives, and so it declines
-    (None) every file that loop treats specially: one with a quote, a lone
-    carriage return, a blank row, a line the csv module would refuse as too
-    long, a header that does not match, a row of the wrong width or a cell
-    its column's kind rejects. Cells are found among the commas and line
-    breaks of the UTF-8 bytes, where no multi-byte sequence holds either.
-    Float columns are parsed by one np.loadtxt, which accepts a subset of
-    what float() does and gives the same value, so a non-finite value is the
-    one further check; every other column is coded by _code_cells.
+    (None) every file that loop treats specially: one that is not UTF-8, one
+    with a quote, a lone carriage return, a blank row, a line the csv module
+    would refuse as too long, a header that does not match, a row of the
+    wrong width or a cell its column's kind rejects. Cells are found among
+    the commas and line breaks of the bytes, where no multi-byte UTF-8
+    sequence holds either, and only the cells that are read as text are
+    decoded: every other byte of a file the parse takes is ASCII. The cells
+    of all float columns are read from the bytes at once (_float_cells);
+    every other column is coded by _code_cells.
     """
-    if '"' in text:
+    if b'"' in raw:
         return None
-    if not text.endswith("\n"):
-        text += "\n"
-    header = [h.strip() for h in text[:text.index("\n")].split(",")]
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    try:
+        header = [h.strip() for h in raw[:raw.index(b"\n")].decode().split(",")]
+    except UnicodeDecodeError:
+        return None
     if not _header_fits(header, table):
         return None
     width = len(header)
-    # padded so that _cell_keys can read a cell's words past the last line
-    raw = text.encode() + bytes(_KEY_BYTES)
-    data = np.frombuffer(raw, dtype=np.uint8)
+    # padded so that _cell_keys and _decimal_cells can read a cell's words
+    # past the last line
+    data = np.frombuffer(raw + bytes(_KEY_BYTES), dtype=np.uint8)
     at = data == ord(",")
     at |= data == ord("\n")
     seps = np.flatnonzero(at)
@@ -436,7 +457,7 @@ def _parse_columns(text: str, table: _Table) -> _Rows | None:
         return None
     # a carriage return may only end a line; the line's last cell keeps it and strips it
     line_cr = data[seps[:, -1] - 1] == ord("\r")
-    if np.count_nonzero(data == ord("\r")) != np.count_nonzero(line_cr):
+    if raw.count(b"\r") != np.count_nonzero(line_cr):
         return None
     if np.diff(seps[:, -1], prepend=-1).max() > _CSV_FIELD_LIMIT + 1:  # + 1: the line break
         return None
@@ -444,23 +465,24 @@ def _parse_columns(text: str, table: _Table) -> _Rows | None:
     kinds = list(table.columns.values())[:width]
     floats = [j for j, kind in enumerate(kinds) if kind is _FLOAT]
     columns = [np.empty(0)] * width
-    try:
-        if floats and n:
-            values = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=1, max_rows=n,
-                                usecols=floats, comments=None, ndmin=2, encoding="utf-8")
-            if len(values) != n or not np.isfinite(values).all():
-                return None
-            for j, column in zip(floats, values.T):
-                columns[j] = column
-    except ValueError:
-        return None
-    # a row is blank when every cell strips to empty; np.loadtxt rejects
+
+    def starts(j):  # where column j's cells begin
+        return (seps[:-1, -1] if j == 0 else seps[1:, j - 1]) + 1
+    if floats and n:
+        # the last column's cells end before the carriage return that ends their line
+        values = _float_cells(data, np.concatenate([starts(j) for j in floats]),
+                              np.concatenate([seps[1:, j] - line_cr[1:] if j == width - 1
+                                              else seps[1:, j] for j in floats]))
+        if values is None:
+            return None
+        for j, column in zip(floats, values.reshape(len(floats), n)):
+            columns[j] = column
+    # a row is blank when every cell strips to empty; _float_cells declines
     # such a float cell, so only a table without float columns can hold one
     blank = np.full(n, not floats)
     for j, kind in enumerate(kinds):
         if kind is not _FLOAT:
-            starts = (seps[:-1, -1] if j == 0 else seps[1:, j - 1]) + 1
-            coded = _code_cells(data, starts, seps[1:, j], kind[0])
+            coded = _code_cells(data, starts(j), seps[1:, j], kind[0])
             if coded is None:
                 return None
             columns[j], empty = coded
@@ -470,10 +492,96 @@ def _parse_columns(text: str, table: _Table) -> _Rows | None:
     return _Rows(range(2, n + 2), columns)
 
 
+def _float_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The cells ``data[starts[i]:ends[i]]`` as _finite_float(cell.strip()) reads
+    them, or None where it may reject one.
+
+    A cell ``[+-]digits[.digits]`` of 1 to 15 digits (either side of the dot
+    may be empty) is exactly an integer m < 2**53 over 10**k, and one IEEE
+    division rounds m / 10**k as float() rounds the decimal (Clinger, PLDI
+    1990); _decimal_cells reads such cells. Every other cell goes through
+    one cast of bytes to float64, which is float() of the bytes: it strips
+    the ASCII whitespace that str.strip() strips and rejects the other
+    characters str.strip() strips, so it declines where it could differ.
+    The cast drops trailing NULs, so a cell holding one declines, as do an
+    empty cell, a cell longer than _KEY_BYTES and a value that is not finite.
+    """
+    sizes = ends - starts
+    values = np.empty(len(starts))
+    exact = np.zeros(len(starts), dtype=bool)
+    words = _words(data)
+    for lo in range(0, len(starts), _FLOAT_CHUNK):
+        chunk = slice(lo, lo + _FLOAT_CHUNK)
+        lead = data[starts[chunk]]
+        signed = (lead == ord("-")) | (lead == ord("+"))
+        # a cell of more bytes than a sign, a dot and 15 digits cannot qualify
+        tried = (sizes[chunk] > 0) & (sizes[chunk] - signed <= _EXACT_DIGITS + 1)
+        if tried.all():
+            exact[chunk], values[chunk] = _decimal_cells(words, starts[chunk], sizes[chunk])
+        elif tried.any():
+            at = np.flatnonzero(tried) + lo
+            exact[at], values[at] = _decimal_cells(words, starts[at], sizes[at])
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        size = sizes[rest]
+        if size.min() < 1 or size.max() > _KEY_BYTES:
+            return None
+        width = int(size.max())
+        cells = data[starts[rest, None] + np.arange(width)]
+        inside = np.arange(width) < size[:, None]
+        if np.any(inside & (cells == 0)):
+            return None
+        cells *= inside  # NUL-padded, as an S cell is
+        try:
+            values[rest] = cells.view(f"S{width}")[:, 0].astype(np.float64)
+        except ValueError:
+            return None
+        if not np.isfinite(values[rest]).all():
+            return None
+    return values
+
+
+def _decimal_cells(words: np.ndarray, starts: np.ndarray,
+                   sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of the cells of ``sizes[i]`` bytes (1 to 17) at ``starts[i]`` are
+    ``[+-]digits[.digits]`` with 1 to 15 digits, and the float of each such cell.
+
+    The cells are laid out as a byte matrix, one row per byte position and
+    the bytes past each cell zeroed, and read a row at a time: the digits by
+    Horner's rule into a float64 mantissa, exact below 2**53, with counts of
+    digits, dots and the digits before the dot. ``words`` is _words(data).
+    """
+    n, width = len(starts), int(sizes.max())
+    per_cell = np.empty((n, -(-width // 8)), dtype=np.uint64)
+    for w in range(per_cell.shape[1]):
+        per_cell[:, w] = words[starts + 8 * w]
+    rows = per_cell.view(np.uint8).reshape(n, -1).T[:width]
+    rows = rows * (np.arange(width)[:, None] < sizes)
+    mantissa = np.zeros(n)
+    digits, dots, before_dot = (np.zeros(n, dtype=np.uint8) for _ in range(3))
+    for row in rows:
+        value = row - np.uint8(ord("0"))
+        digit = value < 10
+        dot = row == ord(".")
+        np.multiply(mantissa, 10.0, out=mantissa, where=digit)
+        np.add(mantissa, value, out=mantissa, where=digit)
+        digits += digit
+        np.copyto(before_dot, digits, where=dot)
+        dots += dot
+    # every byte is a digit, the dot or a leading sign
+    signed = (rows[0] == ord("-")) | (rows[0] == ord("+"))
+    ok = ((digits + dots + signed == sizes) & (dots <= 1)
+          & (digits >= 1) & (digits <= _EXACT_DIGITS))
+    after_dot = np.where(dots > 0, digits - before_dot, 0)
+    values = mantissa / _POW10[np.minimum(after_dot, _EXACT_DIGITS)]
+    np.negative(values, out=values, where=rows[0] == ord("-"))
+    return ok, values
+
+
 def _code_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
                 parse) -> tuple[_Coded, np.ndarray] | None:
     """The cells ``data[starts[i]:ends[i]]`` coded as _coder(parse) codes them, and
-    which of them strip to empty; None if ``parse`` rejects one.
+    which of them strip to empty; None if one is not UTF-8 or ``parse`` rejects one.
 
     Each cell gets an integer key (_cell_keys), and the first cell of each
     distinct key is decoded, stripped and coded once, in the order first
@@ -485,10 +593,10 @@ def _code_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
         first = distinct = np.arange(len(sizes))
     else:
         first, distinct = _first_seen(_cell_keys(data, starts, sizes))
-    cells = [data[i:j].tobytes().decode().strip()
-             for i, j in zip(starts[first].tolist(), ends[first].tolist())]
     code, values = _coder(parse)
-    try:
+    try:  # a UnicodeDecodeError is a ValueError
+        cells = [data[i:j].tobytes().decode().strip()
+                 for i, j in zip(starts[first].tolist(), ends[first].tolist())]
         codes = np.array([code(cell) for cell in cells], dtype=np.int64)
     except ValueError:
         return None
@@ -507,8 +615,7 @@ def _cell_keys(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.nd
     8-byte words, the bytes past its end zeroed, and its length. ``data``
     must hold _KEY_BYTES bytes past the last cell.
     """
-    # the little-endian 8-byte word at each byte offset
-    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    words = _words(data)
     widest = int(sizes.max(initial=0))
     if widest <= 7:
         return words[starts] & _LOW_BYTES[sizes] | sizes.astype(np.uint64) << np.uint64(56)
@@ -523,6 +630,11 @@ def _cell_keys(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.nd
         keys[:, w] = words[starts + 8 * w] & _LOW_BYTES[np.clip(sizes - 8 * w, 0, 8)]
     keys[:, -1] = sizes
     return keys
+
+
+def _words(data: np.ndarray) -> np.ndarray:
+    """The little-endian 8-byte word at each byte offset of ``data``."""
+    return np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
 
 
 def _changed(keys: np.ndarray) -> np.ndarray:
@@ -546,10 +658,11 @@ def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     new_run = _changed(keys)
     heads = np.flatnonzero(new_run)
     keys = keys[heads]
-    # stable, so each key's rows stay in row order
-    order = np.argsort(keys, kind="stable") if keys.ndim == 1 else np.lexsort(keys.T)
+    # equal keys sort together, in any order: each key's first head is the
+    # least of its heads
+    order = np.argsort(keys) if keys.ndim == 1 else np.lexsort(keys.T)
     new = _changed(keys[order])
-    first = order[new]
+    first = np.minimum.reduceat(order, np.flatnonzero(new)) if len(order) else order
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))
     codes = np.empty_like(order)
@@ -566,10 +679,12 @@ def _read_table(path, table: _Table) -> _Rows:
     column (_parse_columns); the rest go through the csv module row by row,
     which also words every error.
     """
-    text = _read_text(path, newline="")
-    rows = _parse_columns(text, table)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    rows = _parse_columns(raw, table)
     if rows is None:
         names = list(table.columns)
+        text = _decoded(path, raw, newline="")
         reader = enumerate(csv.reader(io.StringIO(text, newline="")), start=1)
         lineno = 0
         try:

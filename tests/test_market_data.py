@@ -3,6 +3,7 @@ import csv
 import inspect
 import io
 import pickle
+import re
 import tempfile
 import warnings
 from datetime import date
@@ -590,6 +591,29 @@ def test_write_read_write_byte_identical(tmp_path, name):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("newline, expected", [(None, "a\nb\nc\n"), ("", "a\r\nb\rc\n")])
+def test_read_text_translates_line_breaks_as_open_does(tmp_path, newline, expected):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"a\r\nb\rc\n")
+    assert market_data._read_text(path, newline=newline) == expected
+    with open(path, newline=newline, encoding="utf-8") as fh:
+        assert fh.read() == expected
+
+
+@pytest.mark.parametrize("newline", [None, ""])
+@pytest.mark.parametrize("bad, reason", [(b"\xff", "invalid start byte"),
+                                         (b"\xc3", "unexpected end of data")])
+def test_read_text_names_where_a_file_stops_being_utf8(tmp_path, newline, bad, reason):
+    # the position counts the file's bytes, line breaks as they are
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"x,y\r\n" * 1800 + bad)
+    with pytest.raises(MarketDataError) as exc:
+        market_data._read_text(path, newline=newline)
+    byte = bad.hex()
+    assert str(exc.value) == (f"{path}: 'utf-8' codec can't decode byte 0x{byte} in position "
+                              f"9000: {reason}")
+
+
 # --- column-by-column parse vs the per-cell loop -----------------------------
 
 ALL_TABLES = {name: table for name, table in vars(market_data).items()
@@ -671,7 +695,7 @@ def test_column_parse_matches_per_cell_loop(name):
             with mock.patch.object(market_data, "_parse_columns", lambda text, table: None):
                 slow = _read_outcome(path, table)
         assert fast == slow
-        taken.append(market_data._parse_columns(text, table) is not None)
+        taken.append(market_data._parse_columns(text.encode(), table) is not None)
 
     check()
     # both paths must have been exercised for the comparison to mean anything
@@ -695,7 +719,16 @@ COLUMN_PARSE_CASES = {
     "overlong_cell": (market_data._FMPI, f"OMEL,{'x' * 140_000},1.5\n", False),
     "nan": (market_data._FMPI, "OMEL,Q3-07,nan\n", False),
     "1e400": (market_data._FMPI, "OMEL,Q3-07,1e400\n", False),
-    "underscore": (market_data._FMPI, "OMEL,Q3-07,1_000\n", False),
+    # float() takes "1_000", and a float cell that is not a short decimal goes
+    # through numpy's cast of its bytes, which is float() of them
+    "underscore": (market_data._FMPI, "OMEL,Q3-07,1_000\n", True),
+    "nul_in_float": (market_data._FMPI, "OMEL,Q3-07,1\0\n", False),
+    "nul_ended_float": (market_data._FMPI, "OMEL,Q3-07,44.45\0\nOMEL,Q4-07,1e22\n", False),
+    "repr_17_digits": (market_data._FMPI, "OMEL,Q3-07,0.30000000000000004\n", True),
+    "padded_float": (market_data._FMPI, "OMEL,Q3-07, 44.45 \n", True),
+    # str.strip() strips "\x1c", float() of the bytes does not: the cast
+    # rejects the cell and the per-cell loop reads it as 2.0
+    "x1c_padded_float": (market_data._FMPI, "OMEL,Q3-07,\x1c2\n", False),
     "arabic_digit": (market_data._FMPI, "OMEL,Q3-07,١\n", False),
     "short_row": (market_data._FMPI, "OMEL,Q3-07\n", False),
     "long_row": (market_data._FMPI, "OMEL,Q3-07,1,2\n", False),
@@ -722,12 +755,135 @@ COLUMN_PARSE_CASES = {
 def test_column_parse_takes_only_plain_files(tmp_path, case):
     table, data, taken = COLUMN_PARSE_CASES[case]
     text = ",".join(table.columns) + "\n" + data
-    assert (market_data._parse_columns(text, table) is not None) == taken
+    assert (market_data._parse_columns(text.encode(), table) is not None) == taken
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode("utf-8"))
     with mock.patch.object(market_data, "_parse_columns", lambda text, table: None):
         slow = _read_outcome(path, table)
     assert _read_outcome(path, table) == slow
+
+
+# a file the column parse reads decodes only its text cells, so each of these
+# must send the file to the per-cell loop, which names the first bad byte
+NOT_UTF8 = {"text_cell": b"OM\xffEL,Q3,1\n", "repeated_key": b"OMEL,Q3,1\nOMEL,Q\xc3,2\n",
+            "long_text_cell": b"OMEL," + b"x" * 40 + b"\xff,1\n", "float_cell": b"OMEL,Q3,4\xff5\n",
+            "sequence_cut_by_a_comma": b"OMEL,Q\xc3,\xa91\n"}
+
+
+@pytest.mark.parametrize("case", [*NOT_UTF8, "header"])
+def test_a_file_that_is_not_utf8_is_declined(tmp_path, case):
+    raw = (b"market,key,fmpi\n" + NOT_UTF8[case] if case in NOT_UTF8
+           else b"mark\xffet,key,fmpi\nOMEL,Q3,1\n")
+    assert market_data._parse_columns(raw, market_data._FMPI) is None
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    with pytest.raises(UnicodeDecodeError) as decoded:
+        raw.decode()
+    with pytest.raises(MarketDataError, match=re.escape(f"{path}: {decoded.value}")):
+        market_data._read_table(path, market_data._FMPI)
+
+
+# --- float cells read from the bytes ------------------------------------------
+
+FLOAT_PAIR = market_data._Table({"x": market_data._FLOAT, "y": market_data._FLOAT})
+# a decimal of 0-18 digits either side of the dot, signed or not, padded or not
+DECIMALS = st.builds(lambda pad, sign, a, dot, b: pad + sign + a + dot + b + pad,
+                     st.sampled_from(["", "", " ", "\t"]), st.sampled_from(["", "+", "-"]),
+                     st.text("0123456789", max_size=18), st.sampled_from(["", "."]),
+                     st.text("0123456789", max_size=18))
+FLOAT_CELLS = (DECIMALS.filter(lambda c: len(c) <= 20)
+               | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+               | st.sampled_from(["1_000", "1_0.5", "1e5", "-2.5E-3", "\t-0 ", "1e22", "1e400"])
+               | st.text(list("0123456789.+-eE_ \t\r\0é"), max_size=20))
+
+
+def _float_or_error(cell: str):
+    """The bits _finite_float gives the stripped cell, or None where it raises."""
+    try:
+        return np.float64(market_data._finite_float(cell.strip())).view(np.uint64)
+    except ValueError:
+        return None
+
+
+def test_float_cells_read_as_float_reads_them():
+    # a file the column parse takes holds the bits float() gives each stripped
+    # cell; a cell float() rejects declines the file; so does a carriage
+    # return inside a line, which the csv module reads as a line break
+    outcomes = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(cells=st.lists(FLOAT_CELLS, min_size=1, max_size=12),
+           end=st.sampled_from(["\n", "\r\n"]))
+    def check(cells, end):
+        if len(cells) % 2:
+            cells.append("0")
+        text = "x,y" + end + "".join(f"{x},{y}{end}" for x, y in zip(cells[::2], cells[1::2]))
+        rows = market_data._parse_columns(text.encode(), FLOAT_PAIR)
+        expected = [_float_or_error(c) for c in cells]
+        if any(bits is None for bits in expected):
+            assert rows is None
+        elif rows is None:
+            assert any("\r" in c for c in cells)
+        else:
+            got = np.stack(rows.columns, axis=1).ravel().view(np.uint64)
+            assert got.tolist() == [int(bits) for bits in expected]
+        outcomes.add(rows is None)
+
+    check()
+    assert outcomes == {True, False}
+
+
+# whether the fast path takes a cell: a decimal of at most 15 digits, whatever
+# its sign and dot
+EXACT_CELLS = {"123456789012345": True, "-12345678.1234567": True, ".000000000000001": True,
+               "1234567890123456": False, "12345678901234567": False,
+               str(2**53 - 1): False, str(2**53 + 1): False, "900719925474099.3": False,
+               "1e22": False, "-0": True, "+0.0": True, ".5": True, "5.": True, "-.5": True,
+               "0.30000000000000004": False, "1_000": False, ".": False, "-": False,
+               "1.2.3": False, "1-2": False, "12\0": False}
+
+
+def test_exact_decimals_are_the_fast_path():
+    cells = list(EXACT_CELLS)
+    data = np.frombuffer(",".join(cells).encode() + bytes(_KEY_BYTES), dtype=np.uint8)
+    sizes = np.array([len(c) for c in cells])
+    starts = np.cumsum(sizes + 1) - sizes - 1
+    ok, values = market_data._decimal_cells(market_data._words(data), starts, sizes)
+    assert ok.tolist() == list(EXACT_CELLS.values())
+    assert values[ok].view(np.uint64).tolist() == [
+        _float_or_error(c) for c, fast in EXACT_CELLS.items() if fast]
+    # the column parse reads every cell float() takes, on either path, as float() does
+    readable = [c for c in cells if _float_or_error(c) is not None]
+    rows = market_data._parse_columns(
+        ("x,y\n" + "".join(f"{c},{c}\n" for c in readable)).encode(), FLOAT_PAIR)
+    assert [column.view(np.uint64).tolist() for column in rows.columns] == [
+        [_float_or_error(c) for c in readable]] * 2
+
+
+def test_float_cells_across_chunks():
+    # more cells than one chunk, exact decimals and other cells mixed, so the
+    # chunk boundaries fall among both; the lines end in "\r\n", which the
+    # last column's cells leave out, so each exact decimal is read as one
+    n = market_data._FLOAT_CHUNK // 2 + 5
+    rng = np.random.default_rng(7)
+    cells = [repr(x) if i % 3 else f"{i % 1000}.{i % 97:02d}"
+             for i, x in enumerate(rng.normal(0, 1e3, 2 * n).tolist())]
+    text = "x,y\r\n" + "".join(f"{x},{y}\r\n" for x, y in zip(cells[::2], cells[1::2]))
+    taken = []
+
+    def decimal_cells(*args):
+        ok, values = decimal_cells.real(*args)
+        taken.append(int(ok.sum()))
+        return ok, values
+    decimal_cells.real = market_data._decimal_cells
+    with mock.patch.object(market_data, "_decimal_cells", decimal_cells):
+        rows = market_data._parse_columns(text.encode(), FLOAT_PAIR)
+    got = np.stack(rows.columns, axis=1).ravel()
+    assert got.view(np.uint64).tolist() == np.array([float(c) for c in cells]).view(
+        np.uint64).tolist()
+    exact = [m for c in cells if (m := re.fullmatch(r"[+-]?(\d*)\.?(\d*)", c))
+             and 1 <= len(m[1] + m[2]) <= 15]
+    assert len(taken) > 1 and sum(taken) == len(exact) > n // 2
 
 
 # --- loaders on the parse-time codes vs the per-cell loop ---------------------
@@ -812,7 +968,7 @@ def test_loaders_on_codes_match_per_cell_loop(futures):
             with mock.patch.object(market_data, "_parse_columns", lambda text, table: None):
                 slow = _series_outcome(load, path)
         assert fast == slow
-        taken.append(market_data._parse_columns(text, table) is not None)
+        taken.append(market_data._parse_columns(text.encode(), table) is not None)
         failed.append(fast.startswith("MarketDataError"))
 
     check()
@@ -824,7 +980,7 @@ def test_padded_cells_are_one_zone(tmp_path):
     # the codes are those of the stripped cells, so " ES" and "ES" are one zone
     p = write(tmp_path / "f.csv", "contract_id,market,zone,date,settle,volume,open_interest\n"
               "A,OMEL,ES,2007-01-01,50,1,10\n A ,OMEL, ES,2007-01-02,50,1,10\n")
-    assert market_data._parse_columns(p.read_text(), market_data._FUTURES) is not None
+    assert market_data._parse_columns(p.read_bytes(), market_data._FUTURES) is not None
     (series,) = load_futures_csv(p)
     assert (series.contract_id, series.zone, len(series)) == ("A", ES, 2)
     spot = write(tmp_path / "s.csv", "market,zone,date,price\n"
@@ -990,6 +1146,29 @@ def test_first_seen_of_one_word_keys_equals_rows_of_them(values):
     keys = np.array(values, dtype=np.uint64)
     one, rows = market_data._first_seen(keys), market_data._first_seen(keys[:, None])
     assert [a.tolist() for a in one] == [a.tolist() for a in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.integers(0, 4) | st.sampled_from([2**63, 2**64 - 1]), max_size=200))
+def test_first_seen_matches_a_dict(values):
+    # many repeats, so that the sort meets long runs of equal keys
+    codes = {}
+    expected = [codes.setdefault(v, len(codes)) for v in values]
+    heads, got = market_data._first_seen(np.array(values, dtype=np.uint64))
+    assert got.tolist() == expected
+    assert heads.tolist() == sorted(values.index(v) for v in codes)
+
+
+def test_zone_codes_of_interleaved_zones():
+    pairs = [("PJM", "ACE"), ("OMEL", "ES"), ("PJM", "RECO"), ("OMEL", "ES"), ("PJM", "ACE"),
+             ("PJM", "RECO"), ("PJM", "ES"), ("OMEL", "ACE")] * 3
+    columns = []
+    for cells in zip(*pairs):
+        code, values = market_data._coder(str)
+        columns.append(market_data._Coded(np.array([code(c) for c in cells]), values))
+    seen = {}
+    assert market_data._zone_codes(*columns).tolist() == [
+        seen.setdefault(pair, len(seen)) for pair in pairs]
 
 
 # float values a column repeats across blocks, ±0.0 and subnormals among them
