@@ -15,10 +15,11 @@ A plain-text config file of ``key=value`` lines can replace flags; flags
 win on conflict. A subcommand returns its outputs, as (path, write) pairs,
 and ``main`` writes them, so a run that fails writes no file.
 
-Each subcommand imports the modules it runs when it runs, so a process pays
-only for its own: ``ingest`` needs nothing beyond ``market_data``. The
-scenario schema (``build_scenario``, ``outcome_to_dict``) lives in
-``auction_engine``; those names resolve here too, loading it on first use.
+Each subcommand imports the analysis modules it runs when it runs. Every
+process still imports all of ``market_data``, which this module imports, and
+``ingest`` needs nothing more. The scenario schema (``build_scenario``,
+``outcome_to_dict``) lives in ``auction_engine``; those names resolve here
+too, loading it on first use.
 """
 
 from __future__ import annotations
@@ -112,22 +113,42 @@ def _cmd_ingest(args):
     return outputs, f"ingest ok kind={args.kind} rows={count}"
 
 
+def _keyed(path, table) -> dict:
+    """The rows of ``path``, a ``table`` file, as {key: value}: the last cell
+    is the value, the others its key. A key that repeats is a data error
+    naming the file and the line."""
+    out = {}
+    for lineno, (*key, value) in _read_table(path, table):
+        key = tuple(key)
+        if key in out:
+            raise MarketDataError(
+                f"{path} line {lineno}: duplicate {list(table.columns)[-1]} row {key}")
+        out[key] = value
+    return out
+
+
 def _premium_rows(args) -> list:
     from .premiums import PremiumRow, cesur_premium, fmpi_premium, pjm_premium
 
     records = load_auctions_csv(args.auctions)
-    fmpi_map = ({(m, k): v for _, (m, k, v) in _read_table(args.fmpi, _FMPI)}
-                if args.fmpi else {})
+    fmpi_map = _keyed(args.fmpi, _FMPI) if args.fmpi else {}
     costs_map = ({(c.zone.market, c.zone.zone, c.year): c.unit_cost
                   for c in load_costs_csv(args.costs)} if args.costs else {})
-    averages_map = ({(m, z, year): price for _, (m, z, year, price)
-                     in _read_table(args.averages, _AVERAGES)} if args.averages else {})
+    averages_map = _keyed(args.averages, _AVERAGES) if args.averages else {}
     spot_by_zone = load_spot_csv_multi(args.spot)
 
     def spot_avg_for(zone, rec):
         if zone not in spot_by_zone:
             raise MarketDataError(f"{args.spot}: no spot prices for zone {zone.market}/{zone.zone}")
         return average_price(spot_by_zone[zone], rec.delivery, mode=args.spot_mode)
+
+    def side_value(path, table: dict, what: str, key: tuple, default: float) -> float:
+        # without its flag, a side table has no say; with it, it must hold the key
+        if not path:
+            return default
+        if key not in table:
+            raise MarketDataError(f"{path}: no {what} row {key}")
+        return table[key]
 
     rows = []
     for rec in records:
@@ -138,9 +159,11 @@ def _premium_rows(args) -> list:
             prem, pct = cesur_premium(rec.clearing_price, spot_avg)
         else:
             group = rec.product_id.split("-")[0]  # the zone
-            costs, label = costs_map.get(("PJM", group, year), 0.0), f"{year}-{group}"
-            avg_price = averages_map.get(("PJM", group, year), rec.clearing_price)
+            label, key = f"{year}-{group}", ("PJM", group, year)
             spot_avg = spot_avg_for(MarketZone("PJM", group), rec)
+            costs = side_value(args.costs, costs_map, "cost", key, 0.0)
+            avg_price = side_value(args.averages, averages_map, "avg_price", key,
+                                   rec.clearing_price)
             prem, pct = pjm_premium(avg_price, costs, spot_avg)
         fmpi_val = fmpi_map.get((rec.market, rec.product_id))
         f_prem = f_pct = None

@@ -262,13 +262,6 @@ def _fixed(spec: str):
             lambda x: "" if x is None else format(x, spec))
 
 
-def _multi(kind):
-    """A ";"-separated list of values of ``kind`` in one cell."""
-    parse, fmt = kind
-    return (lambda text: tuple(parse(part.strip()) for part in text.split(";")),
-            lambda values: ";".join(fmt(v) for v in values))
-
-
 # The codec's own types are plain classes: every process that imports this
 # module would otherwise pay about a millisecond per dataclass built.
 class _Table:
@@ -288,9 +281,8 @@ _FUTURES = _Table({"contract_id": _TEXT, "market": _TEXT, "zone": _TEXT, "date":
                    "settle": _FLOAT, "volume": _FLOAT, "open_interest": _FLOAT})
 _AUCTIONS = _Table({
     "market": _TEXT, "auction_id": _INT, "auction_date": _DATE,
-    "product_id": _multi(_TEXT), "delivery_start": _multi(_DATE),
-    "delivery_end": _multi(_DATE), "load_shape": _multi(_TEXT), "product_kind": _TEXT,
-    "clearing_price": _multi(_FLOAT), "quantity": _multi(_FLOAT),
+    "product_id": _TEXT, "delivery_start": _DATE, "delivery_end": _DATE,
+    "load_shape": _TEXT, "product_kind": _TEXT, "clearing_price": _FLOAT, "quantity": _FLOAT,
     "start_bidders": _INT, "winning_bidders": _INT, "rounds": _INT,
 })
 _COSTS = _Table({"market": _TEXT, "zone": _TEXT, "year": _INT, "unit_cost": _FLOAT})
@@ -859,32 +851,23 @@ def load_futures_csv(path) -> list[FuturesContractSeries]:
 
 
 def load_auctions_csv(path) -> list[AuctionRecord]:
-    """Load an auctions CSV.
+    """Load an auctions CSV: one record per row, in file order.
 
-    A single file row may describe several products of the same auction
-    session: product_id, delivery_start, delivery_end, load_shape,
-    clearing_price and quantity may each hold ";"-separated entries of equal
-    count, and the row expands into that many records.
+    A row is one product. A session that sold several products is several
+    rows sharing its auction_id.
     """
-    records = []
-    for lineno, row in _read_table(path, _AUCTIONS):
-        (market, aid, adate, pids, starts, ends, shapes, kind, prices, qtys,
-         sbid, wbid, rounds) = row
-        products = [pids, starts, ends, shapes, prices, qtys]
-        if any(len(part) != len(pids) for part in products):
-            raise MarketDataError(
-                f"{path} line {lineno}: multi-product fields have unequal counts"
-            )
+    out = []
+    for lineno, (market, aid, adate, pid, start, end, shape, kind, price, qty,
+                 sbid, wbid, rounds) in _read_table(path, _AUCTIONS):
         try:
-            records += [AuctionRecord(
+            out.append(AuctionRecord(
                 market=market, auction_id=aid, auction_date=adate, product_id=pid,
                 delivery=DeliveryPeriod(start=start, end=end, load_shape=shape),
                 clearing_price=price, quantity=qty, product_kind=kind,
-                start_bidders=sbid, winning_bidders=wbid, rounds=rounds,
-            ) for pid, start, end, shape, price, qty in zip(*products)]
+                start_bidders=sbid, winning_bidders=wbid, rounds=rounds))
         except MarketDataError as exc:
             raise MarketDataError(f"{path} line {lineno}: {exc}") from None
-    return records
+    return out
 
 
 def load_costs_csv(path) -> list[CostComponents]:
@@ -917,11 +900,10 @@ def write_futures_csv(path, series_list: list[FuturesContractSeries]) -> None:
 
 
 def write_auctions_csv(path, records: list[AuctionRecord]) -> None:
-    # one product per row, so each ";" column holds a single entry
     _write_table(path, _AUCTIONS, zip(*(
-        (r.market, r.auction_id, r.auction_date, [r.product_id], [r.delivery.start],
-         [r.delivery.end], [r.delivery.load_shape], r.product_kind, [r.clearing_price],
-         [r.quantity], r.start_bidders, r.winning_bidders, r.rounds)
+        (r.market, r.auction_id, r.auction_date, r.product_id, r.delivery.start,
+         r.delivery.end, r.delivery.load_shape, r.product_kind, r.clearing_price,
+         r.quantity, r.start_bidders, r.winning_bidders, r.rounds)
         for r in records
     )))
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .market_data import SpotPriceSeries
+if TYPE_CHECKING:
+    from .market_data import SpotPriceSeries
 
 
 class RegressionError(ValueError):

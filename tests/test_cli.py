@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import powerauctions
-from powerauctions import auction_engine
+from powerauctions import auction_engine, market_data
 from powerauctions.auction_engine import (ClockAuctionConfig, ConstantSupply, StochasticExit,
                                           StochasticShrink, ThresholdExit)
 from powerauctions.cli import _build_parser, build_scenario, main
@@ -717,6 +717,54 @@ class TestPjmReport:
         assert (comparison["a"], comparison["b"]) == ("ACE", "JCPL")
         assert 0.0 <= comparison["p"] <= 1.0
 
+    def test_without_side_tables_costs_are_0_and_the_average_is_the_price(self, tmp_path,
+                                                                          pjm_inputs):
+        auctions, spot, _, _ = pjm_inputs
+        out = tmp_path / "out"
+        assert main(["report", "--auctions", str(auctions), "--spot", str(spot),
+                     "--out", str(out)]) == 0
+        rows = read_csv_skipping_comments(out / "premiums.csv")[1:]
+        for row, a in zip(rows, self.AUCTIONS, strict=True):
+            premium, _ = pjm_premium(a.bgsfp_price, 0.0, a.spot_avg)
+            assert float(row[4]) == 0.0
+            assert float(row[5]) == pytest.approx(premium, abs=5e-5)
+
+    @pytest.mark.parametrize("flag, what", [("--costs", "cost"), ("--averages", "avg_price")])
+    def test_side_table_without_a_products_key_is_data_error(self, tmp_path, pjm_inputs,
+                                                             capsys, flag, what):
+        # a side table that is given must hold every PJM product's key
+        auctions, spot, costs, averages = pjm_inputs
+        side = {"--costs": costs, "--averages": averages}[flag]
+        side.write_text("".join(line for line in side.read_text().splitlines(keepends=True)
+                                if not line.startswith("PJM,ACE,2008,")))
+        out = tmp_path / "out"
+        assert main(["report", "--auctions", str(auctions), "--spot", str(spot),
+                     "--costs", str(costs), "--averages", str(averages),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error code=2 reason={side}: no {what} row ('PJM', 'ACE', 2008)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, duplicate", [
+        ("--fmpi", "duplicate fmpi row ('PJM', 'ACE-2007')"),
+        ("--averages", "duplicate avg_price row ('PJM', 'ACE', 2007)"),
+    ], ids=["fmpi", "averages"])
+    def test_repeated_key_in_side_table_is_data_error(self, tmp_path, pjm_inputs, capsys,
+                                                      flag, duplicate):
+        # a key may not repeat; the blank line before the repeat keeps its
+        # line number apart from its row number
+        auctions, spot, _, averages = pjm_inputs
+        side = {"--fmpi": tmp_path / "fmpi.csv", "--averages": averages}[flag]
+        lines = {"--fmpi": ["market,key,fmpi", "PJM,ACE-2007,50", "PJM,JCPL-2007,51"],
+                 "--averages": averages.read_text().splitlines()}[flag]
+        side.write_text("\n".join([*lines, "", lines[1].rsplit(",", 1)[0] + ",1000"]) + "\n")
+        out = tmp_path / "out"
+        assert main(["report", "--auctions", str(auctions), "--spot", str(spot), flag, str(side),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error code=2 reason={side} line {len(lines) + 2}: {duplicate}\n")
+        assert not out.exists()
+
 
 class TestContractSelection:
     @pytest.fixture
@@ -1356,6 +1404,25 @@ def subcommand_runs(tmp_path, omel_fixture):
     return runs
 
 
+def test_readme_csv_schemas_are_the_codec_tables():
+    # each entry of README's "CSV schemas" list is its table's header, an
+    # optional column in brackets
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### CSV schemas\n\n", 1)[1].split("\n\n", 1)[0]
+    entries = {re.sub(r" \(.*\)$", "", name): header
+               for name, header in re.findall(r"^- (.+?): `([^`]*)`", section, re.M)}
+    tables = {"spot": "_SPOT", "futures": "_FUTURES", "auctions": "_AUCTIONS",
+              "costs": "_COSTS", "fmpi": "_FMPI", "averages": "_AVERAGES",
+              "strip prices": "_STRIP_PRICES", "events": "_EVENTS", "panel": "_PANEL"}
+    expected = {}
+    for name, table in tables.items():
+        columns = list(getattr(market_data, table).columns)
+        required = len(columns) - getattr(market_data, table).optional
+        expected[name] = ",".join(columns[:required]) + "".join(
+            f"[,{c}]" for c in columns[required:])
+    assert entries == expected
+
+
 def test_readme_lists_every_subcommand():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     sentence = readme.split("scriptable through `powerauctions <subcommand>`:", 1)[1]
@@ -1580,6 +1647,21 @@ EXPORTED = """
 SUBMODULES = ("activity", "auction_engine", "market_data", "panel", "premiums")
 
 
+def test_auctions_row_of_several_products_is_data_error(tmp_path, omel_fixture, capsys):
+    # a row is one product: a row of ";"-separated products fails at its first
+    # date cell, with its line
+    auctions, _, _ = omel_fixture
+    auctions.write_text(auctions.read_text() + "OMEL,4,2008-03-13,Q2-08;Q2Q3-08,"
+                        "2008-04-01;2008-04-01,2008-06-30;2008-09-30,baseload;baseload,"
+                        "fixed_quantity,63.36;63.73,1800;1200,29,14,22\n")
+    out = tmp_path / "out"
+    assert main(["ingest", "--kind", "auctions", "--input", str(auctions),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error code=2 reason={auctions} line 4: unparseable "
+                                       "delivery_start '2008-04-01;2008-04-01'\n")
+    assert not out.exists()
+
+
 def test_package_namespace():
     # every name the package exported when it imported all five modules up
     # front still resolves, to the object its module defines
@@ -1609,3 +1691,9 @@ def test_package_imports_a_module_when_a_name_is_used():
                     "powerauctions.run_descending_clock; "
                     "assert loaded() == {'powerauctions', 'powerauctions.auction_engine', "
                     "'powerauctions.market_data'}, loaded()"], env=env, check=True)
+    # panel annotates vol3y with SpotPriceSeries but never loads market_data
+    subprocess.run([sys.executable, "-c", "import sys, powerauctions; "
+                    "powerauctions.fit_pooled_ols; "
+                    "loaded = {m for m in sys.modules if m.startswith('powerauctions')}; "
+                    "assert loaded == {'powerauctions', 'powerauctions.panel'}, loaded"],
+                   env=env, check=True)

@@ -231,20 +231,24 @@ def test_copies_and_pickles_are_rebuilt_frozen(make):
     assert a.ordinals is b.ordinals
 
 
+# CESUR session 4 sold two products: one row each, sharing the auction_id
+TWO_PRODUCT_SESSION = ("OMEL,4,2008-03-13,Q2-08,2008-04-01,2008-06-30,baseload,fixed_quantity,"
+                       "63.36,1800,29,14,22\n"
+                       "OMEL,4,2008-03-13,Q2Q3-08,2008-04-01,2008-09-30,baseload,fixed_quantity,"
+                       "63.73,1200,29,14,22\n")
+
+
 class TestAuctionsLoader:
     HEADER = ("market,auction_id,auction_date,product_id,delivery_start,delivery_end,"
               "load_shape,product_kind,clearing_price,quantity,start_bidders,"
               "winning_bidders,rounds\n")
 
-    def test_multi_product_row_split(self, tmp_path):
-        p = write(tmp_path / "a.csv", self.HEADER +
-                  "OMEL,4,2008-03-13,Q2-08;Q2Q3-08,2008-04-01;2008-04-01,"
-                  "2008-06-30;2008-09-30,baseload;baseload,fixed_quantity,"
-                  "63.36;63.73,1800;1200,29,14,22\n")
+    def test_session_of_two_products_is_two_rows(self, tmp_path):
+        p = write(tmp_path / "a.csv", self.HEADER + TWO_PRODUCT_SESSION)
         records = load_auctions_csv(p)
-        assert len(records) == 2
-        assert records[0].product_id == "Q2-08"
-        assert records[1].clearing_price == 63.73
+        assert [(r.auction_id, r.product_id) for r in records] == [(4, "Q2-08"), (4, "Q2Q3-08")]
+        assert records[1].delivery == DeliveryPeriod(date(2008, 4, 1), date(2008, 9, 30))
+        assert (records[0].clearing_price, records[1].clearing_price) == (63.36, 63.73)
         assert records[0].start_bidders == records[1].start_bidders == 29
 
     def test_product_kind_cross_checked_against_market(self, tmp_path):
@@ -477,15 +481,6 @@ def test_domain_object_checks(case):
     assert str(exc.value) == message
 
 
-def test_multi_product_fields_of_unequal_counts_rejected(tmp_path):
-    p = write(tmp_path / "a.csv", TestAuctionsLoader.HEADER +
-              "OMEL,4,2008-03-13,Q2-08;Q2Q3-08,2008-04-01;2008-04-01,"
-              "2008-06-30;2008-09-30,baseload,fixed_quantity,63.36;63.73,1800;1200,29,14,22\n")
-    with pytest.raises(MarketDataError) as exc:
-        load_auctions_csv(p)
-    assert str(exc.value) == f"{p} line 2: multi-product fields have unequal counts"
-
-
 def test_auction_of_unknown_market_rejected(tmp_path):
     p = write(tmp_path / "a.csv", TestAuctionsLoader.HEADER +
               "XX,1,2007-06-19,Q3-07,2007-07-01,2007-09-30,baseload,fixed_quantity,"
@@ -511,9 +506,8 @@ TABLES = {
     "spot": (market_data._SPOT, None, "OMEL,ES,2007-01-01,30.5", "date"),
     "futures": (market_data._FUTURES, None, "FTBQ-1,OMEL,ES,2007-01-01,50.5,3,100", "settle"),
     "auctions": (market_data._AUCTIONS, None,
-                 "OMEL,4,2008-03-13,Q2-08;Q2Q3-08,2008-04-01;2008-04-01,2008-06-30;2008-09-30,"
-                 "baseload;baseload,fixed_quantity,63.36;63.73,1800;1200,29,14,22",
-                 "clearing_price"),
+                 "OMEL,4,2008-03-13,Q2-08,2008-04-01,2008-06-30,baseload,fixed_quantity,"
+                 "63.36,1800,29,14,22", "clearing_price"),
     "costs": (market_data._COSTS, None, "PJM,ACE,2007,11.34", "year"),
     "fmpi": (market_data._FMPI, None, "OMEL,Q3-07,44.45", "fmpi"),
     "averages": (market_data._AVERAGES, None, "PJM,ACE,2007,67.1", "avg_price"),
@@ -573,10 +567,8 @@ WRITTEN_TABLES = {
                 "contract_id,market,zone,date,settle,volume,open_interest\n"
                 "A,OMEL,ES,2007-01-01,50.5,1,10\nB,PJM,ACE,2007-01-01,1e-07,2,20\n"
                 "A,OMEL,ES,2007-01-02,52,3,30\n"),
-    "auctions": (load_auctions_csv, write_auctions_csv, TestAuctionsLoader.HEADER +
-                 "OMEL,4,2008-03-13,Q2-08;Q2Q3-08,2008-04-01;2008-04-01,"
-                 "2008-06-30;2008-09-30,baseload;baseload,fixed_quantity,"
-                 "63.36;63.73,1800;1200,29,14,22\n"),
+    "auctions": (load_auctions_csv, write_auctions_csv,
+                 TestAuctionsLoader.HEADER + TWO_PRODUCT_SESSION),
     "costs": (load_costs_csv, write_costs_csv,
               "market,zone,year,unit_cost\nPJM,ACE,2007,11.34\nPJM,RECO,2009,17\n"),
 }
@@ -1025,19 +1017,13 @@ FLOATS = (st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e16, 1e-5, 0.1, 
 VALUES = {id(market_data._TEXT): TEXT, id(market_data._DATE): st.dates(),
           id(market_data._FLOAT): FLOATS, id(market_data._INT): st.integers(-10**20, 10**20),
           id(market_data._FLAG): st.booleans()}
-# the ";"-list columns of _AUCTIONS, by the kind of their entries
-MULTI = {"product_id": TEXT, "load_shape": TEXT, "delivery_start": st.dates(),
-         "delivery_end": st.dates(), "clearing_price": FLOATS, "quantity": FLOATS}
 
 
 @st.composite
-def _column(draw, name, kind, n):
+def _column(draw, kind, n):
     """``n`` values of ``kind``; a float column is often a numpy array."""
     if id(kind) in VALUES:
         values = draw(st.lists(VALUES[id(kind)], min_size=n, max_size=n))
-    elif name in MULTI:
-        values = draw(st.lists(st.lists(MULTI[name], min_size=1, max_size=3),
-                               min_size=n, max_size=n))
     else:  # a _fixed kind: None is a blank cell
         assert kind[1](None) == ""
         values = draw(st.lists(st.none() | FLOATS, min_size=n, max_size=n))
@@ -1057,21 +1043,21 @@ def _write_blocks(draw, table):
 
     A column may be a _Coded of 1-3 values, not all of them used.
     """
-    kinds = list(table.columns.items())
+    kinds = list(table.columns.values())
     blocks = []
     for _ in range(draw(st.integers(0, 4))):
         n = draw(st.integers(0, 4))
         block = []
-        for j, (name, kind) in enumerate(kinds):
+        for j, kind in enumerate(kinds):
             earlier = [b[j] for b in blocks if _rows_of(b[j]) == n]
             if earlier and draw(st.booleans()):
                 block.append(draw(st.sampled_from(earlier)))
             elif draw(st.integers(0, 2)) == 0:
-                values = list(draw(_column(name, kind, draw(st.integers(1, 3)))))
+                values = list(draw(_column(kind, draw(st.integers(1, 3)))))
                 codes = draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))
                 block.append(market_data._Coded(np.array(codes, dtype=np.int64), values))
             else:
-                block.append(draw(_column(name, kind, n)))
+                block.append(draw(_column(kind, n)))
         blocks.append(block)
     return blocks
 
