@@ -73,7 +73,11 @@ class Strategy(Protocol):
 # raw[:, cols], rounds x bidders. ``round_no`` is the block's first round,
 # ``prices`` are its announced prices and ``last`` every bidder's logged
 # offer before it. A bidder's offers depend only on its own history, so the
-# whole block has a closed form.
+# whole block has a closed form. A random bidder still active fills its row of
+# one block buffer with a single ``Generator.random`` call, and a
+# StochasticShrink turns those doubles into its factors as numpy's
+# ``uniform(low, 1.0)`` does, low + (1.0 - low) * u, with the same bits and
+# the same generator state.
 
 
 def _fields(bidders, *names) -> np.ndarray:
@@ -118,9 +122,13 @@ class ThresholdExit:
         return offers
 
 
-def _draws(active, n: int, draw) -> np.ndarray:
-    """``draw(j, n)`` for each active bidder j, as an n x len(active) array."""
-    return np.array([draw(j, n) for j in active.tolist()]).reshape(len(active), n).T
+def _uniforms(rngs, active, n: int) -> np.ndarray:
+    """n doubles in [0, 1) from the generator of each active bidder j, as an
+    n x len(active) array: one buffer, each generator filling its own row."""
+    u = np.empty((active.size, n))
+    for j, row in zip(active.tolist(), u):
+        rngs[j].random(out=row)
+    return u.T
 
 
 @dataclass
@@ -150,7 +158,7 @@ class StochasticExit:
             raw[:, cols] = q
             first = round_no == 1  # round 1 draws nothing
             active = last[cols].nonzero()[0]  # a retired bidder draws nothing
-            u = _draws(active, len(prices) - first, lambda j, n: rngs[j].random(n))
+            u = _uniforms(rngs, active, len(prices) - first)
             raw[first:, cols[active]] = np.where(u < p[active], 0.0, q[active])
         return offers
 
@@ -176,6 +184,7 @@ class StochasticShrink:
     @staticmethod
     def _block_offers(bidders, cols):
         q, low = _fields(bidders, "quantity", "low")
+        span = 1.0 - low
         rngs = [b.rng for b in bidders]
 
         def offers(round_no, prices, last, raw):
@@ -187,8 +196,9 @@ class StochasticShrink:
             # offer is the previous one times its factor. Round 1 offers the
             # quantity; the first factor of a later block multiplies the last offer.
             steps = np.empty((len(prices), active.size))
-            steps[first:] = _draws(active, len(prices) - first,
-                                   lambda j, n: rngs[j].uniform(low[j], 1.0, n))
+            factors = steps[first:]
+            np.multiply(_uniforms(rngs, active, len(factors)), span[active], out=factors)
+            factors += low[active]
             if first:
                 steps[0] = q[active]
             else:
@@ -296,8 +306,9 @@ def _block_rules(strategies):
     is of an exact built-in type with ``_exact`` numeric fields, shares
     neither itself nor its ``Generator``, if it draws, with another bidder (a
     block drawn at once would change the other holder's draws) and, if a
-    StochasticShrink, has ``low`` <= 1 (numpy raises at uniform(low > 1, 1.0);
-    ``__post_init__`` refuses such a low, but the field can be set later)."""
+    StochasticShrink, has -inf < ``low`` <= 1 (numpy's uniform(low, 1.0)
+    raises for any other low, and the block's low + (1.0 - low) * u would
+    not; ``__post_init__`` refuses such a low, but the field can be set later)."""
     held = list(map(id, strategies))  # the ids of the objects each bidder holds
     by_type = {t: [] for t in _BLOCK_TYPES}
     for i, s in enumerate(strategies):
@@ -310,7 +321,7 @@ def _block_rules(strategies):
             if not (_exact(v) or v is rng):
                 return None
         if rng is not s and type(rng) is not np.random.Generator or (
-                type(s) is StochasticShrink and not s.low <= 1):
+                type(s) is StochasticShrink and not -math.inf < s.low <= 1):
             return None
         cols.append(i)
         if rng is not s:
@@ -377,10 +388,13 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
 
     With an exact tick and every bidder eligible for ``_block_rules``, all
     bidders are priced k = ``BLOCK`` rounds at a time from their closed
-    forms, and a random bidder's generator may end up to one block past its
-    last used draw. Otherwise each bidder is called per round (k = 1), in
-    bidder order and only while active. Strategies are called with numpy's
-    floating-point errors ignored.
+    forms: each active random bidder draws the block's k doubles (k - 1 in
+    the block of round 1) with one ``random`` call, a StochasticShrink
+    scales them to the factors ``uniform(low, 1.0)`` would give, bit for
+    bit, and its generator may end up to one block past its last used draw.
+    Otherwise each bidder is called per round (k = 1), in bidder order and
+    only while active. Strategies are called with numpy's floating-point
+    errors ignored.
     """
     if not strategies:
         raise AuctionError("at least one strategy required")

@@ -402,6 +402,22 @@ class TestClockAuction:
             drew.random(63)
             assert s.rng.bit_generator.state == drew.bit_generator.state
 
+    def test_retired_shrink_bidders_draw_no_more(self):
+        # B2 is active in both blocks and draws rounds 2-64, then 65-128; B3
+        # retires in the first block (a factor below 0 is clamped to 0) and
+        # draws nothing in the second. B1 holds the clock up until round 82
+        strategies = [ThresholdExit(5.0, 120.0),
+                      StochasticShrink(1.0, low=0.999, rng=np.random.default_rng(1)),
+                      StochasticShrink(1.0, low=-1.0, rng=np.random.default_rng(2))]
+        out = run_descending_clock(config(target=1, opening=200, tick=1), strategies)
+        assert out.rounds_used == 82
+        log = out.round_log
+        assert log[81].offers["B2"] > 0 and log[63].offers["B3"] == 0.0
+        for seed, s, n in zip((1, 2), strategies[1:], (63 + 64, 63)):
+            drew = np.random.default_rng(seed)
+            drew.random(n)
+            assert s.rng.bit_generator.state == drew.bit_generator.state
+
     def test_listed_strategy_held_by_a_wrapper_is_called_per_round(self):
         def run(shared):
             first = StochasticShrink(6, low=0.9, rng=np.random.default_rng(4))
@@ -534,6 +550,50 @@ def test_block_path_matches_per_call_path(clock, share, int_target, bidders, see
         assert all(q2 <= q1 for q1, q2 in zip(offers, offers[1:]))
         first_zero = offers.index(0.0) if 0.0 in offers else len(offers)
         assert all(q == 0.0 for q in offers[first_zero:])
+
+
+def _outcome_or_error(strategies, target):
+    try:
+        return run_descending_clock(config(target=target, opening=100, tick=1), strategies)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("quantity, others, target, expected", [
+    (4.0, [], 6, "AuctionError: undersubscribed at opening: aggregate 5.0 < target 6"),
+    (4.0, [], 5, 1),  # clears in round 1
+    (4.0, [], 4.5, "OverflowError: high - low range exceeds valid bounds"),  # drawn in round 2
+    # retired in round 1, so it never draws; the threshold bidder exits in round 7
+    (0.0, [ThresholdExit(4.0, 95.0)], 3, 7),
+], ids=["undersubscribed", "round-1", "round-2", "retired"])
+def test_shrink_with_a_low_of_minus_inf_runs_per_round(quantity, others, target, expected):
+    # __post_init__ refuses a low of -inf, but the field can be set later;
+    # numpy's uniform(-inf, 1.0) raises, so the bidder is called per round
+    def strategies(forward):
+        shrink = StochasticShrink(quantity, rng=np.random.default_rng(5))
+        shrink.low = -math.inf
+        bidders = [shrink, ConstantSupply(1.0), *others]
+        return [Forward(s) for s in bidders] if forward else bidders
+
+    block = _outcome_or_error(strategies(False), target)
+    assert block == _outcome_or_error(strategies(True), target)
+    assert (block if isinstance(block, str) else block.rounds_used) == expected
+
+
+@pytest.mark.parametrize("low", [0.0, 1.0, 0.5, -0.5, 0.97, 1 - 2 ** -53, 5e-324, -1e308])
+def test_shrink_factors_are_numpys_uniform(low):
+    # StochasticShrink's block rule scales a block of random() doubles as
+    # numpy's uniform(low, 1.0) does, low + (1.0 - low) * u: the same bits,
+    # and the generator ends in the same state
+    g, g2 = np.random.default_rng(11), np.random.default_rng(11)
+    lows = np.array([low])
+    u = np.empty((1, 500))
+    g.random(out=u[0])
+    factors = np.empty((500, 1))
+    np.multiply(u.T, 1.0 - lows, out=factors)
+    factors += lows
+    assert (factors[:, 0].view(np.uint64) == g2.uniform(low, 1.0, 500).view(np.uint64)).all()
+    assert g.bit_generator.state == g2.bit_generator.state
 
 
 class TestSettlement:

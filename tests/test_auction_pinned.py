@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from powerauctions.auction_engine import (ClockAuctionConfig, ConstantSupply, StochasticExit,
-                                          StochasticShrink, ThresholdExit, run_descending_clock)
-from powerauctions.cli import build_scenario, outcome_to_dict
+                                          StochasticShrink, ThresholdExit, build_scenario,
+                                          outcome_to_dict, run_descending_clock)
 
 DIGESTS = Path(__file__).with_name("auction_digests.json")
 KINDS = ("constant", "threshold_exit", "stochastic_exit", "stochastic_shrink")

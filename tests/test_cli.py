@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 import powerauctions
 from powerauctions import auction_engine, market_data
 from powerauctions.auction_engine import (ClockAuctionConfig, ConstantSupply, StochasticExit,
-                                          StochasticShrink, ThresholdExit)
-from powerauctions.cli import _build_parser, build_scenario, main
+                                          StochasticShrink, ThresholdExit, build_scenario)
+from powerauctions.cli import _build_parser, main
 from powerauctions.datasets import PJM_AUCTIONS
 from powerauctions.market_data import MarketZone, SpotPriceSeries, write_spot_csv
 from powerauctions.premiums import FmpiSpec, fmpi_strip, pjm_premium
