@@ -71,13 +71,13 @@ class Strategy(Protocol):
 # of those bidders, columns ``cols`` of the auction, over a block of rounds:
 # a function (round_no, prices, last, raw) that writes their raw offers into
 # raw[:, cols], rounds x bidders. ``round_no`` is the block's first round,
-# ``prices`` are its announced prices and ``last`` every bidder's logged
-# offer before it. A bidder's offers depend only on its own history, so the
-# whole block has a closed form. A random bidder still active fills its row of
-# one block buffer with a single ``Generator.random`` call, and a
-# StochasticShrink turns those doubles into its factors as numpy's
-# ``uniform(low, 1.0)`` does, low + (1.0 - low) * u, with the same bits and
-# the same generator state.
+# ``prices`` is the array of its announced prices that the clock computed
+# and ``last`` every bidder's logged offer before it. A bidder's offers
+# depend only on its own history, so the whole block has a closed form. A
+# random bidder still active fills its row of one block buffer with a single
+# ``Generator.random`` call, and a StochasticShrink turns those doubles into
+# its factors as numpy's ``uniform(low, 1.0)`` does, low + (1.0 - low) * u,
+# with the same bits and the same generator state.
 
 
 def _fields(bidders, *names) -> np.ndarray:
@@ -118,7 +118,7 @@ class ThresholdExit:
         q, threshold, below = _fields(bidders, "quantity", "threshold", "below_quantity")
 
         def offers(round_no, prices, last, raw):
-            raw[:, cols] = np.where(np.array(prices, dtype=float)[:, None] >= threshold, q, below)
+            raw[:, cols] = np.where(prices[:, None] >= threshold, q, below)
         return offers
 
 
@@ -317,8 +317,9 @@ def _block_rules(strategies):
             return None
         fields = s.__dict__
         rng = fields.get("rng", s)  # s: no generator
-        for v in fields.values():
-            if not (_exact(v) or v is rng):
+        for v in fields.values():  # _exact(v) or v is rng, without a call per value
+            if type(v) is not float and v is not rng and not (
+                    type(v) is int and -_EXACT_INT <= v <= _EXACT_INT):
                 return None
         if rng is not s and type(rng) is not np.random.Generator or (
                 type(s) is StochasticShrink and not -math.inf < s.low <= 1):
@@ -336,10 +337,13 @@ def _call_rule(strategies):
     """The offer rule of bidders that are called: one round, in which each
     bidder's ``offer`` is called in bidder order while it is active."""
     def offers(round_no, prices, last, raw):
-        price = prices[0]
+        price, = prices.tolist()  # a Python number, as logged
         raw[0] = [float(s.offer(round_no, price, q)) if q != 0.0 else 0.0
                   for s, q in zip(strategies, last.tolist())]
     return offers
+
+
+_WIDE = 256  # bidders from which a running minimum is cheaper row by row
 
 
 def _clamp(raw, last):
@@ -349,11 +353,22 @@ def _clamp(raw, last):
     A bidder is asked while its previous offer is not 0, and an asked offer
     outside [0, previous] is clamped into it: the logged offers are a
     running minimum of max(raw, 0) from ``last``, and 0.0 once retired.
+    numpy's ``minimum.accumulate`` walks each column on its own; from
+    ``_WIDE`` columns one ``minimum`` per row is cheaper. Both take the
+    minimum in the same order, and a bound's sign can differ between them
+    only after its first zero, where it is logged as 0.0 anyway.
     """
-    bounds = np.concatenate((last[None], np.where(raw >= 0.0, raw, 0.0)))
-    np.minimum.accumulate(bounds, out=bounds)
+    bounds = np.zeros((len(raw) + 1, raw.shape[1]))
+    bounds[0] = last
+    np.copyto(bounds[1:], raw, where=raw >= 0.0)  # max(raw, 0), NaN to 0 and -0.0 kept
+    if raw.shape[1] < _WIDE:
+        np.minimum.accumulate(bounds, out=bounds)
+    else:
+        for prev, row in zip(bounds, bounds[1:]):
+            np.minimum(prev, row, out=row)
     asked = bounds[:-1] != 0.0
-    offers = np.where(asked, bounds[1:], 0.0)
+    offers = bounds[1:]
+    offers[~asked] = 0.0
     # an asked offer in [0, previous] is logged as it is
     clamped = asked & (offers != raw)
     finite = np.isfinite(raw)
@@ -398,9 +413,10 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
     """
     if not strategies:
         raise AuctionError("at least one strategy required")
-    if bidder_ids is None:
+    if bidder_ids is None:  # unique by construction
         bidder_ids = [f"B{i + 1}" for i in range(len(strategies))]
-    _check_ids(bidder_ids, len(strategies), AuctionError)
+    else:
+        _check_ids(bidder_ids, len(strategies), AuctionError)
     dtype = None if _exact(config.opening_price) and _exact(config.price_decrement) else object
     # 0-d arrays: in an object array numpy would make a np.float32 scalar a
     # Python float, and a 0-d operand is the cheapest for numpy to compare with
@@ -418,13 +434,13 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
         done = len(prices)
         lo = max(done - 1, 0)  # from the last logged round, if any, to compare with
         k = min(step, config.max_rounds - done)
-        ahead = opening - np.arange(lo, done + k, dtype=tick.dtype) * tick
+        grid = opening - np.arange(lo, done + k, dtype=tick.dtype) * tick
         # the first price not below the one before, or not positive, ends the block,
         # and raises unless the auction closes before it. The config's numbers are
         # positive and finite, so round 1's price is good and no price is NaN
-        cur = ahead[1:]
-        bad = ((cur >= ahead[:-1]) | (cur <= zero)).tolist()
-        ahead = ahead.tolist()
+        cur = grid[1:]
+        bad = ((cur >= grid[:-1]) | (cur <= zero)).tolist()
+        ahead = grid.tolist()
         end = bad.index(True) + 1 if True in bad else len(ahead)
         block_prices, price_error = ahead[done - lo:end], None
         if end < len(ahead):
@@ -436,7 +452,7 @@ def run_descending_clock(config: ClockAuctionConfig, strategies: list[Strategy],
             raise price_error
         raw = np.zeros((len(block_prices), n))
         for rule in rules:
-            rule(done + 1, block_prices, last, raw)
+            rule(done + 1, grid[done - lo:end], last, raw)
         offers, clamped, nonfinite = _clamp(raw, last)
         # a left-to-right sum like Python's sum over the offers; sum starts
         # from 0, so + 0.0 turns an all -0.0 round into 0.0
@@ -524,6 +540,8 @@ def _from_json(cls, spec, where, seed=None):
     accepted, required, draws = _SCHEMAS[cls]
     for key, value in spec.items():
         types = accepted.get(key)
+        if type(value) is float and types is _NUMBER:  # the common case, fully checked
+            continue
         if types is None:
             raise MarketDataError(f"{_where(where)}.{key}: unknown field")
         if not isinstance(value, types) or type(value) is bool:
@@ -539,7 +557,8 @@ def _from_json(cls, spec, where, seed=None):
         for name in required:
             if name not in spec:
                 raise MarketDataError(f"{_where(where)}.{name}: missing")
-    return cls(**spec, rng=np.random.default_rng(seed)) if draws else cls(**spec)
+    # what default_rng(seed) builds for a seed that is no Generator or BitGenerator
+    return cls(**spec, rng=np.random.Generator(np.random.PCG64(seed))) if draws else cls(**spec)
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the pool
@@ -561,7 +580,7 @@ def _hash_steps(const: int, mult: int, n: int) -> np.ndarray:
     return np.array(steps, np.uint32).T
 
 
-_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 8)  # generate_state(4, np.uint64)
+_STATE_BEFORE, _STATE_AFTER = _hash_steps(_INIT_B, _MULT_B, 8)  # generate_state(4, np.uint64)
 
 
 def _entropy_words(entropy) -> int:
@@ -569,6 +588,20 @@ def _entropy_words(entropy) -> int:
     if isinstance(entropy, (int, np.integer)):
         return max(1, (int(entropy).bit_length() + 31) // 32)
     return sum(map(_entropy_words, entropy))
+
+
+@functools.cache
+def _pool_steps(p: int, words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pool word each of the 8 state words hashes, and the hash constants
+    before and after each child's spawn key is mixed into it, for a pool of
+    p words and entropy of ``words`` uint32 words (see ``_child_words``).
+    The arrays are read-only: every call with the same sizes shares them."""
+    const = _INIT_A * pow(_MULT_A, p * max(p, words), 1 << 32)
+    cols = np.arange(8) % p
+    before, after = _hash_steps(const, _MULT_A, p)[:, cols]
+    for a in (cols, before, after):
+        a.flags.writeable = False
+    return cols, before, after
 
 
 def _child_words(root, n: int) -> np.ndarray:
@@ -583,17 +616,16 @@ def _child_words(root, n: int) -> np.ndarray:
     INIT_A * MULT_A**(p * max(p, L)), L being the entropy's uint32 words:
     p hashes fill the pool, p * (p - 1) cross-mix it and p more mix in each
     later word. The 8 uint32 state words then hash the pool cyclically.
+    Those constants depend on p and L alone: ``_pool_steps`` computes them
+    once per pair.
     """
-    p = root.pool_size
-    const = _INIT_A * pow(_MULT_A, p * max(p, _entropy_words(root.entropy)), 1 << 32)
-    cols = np.arange(8) % p  # the pool word each state word hashes
-    before, after = _hash_steps(const, _MULT_A, p)[:, cols]
+    cols, before, after = _pool_steps(root.pool_size, _entropy_words(root.entropy))
     h = (np.arange(n, dtype=np.uint32)[:, None] ^ before) * after
     h ^= h >> 16
     h = (_MIX_MULT_L * root.pool)[cols] - _MIX_MULT_R * h
     h ^= h >> 16
-    h ^= _STATE_STEPS[0]
-    h *= _STATE_STEPS[1]
+    h ^= _STATE_BEFORE
+    h *= _STATE_AFTER
     h ^= h >> 16
     # pairs of uint32 words read as little-endian uint64, as numpy does
     return h.astype("<u4", copy=False).view("<u8").astype(np.uint64)
@@ -641,7 +673,9 @@ def build_scenario(scenario: dict, seed: int | None):
     ``_child_words`` hashes the PCG64 seed words of all n of them at once
     from the root's pool, with numpy's SeedSequence constants (INIT_A,
     MULT_A, MIX_MULT_L, MIX_MULT_R for the pool, INIT_B, MULT_B for the
-    state), and ``_ChildSeed`` hands bidder i's words to PCG64.
+    state), and ``_ChildSeed`` hands bidder i's words to PCG64. The hash
+    constants of the pool depend only on its size and the number of uint32
+    words of the seed, so they are computed once per such pair.
     A malformed scenario raises ``MarketDataError`` naming the bad key.
     """
     top = _from_json(_Scenario, scenario, "scenario")

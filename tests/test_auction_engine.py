@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from powerauctions import (AuctionError, ClockAuctionConfig, ConstantSupply,
                            DeliveryPeriod, StochasticExit, StochasticShrink, ThresholdExit,
                            run_descending_clock, settle_cfd)
-from powerauctions.auction_engine import RoundLogEntry
+from powerauctions.auction_engine import _WIDE, RoundLogEntry, _block_rules, _clamp
 
 from conftest import make_spot
 
@@ -92,6 +92,18 @@ class TestClockAuction:
         with pytest.raises(AuctionError, match=f"{len(ids)} bidder ids for 2 strategies"):
             run_descending_clock(config(target=5), [ThresholdExit(6, 85, 2), ConstantSupply(2)],
                                  bidder_ids=ids)
+
+    def test_duplicate_bidder_ids_rejected(self):
+        with pytest.raises(AuctionError, match="^bidder ids must be unique$"):
+            run_descending_clock(config(target=5), [ThresholdExit(6, 85, 2), ConstantSupply(2)],
+                                 bidder_ids=["A", "A"])
+
+    def test_default_bidder_ids(self):
+        out = run_descending_clock(config(target=5), [ThresholdExit(6, 85, 2), ConstantSupply(2),
+                                                      ConstantSupply(1)])
+        # 9 offered at 100 and 90; the threshold bidder drops to 2 at 80
+        assert [list(e.offers) for e in out.round_log] == [["B1", "B2", "B3"]] * 3
+        assert out.clearing_price == 80 and out.awards == {"B1": 2, "B2": 2, "B3": 1}
 
     def test_offer_above_previous_is_clamped(self):
         @dataclass
@@ -472,6 +484,54 @@ class TestClockAuction:
             assert [c.args[:2] for c in offer.call_args_list] == (
                 [(s, r) for r in asked] if foreign else [])
         assert [rule.call_count for rule in rules] == [1 - foreign] * 4
+
+
+_FIELD_VALUES = {"quantity": 2.0, "threshold": 95.0, "below_quantity": 1.0,
+                 "exit_probability": 0.3, "low": 0.9}
+_NUMERIC_FIELDS = [(t, f) for t in (ConstantSupply, ThresholdExit, StochasticExit,
+                                    StochasticShrink)
+                   for f in t.__dataclass_fields__ if f != "rng"]
+
+
+@pytest.mark.parametrize("cls, name", _NUMERIC_FIELDS,
+                         ids=[f"{t.__name__}.{f}" for t, f in _NUMERIC_FIELDS])
+def test_block_eligibility_per_field_value(cls, name):
+    # a bidder is block-eligible when each numeric field is a float or an int
+    # that a float holds exactly (a StochasticShrink's low also in (-inf, 1])
+    def rules(value):
+        fields = {f: _FIELD_VALUES[f] for f in cls.__dataclass_fields__ if f != "rng"}
+        extra = {"rng": np.random.default_rng(1)} if "rng" in cls.__dataclass_fields__ else {}
+        s = cls(**fields, **extra)
+        setattr(s, name, value)
+        return _block_rules([s, ConstantSupply(1.0)])
+
+    for value in (True, 2 ** 53 + 1, -2 ** 53 - 1, 2 ** 60, np.float64(3.5), np.float32(1)):
+        assert rules(value) is None, value
+    good = (0.5, -0.0, -1e300, 0, 1, -2 ** 53) if name == "low" else (
+        2.5, -0.0, 1e300, math.inf, 0, 3, 2 ** 53, -2 ** 53)
+    for value in good:
+        assert rules(value) is not None, value
+
+
+@pytest.mark.parametrize("n", [_WIDE - 1, _WIDE, 3 * _WIDE])
+@pytest.mark.parametrize("rounds", [1, 64])
+def test_clamp_row_by_row_is_numpys_running_minimum(n, rounds):
+    # from _WIDE bidders on, the running minimum is taken one row at a time
+    rng = np.random.default_rng([n, rounds])
+    special = np.array([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+    raw = np.where(rng.random((rounds, n)) < 0.05, rng.choice(special, (rounds, n)),
+                   rng.uniform(0.0, 10.0, (rounds, n)))
+    last = rng.choice(np.array([math.inf, 0.0, -0.0, 5.0, 9.5]), n)
+    bounds = np.concatenate((last[None], np.where(raw >= 0.0, raw, 0.0)))
+    np.minimum.accumulate(bounds, out=bounds)
+    asked = bounds[:-1] != 0.0
+    expected = np.where(asked, bounds[1:], 0.0)
+    with np.errstate(all="ignore"):
+        offers, clamped, nonfinite = _clamp(raw, last)
+    assert offers.tobytes() == expected.tobytes()  # the signs of zeros too
+    assert (clamped == asked & (expected != raw)).all()
+    assert (nonfinite == asked & ~np.isfinite(raw)).all()
+
 
 class Forward:
     """Forwards offer() to a built-in strategy: the engine can only call it

@@ -335,6 +335,34 @@ def test_a_built_generator_acts_as_a_spawned_one():
         assert rng.random(5).tolist() == expected.random(5).tolist()
 
 
+def test_seed_words_hold_across_pool_sizes_and_copies():
+    # builds with 1-, 4- and 5-word seeds, interleaved: the hash constants
+    # computed once per pool size and word count belong to that pair alone
+    kinds = ["stochastic_shrink", "constant", "stochastic_exit", "stochastic_shrink"]
+    scenario = {"config": {"target_quantity": 5, "opening_price": 100},
+                "strategies": [{"kind": k, "quantity": 3, **_KIND_SPECS[k]} for k in kinds]}
+    drawn = (0, 2, 3)
+
+    def check(seed):
+        _, strategies, _ = build_scenario(scenario, seed)
+        children = np.random.SeedSequence(seed).spawn(len(kinds))
+        for i in drawn:
+            assert strategies[i].rng.bit_generator.state == np.random.default_rng(
+                children[i]).bit_generator.state
+        return [strategies[i].rng.bit_generator.seed_seq for i in drawn], children
+
+    for seed in (7, 2**100 + 3, 2**130 + 17) * 2:  # 1, 4 and 5 uint32 words
+        seqs, children = check(seed)
+        # the words handed to PCG64 are a copy: writing into them changes
+        # neither the sibling's words nor its own, nor a later build's
+        words = seqs[0].generate_state(4, np.uint64)
+        words[:] = 0
+        for seq, i in zip(seqs, drawn):
+            assert (seq.generate_state(4, np.uint64)
+                    == children[i].generate_state(4, np.uint64)).all()
+        check(seed)
+
+
 _WRONG_VALUES = {"float": ["10", True, None, [1.0]], "int": [2.5, "3", False, None],
                  "str": [1, None, ["previous_price_prorata"]]}
 
